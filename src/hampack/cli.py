@@ -513,8 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("expander", cmd_expander, help="certify or refute robust expansion")
     p.add_argument("--nu", type=_fraction, required=True)
     p.add_argument("--tau", type=_fraction, required=True)
-    p.add_argument("--exact", action="store_true", default=False)
-    p.add_argument("--mc", action="store_true", default=False)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true", default=False,
+                      help="exhaustive subset check (the default)")
+    mode.add_argument("--mc", action="store_true", default=False,
+                      help="seeded Monte-Carlo refuter")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--input", required=True)
@@ -526,8 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("extremal", cmd_extremal, help="eta-extremality check or witness search")
     p.add_argument("--eta", type=_fraction, required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--exact", action="store_true", default=False)
-    p.add_argument("--heuristic", action="store_true", default=False)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true", default=False,
+                      help="the default: exact search for n <= 14, local search above")
+    mode.add_argument("--heuristic", action="store_true", default=False,
+                      help="as the default, with --restarts for the local search")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--a", type=_vertex_list, help="explicit class A to check")

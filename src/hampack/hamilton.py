@@ -6,6 +6,11 @@ reflection symmetries.  Packings list their cycles in nondecreasing
 canonical order, which together with residual-degree pruning is what
 makes exhaustive packing search feasible at n = 10..12.
 
+The exact maximum packing stops at its first packing of size
+min(floor(delta/2), floor(m/n), reg_even/2): k edge-disjoint Hamilton
+cycles form a spanning 2k-regular subgraph, so no packing is larger.
+The search exhausts only when the maximum lies below that ceiling.
+
 The single-cycle finder is an exact bitmask dynamic program over
 (subset, endpoint) states up to n = 20 and a pruned backtracking search
 up to n = 64.
@@ -235,29 +240,34 @@ def _restore_cycle(rows: list[int], cycle: HamCycle) -> None:
 
 def _packing_upper_bound(rows: list[int], n: int) -> int:
     degs = [r.bit_count() for r in rows]
-    by_degree = min(degs) // 2
+    by_degree = min(degs, default=0) // 2
     by_edges = sum(degs) // 2 // n if n else 0
     return min(by_degree, by_edges)
 
 
 def _search_packing(
-    g: Graph, target: int | None, budget: _Budget
+    g: Graph, target: int | None, budget: _Budget, ceiling: int | None = None
 ) -> tuple[list[HamCycle], bool]:
     """Backtracking packing search with nondecreasing canonical order.
 
-    target=None maximizes exactly; otherwise stops at the first packing
-    reaching the target.  Returns (best cycles, achieved-target flag).
+    target=None maximizes exactly, stopping early only at a packing of
+    size ``ceiling`` (a proven upper bound on the maximum); otherwise
+    stops at the first packing reaching the target.  Neither mode prunes
+    a subtree holding a packing of the size it stops at, so both stop at
+    the first such packing in depth-first order.  Returns (best cycles,
+    achieved-target flag).
     """
     n = g.n
     rows = list(g.adj)
     cycles: list[HamCycle] = []
     best: list[HamCycle] = []
+    stop = ceiling if target is None else target
 
     def rec(lower: HamCycle | None) -> bool:
         nonlocal best
         if len(cycles) > len(best):
             best = cycles.copy()
-        if target is not None and len(cycles) >= target:
+        if stop is not None and len(cycles) >= stop:
             return True
         cap = len(cycles) + _packing_upper_bound(rows, n)
         if target is None:
@@ -299,13 +309,26 @@ def pack_hamilton(g: Graph, target: int, budget: int | None = 500_000) -> Packin
 
 def max_packing_exact(g: Graph) -> tuple[int, Packing]:
     """The true maximum number of edge-disjoint Hamilton cycles, by
-    exhaustive branch-and-bound with canonical symmetry breaking."""
+    branch-and-bound with canonical symmetry breaking.
+
+    The search stops at its first packing of size min(floor(delta/2),
+    floor(m/n), reg_even/2), which is provably maximum, and exhausts the
+    search only when the maximum lies below that ceiling.
+    """
+    return _max_packing(g, None)
+
+
+def _max_packing(g: Graph, reg_even: int | None) -> tuple[int, Packing]:
+    """max_packing_exact, given reg_even(g) when the caller already has
+    it (None computes it)."""
     if g.n > EXACT_PACKING_MAX_N:
         raise CapacityError(f"exact maximum packing capped at n <= {EXACT_PACKING_MAX_N}")
-    b = _Budget(None)
-    best, _ = _search_packing(g, None, b)
+    if reg_even is None:
+        reg_even = reg_even_of_graph(g)
+    ceiling = min(_packing_upper_bound(list(g.adj), g.n), reg_even // 2)
+    best, _ = _search_packing(g, None, _Budget(None), ceiling)
     packing = Packing(g, tuple(best), exhaustive=True)
-    _audit_packing(g, packing)
+    _audit_packing(g, packing, reg_even)
     return len(best), packing
 
 
@@ -372,12 +395,17 @@ def verify_packing(g: Graph, packing: Packing) -> bool:
     return verify_packing_detailed(g, packing)[0]
 
 
-def _audit_packing(g: Graph, packing: Packing) -> None:
+def _audit_packing(g: Graph, packing: Packing, reg_even: int | None = None) -> None:
+    """Re-validate an emitted packing and check it against the degree
+    bound and, when the caller knows reg_even(g), against reg_even/2:
+    the cycles of a packing form a spanning 2k-regular subgraph."""
     ok, reason = verify_packing_detailed(g, packing)
     if not ok:
         raise InternalError(f"emitted packing failed its audit: {reason}")
     if g.n and len(packing.cycles) > g.min_degree() // 2:
         raise InternalError("packing exceeds the degree upper bound")
+    if reg_even is not None and 2 * len(packing.cycles) > reg_even:
+        raise InternalError(f"packing exceeds reg_even/2 = {reg_even // 2}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +441,7 @@ def conjecture_experiment(g: Graph) -> ConjectureReport:
         raise InputError(f"need delta >= n/2, got delta={delta}, n={n}")
     reg = reg_even_of_graph(g)
     bounds = regeven_bounds(n, delta)
-    count, packing = max_packing_exact(g)
+    count, packing = _max_packing(g, reg)
     graph_ok = 2 * count >= reg
     class_ok = 2 * count >= bounds.lower
     counterexample = None

@@ -249,3 +249,18 @@ def test_criterion_12_seeded_determinism(tmp_path):
             assert main(args + ["--out", str(a)]) == 0
             assert main(args + ["--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes()
+
+
+def test_criterion_13_maxpack_stops_at_proven_ceiling(tmp_path):
+    import json
+
+    from hampack.cli import main
+
+    g_path, out_path = tmp_path / "gnp12.el", tmp_path / "maxpack.json"
+    with _Stopwatch("13 maxpack on G(12, 0.9) seed 2", 10.0):
+        assert main(["construct", "--kind", "gnp", "--n", "12", "--p", "0.9",
+                     "--seed", "2", "--out", str(g_path)]) == 0
+        assert main(["maxpack", "--input", str(g_path), "--out", str(out_path)]) == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["max"] == 4
+    assert payload["verified"] is True

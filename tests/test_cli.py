@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hampack.cli import main
 from hampack.edgelist import format_edge_list, parse_edge_list, read_edge_list
 from hampack.construct import babai_graph, complete_graph, random_graph
@@ -72,6 +74,21 @@ def test_expander_cli(tmp_path, capsys):
                      "--samples", "50", "--seed", "4", "--input", str(tc)], capsys)
     payload = json.loads(out)
     assert code == 0 and payload["witness"] == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("command,flags", [
+    (["expander", "--nu", "1/10", "--tau", "2/5"], ["--exact", "--mc"]),
+    (["extremal", "--eta", "1/5"], ["--exact", "--heuristic"]),
+])
+def test_conflicting_mode_flags_exit_2(tmp_path, capsys, command, flags):
+    tc = tmp_path / "tc.el"
+    run(["construct", "--kind", "two-cliques", "--n", "8", "--out", str(tc)], capsys)
+    code, out = run(command + flags[:1] + ["--input", str(tc)], capsys)
+    assert code == 0 and json.loads(out)
+    with pytest.raises(SystemExit) as exc:
+        main(command + flags + ["--input", str(tc)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_orient_cli(tmp_path, capsys):

@@ -13,9 +13,13 @@ from hampack.construct import (
     cycle_graph,
     random_graph,
 )
-from hampack.errors import CapacityError, InputError
+from hampack.errors import CapacityError, InputError, InternalError
+from hampack.factors import reg_even_of_graph
 from hampack.hamilton import (
     Packing,
+    _audit_packing,
+    _Budget,
+    _search_packing,
     canonical_cycle,
     conjecture_experiment,
     decompose_even_regular,
@@ -102,11 +106,47 @@ def test_max_packing_examples():
     assert max_packing_exact(complete_graph(5))[0] == 2
     assert max_packing_exact(babai_graph(2))[0] == 1
     assert max_packing_exact(cycle_graph(6))[0] == 1
+    assert max_packing_exact(Graph(0))[0] == 0
+    assert pack_hamilton(Graph(0), 1).size == 0
 
 
 def test_max_packing_capacity():
     with pytest.raises(CapacityError):
         max_packing_exact(complete_graph(13))
+
+
+def test_max_below_ceiling_exhausts_search():
+    # delta/2 = m/n = reg_even/2 = 1, but the Petersen graph has no
+    # Hamilton cycle: only an exhausted search can answer 0
+    g = petersen()
+    assert reg_even_of_graph(g) == 2
+    count, packing = max_packing_exact(g)
+    assert count == 0 and packing.cycles == ()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000))
+def test_early_stop_matches_full_exhaustion(seed):
+    import random as _r
+
+    rng = _r.Random(seed)
+    while True:
+        n = rng.randint(6, 10)
+        g = random_graph(n, rng.uniform(0.5, 0.95), rng.getrandbits(32))
+        if 2 * g.min_degree() >= n:
+            break
+    count, packing = max_packing_exact(g)
+    full, _ = _search_packing(g, None, _Budget(None))
+    assert count == len(full)
+    assert packing.cycles == tuple(full)
+
+
+def test_audit_rejects_packing_above_reg_even():
+    g = complete_graph(5)
+    packing = decompose_even_regular(g)
+    _audit_packing(g, packing, 4)
+    with pytest.raises(InternalError, match="reg_even"):
+        _audit_packing(g, packing, 2)
 
 
 def test_packing_respects_degree_cap():
