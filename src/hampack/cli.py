@@ -189,12 +189,10 @@ def cmd_extremal(args) -> None:
             raise InputError("provide both --a and --b, or neither")
         part = Partition(frozenset(args.a), frozenset(args.b))
         report = extremality.check_eta_extremal_pair(g, args.eta, part)
-    elif args.heuristic:
+    else:
         report = extremality.find_eta_extremal_witness(
             g, args.eta, seed=args.seed, restarts=args.restarts
         )
-    else:
-        report = extremality.find_eta_extremal_witness(g, args.eta, seed=args.seed)
     payload = {
         "eta": _frac_repr(report.eta),
         "alpha": _frac_repr(report.alpha),
@@ -533,9 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", action="store_true", default=False,
                       help="the default: exact search for n <= 14, local search above")
     mode.add_argument("--heuristic", action="store_true", default=False,
-                      help="as the default, with --restarts for the local search")
+                      help="also the default: exact search for n <= 14, local search above")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=int, default=20,
+                   help="starts of the local search above n = 14")
     p.add_argument("--a", type=_vertex_list, help="explicit class A to check")
     p.add_argument("--b", type=_vertex_list, help="explicit class B to check")
 

@@ -12,7 +12,9 @@ The r-factor decision runs a layered pipeline, cheapest first:
    under that orientation,
 4. the stub/core expansion to a perfect-matching instance decided by
    the blossom algorithm -- the exact arbiter for everything the fast
-   paths leave open.
+   paths leave open.  The blossom search starts from the gadget matching
+   of a greedy r-capped host edge selection, so it only augments at the
+   vertices that selection left short of degree r.
 
 Every negative answer from the public entry point carries a pair (S, T)
 violating Q_r(S,T) <= R_r(S,T); certificates are re-validated from the
@@ -318,6 +320,7 @@ class _Gadget:
     adj: list[list[int]]
     edge_stubs: list[tuple[int, int]]  # per host edge: its two stub ids
     stubs_of: list[list[int]]          # per host vertex: its stub ids
+    cores_of: list[range]              # per host vertex: its core ids
 
 
 def _build_gadget(g: Graph, r: int) -> _Gadget:
@@ -330,14 +333,14 @@ def _build_gadget(g: Graph, r: int) -> _Gadget:
     stub_id: dict[tuple[int, int], int] = {}
     stubs_of: list[list[int]] = [[] for _ in range(n)]
     nid = 0
-    core_ranges: list[tuple[int, int]] = []
+    cores_of: list[range] = []
     for v in range(n):
         for ei in inc[v]:
             stub_id[(v, ei)] = nid
             stubs_of[v].append(nid)
             nid += 1
         k = g.degree(v) - r
-        core_ranges.append((nid, nid + k))
+        cores_of.append(range(nid, nid + k))
         nid += k
     adj: list[list[int]] = [[] for _ in range(nid)]
     edge_stubs = []
@@ -347,19 +350,50 @@ def _build_gadget(g: Graph, r: int) -> _Gadget:
         adj[b].append(a)
         edge_stubs.append((a, b))
     for v in range(n):
-        lo, hi = core_ranges[v]
         for s in stubs_of[v]:
-            for c in range(lo, hi):
+            for c in cores_of[v]:
                 adj[s].append(c)
                 adj[c].append(s)
-    return _Gadget(size=nid, adj=adj, edge_stubs=edge_stubs, stubs_of=stubs_of)
+    return _Gadget(
+        size=nid, adj=adj, edge_stubs=edge_stubs, stubs_of=stubs_of, cores_of=cores_of
+    )
+
+
+def _seed_mate(g: Graph, r: int, gadget: _Gadget) -> list[int]:
+    """Gadget matching of a greedy r-capped host edge selection.
+
+    Host edges are taken lowest endpoint degrees first while both
+    endpoints have fewer than r chosen edges; a chosen edge matches its
+    two stubs to each other, and each vertex's other stubs fill its
+    d(v) - r cores.  Vertex v keeps r minus its chosen degree stubs
+    exposed for the blossom search to augment.
+    """
+    degs = g.degrees()
+    edges = g.edges()
+    chosen = [0] * g.n
+    mate = [-1] * gadget.size
+    for ei in sorted(range(len(edges)), key=lambda ei: sorted(degs[u] for u in edges[ei])):
+        u, v = edges[ei]
+        if chosen[u] < r and chosen[v] < r:
+            chosen[u] += 1
+            chosen[v] += 1
+            a, b = gadget.edge_stubs[ei]
+            mate[a] = b
+            mate[b] = a
+    for v in range(g.n):
+        free = [s for s in gadget.stubs_of[v] if mate[s] == -1]
+        for s, c in zip(free, gadget.cores_of[v]):
+            mate[s] = c
+            mate[c] = s
+    return mate
 
 
 def _factor_from_matching(g: Graph, r: int, gadget: _Gadget, mate: list[int]) -> Factor:
+    host_edges = g.edges()
     edges = []
     for ei, (a, b) in enumerate(gadget.edge_stubs):
         if mate[a] == b:
-            edges.append(g.edges()[ei])
+            edges.append(host_edges[ei])
     factor = Factor(EdgeSubgraph(g.n, edges), r)
     factor.validate(g)
     return factor
@@ -482,7 +516,7 @@ def _decide(g: Graph, r: int, need_certificate: bool = True) -> FactorDecision:
                 return FactorDecision(True, r, factor=factor)
 
     gadget = _build_gadget(g, r)
-    matcher = _Matcher(gadget.size, gadget.adj)
+    matcher = _Matcher(gadget.size, gadget.adj, _seed_mate(g, r, gadget))
     mate = matcher.solve()
     if all(m != -1 for m in mate):
         return FactorDecision(True, r, factor=_factor_from_matching(g, r, gadget, mate))

@@ -2,9 +2,12 @@
 algorithm, array-based, O(V^3)-style).
 
 Used directly for the matching API and as the arbiter inside the
-degree-factor machinery via the stub/core expansion.  A greedy seed
-matching keeps the number of augmentation phases small on the dense
-expansion graphs.
+degree-factor machinery via the stub/core expansion.  The search starts
+from a greedy maximal matching, which may extend a partial seed matching
+handed in by the caller: the degree-factor pipeline seeds it from an
+r-capped selection of host edges, so only a few gadget vertices start
+exposed.  Each alternating tree resets and scans only the vertices it
+reached, so an augmentation costs the size of its tree, not of the graph.
 """
 
 from __future__ import annotations
@@ -14,9 +17,15 @@ from collections import deque
 from .errors import InternalError
 
 
-def greedy_matching(n: int, adj: list[list[int]]) -> list[int]:
-    """Maximal matching by scanning low-degree vertices first."""
-    match = [-1] * n
+def greedy_matching(
+    n: int, adj: list[list[int]], seed: list[int] | None = None
+) -> list[int]:
+    """Maximal matching by scanning low-degree vertices first.
+
+    ``seed``, when given, is a valid partial mate array (-1 for exposed
+    vertices); it is copied and extended, never modified.
+    """
+    match = [-1] * n if seed is None else list(seed)
     for v in sorted(range(n), key=lambda u: len(adj[u])):
         if match[v] == -1:
             for u in adj[v]:
@@ -28,31 +37,36 @@ def greedy_matching(n: int, adj: list[list[int]]) -> list[int]:
 
 
 class _Matcher:
-    def __init__(self, n: int, adj: list[list[int]]):
+    def __init__(self, n: int, adj: list[list[int]], seed: list[int] | None = None):
         self.n = n
         self.adj = adj
-        self.match = greedy_matching(n, adj)
+        self.match = greedy_matching(n, adj, seed)
         self.p = [-1] * n
         self.base = list(range(n))
+        # used[v] == epoch iff v is an outer (even) vertex of the current tree
+        self.used = [0] * n
+        self.epoch = 0
+        # every vertex whose p or base the current tree may have changed
+        self.tree: list[int] = []
 
     def _lca(self, a: int, b: int) -> int:
-        seen = [False] * self.n
+        seen = set()
         while True:
             a = self.base[a]
-            seen[a] = True
+            seen.add(a)
             if self.match[a] == -1:
                 break
             a = self.p[self.match[a]]
         while True:
             b = self.base[b]
-            if seen[b]:
+            if b in seen:
                 return b
             b = self.p[self.match[b]]
 
-    def _mark_path(self, v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def _mark_path(self, v: int, b: int, child: int, blossom: set[int]) -> None:
         while self.base[v] != b:
-            blossom[self.base[v]] = True
-            blossom[self.base[self.match[v]]] = True
+            blossom.add(self.base[v])
+            blossom.add(self.base[self.match[v]])
             self.p[v] = child
             child = self.match[v]
             v = self.p[self.match[v]]
@@ -64,12 +78,15 @@ class _Matcher:
         ``augment``).  With ``augment=False`` the tree is only explored,
         which is how the outer-vertex labels are collected afterwards.
         """
-        n, adj, match, p, base = self.n, self.adj, self.match, self.p, self.base
-        used = [False] * n
-        for i in range(n):
-            p[i] = -1
-            base[i] = i
-        used[root] = True
+        adj, match, p, base, used = self.adj, self.match, self.p, self.base, self.used
+        for v in self.tree:
+            p[v] = -1
+            base[v] = v
+        self.epoch += 1
+        epoch = self.epoch
+        tree = self.tree = [root]
+        members: dict[int, list[int]] = {}  # base -> its vertices, once contracted
+        used[root] = epoch
         q = deque([root])
         while q:
             v = q.popleft()
@@ -79,17 +96,22 @@ class _Matcher:
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     # odd cycle: contract the blossom
                     curbase = self._lca(v, to)
-                    blossom = [False] * n
+                    blossom: set[int] = set()
                     self._mark_path(v, curbase, to, blossom)
                     self._mark_path(to, curbase, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
+                    into = members.setdefault(curbase, [curbase])
+                    blossom.discard(curbase)
+                    for b in blossom:
+                        group = members.pop(b, None) or [b]
+                        for i in group:
                             base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
+                            if used[i] != epoch:
+                                used[i] = epoch
                                 q.append(i)
+                        into.extend(group)
                 elif p[to] == -1:
                     p[to] = v
+                    tree.append(to)
                     if match[to] == -1:
                         if not augment:
                             raise InternalError(
@@ -102,9 +124,10 @@ class _Matcher:
                             match[prev] = to
                             to = nxt
                         return True
-                    used[match[to]] = True
-                    q.append(match[to])
-        self._last_used = used
+                    mate = match[to]
+                    used[mate] = epoch
+                    tree.append(mate)
+                    q.append(mate)
         return False
 
     def solve(self) -> list[int]:
@@ -120,8 +143,8 @@ class _Matcher:
         for v in range(self.n):
             if self.match[v] == -1:
                 self._find_path(v, augment=False)
-                for i, flag in enumerate(self._last_used):
-                    if flag:
+                for i in self.tree:
+                    if self.used[i] == self.epoch:
                         outer[i] = True
         return outer
 

@@ -264,3 +264,22 @@ def test_criterion_13_maxpack_stops_at_proven_ceiling(tmp_path):
     payload = json.loads(out_path.read_text())
     assert payload["max"] == 4
     assert payload["verified"] is True
+
+
+def test_criterion_14_odd_factor_n64(tmp_path):
+    import json
+
+    from hampack.cli import main
+    from hampack.edgelist import read_edge_list
+
+    g_path, out_path, f_path = tmp_path / "gnp64.el", tmp_path / "factor.json", tmp_path / "f.el"
+    with _Stopwatch("14 factor --r 7 on G(64, 0.5) seed 1", 5.0):
+        assert main(["construct", "--kind", "gnp", "--n", "64", "--p", "0.5",
+                     "--seed", "1", "--out", str(g_path)]) == 0
+        assert main(["factor", "--r", "7", "--input", str(g_path), "--out", str(out_path),
+                     "--emit", str(f_path)]) == 0
+    assert json.loads(out_path.read_text())["exists"] is True
+    host, factor = read_edge_list(g_path), read_edge_list(f_path)
+    assert factor.n == host.n == 64
+    assert factor.degrees() == [7] * 64
+    assert all(host.has_edge(u, v) for u, v in factor.edges())

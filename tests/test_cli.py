@@ -117,6 +117,26 @@ def test_extremal_and_closeness_cli(tmp_path, capsys):
     assert code == 0 and json.loads(out)["exact"] is True
 
 
+def test_extremal_restarts_reach_local_search(tmp_path, capsys, monkeypatch):
+    from hampack import extremality
+
+    seen = []
+    local_search = extremality._heuristic_witness
+
+    def spy(g, eta, seed, restarts):
+        seen.append(restarts)
+        return local_search(g, eta, seed, restarts)
+
+    monkeypatch.setattr(extremality, "_heuristic_witness", spy)
+    path = tmp_path / "ext.el"
+    run(["construct", "--kind", "extremal", "--n", "16", "--delta", "9",
+         "--out", str(path)], capsys)
+    code, out = run(["extremal", "--eta", "1/5", "--input", str(path),
+                     "--restarts", "3"], capsys)
+    assert code == 0 and json.loads(out)["mode"] == "heuristic"
+    assert seen == [3]
+
+
 def test_classify_cli(tmp_path, capsys):
     path = tmp_path / "kb.el"
     run(["construct", "--kind", "bipartite", "--n", "16", "--out", str(path)], capsys)
