@@ -136,17 +136,21 @@ class Graph:
             return True
         return self.component_of(0) == (1 << self.n) - 1
 
-    def component_of(self, v: int) -> int:
-        """Bitmask of the connected component containing v."""
+    def _reach(self, v: int, within: int) -> int:
+        """Bitmask of the vertices of ``within`` reachable from v inside it."""
         seen = 1 << v
         frontier = seen
         while frontier:
             nxt = 0
             for u in iter_bits(frontier):
                 nxt |= self.adj[u]
-            frontier = nxt & ~seen
+            frontier = nxt & ~seen & within
             seen |= frontier
         return seen
+
+    def component_of(self, v: int) -> int:
+        """Bitmask of the connected component containing v."""
+        return self._reach(v, (1 << self.n) - 1)
 
     def components(self, within: int | None = None) -> list[int]:
         """Connected-component bitmasks of the subgraph induced on ``within``."""
@@ -155,15 +159,7 @@ class Graph:
         comps = []
         todo = within
         while todo:
-            v = (todo & -todo).bit_length() - 1
-            seen = 1 << v
-            frontier = seen
-            while frontier:
-                nxt = 0
-                for u in iter_bits(frontier):
-                    nxt |= self.adj[u]
-                frontier = nxt & ~seen & within
-                seen |= frontier
+            seen = self._reach((todo & -todo).bit_length() - 1, within)
             comps.append(seen)
             todo &= ~seen
         return comps
@@ -324,14 +320,6 @@ def ordered_pairs(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> int:
     for v in iter_bits(x):
         total += (g.adj[v] & y).bit_count()
     return total
-
-
-def degree_into(g: Graph, v: int, xs: Iterable[int]) -> int:
-    """d_X(v): number of neighbours of v inside X."""
-    x = mask_of(xs, g.n)
-    if not 0 <= v < g.n:
-        raise InputError(f"vertex {v} out of range")
-    return (g.adj[v] & x).bit_count()
 
 
 # ---------------------------------------------------------------------------

@@ -27,21 +27,6 @@ def cmp_sqrt(q: Rat, a: Rat) -> int:
     return _sign(Fraction(q) * q - a)
 
 
-def leq_sqrt(q: Rat, a: Rat) -> bool:
-    """q <= sqrt(a)."""
-    return cmp_sqrt(q, a) <= 0
-
-
-def geq_sqrt(q: Rat, a: Rat) -> bool:
-    """q >= sqrt(a)."""
-    return cmp_sqrt(q, a) >= 0
-
-
-def lt_sqrt(q: Rat, a: Rat) -> bool:
-    """q < sqrt(a)."""
-    return cmp_sqrt(q, a) < 0
-
-
 def cmp_sqrt_sum(q: Rat, a: Rat, b: Rat) -> int:
     """Sign of q - (sqrt(a) + sqrt(b)) for rationals a, b >= 0."""
     if a < 0 or b < 0:

@@ -17,8 +17,10 @@ The r-factor decision runs a layered pipeline, cheapest first:
    vertices that selection left short of degree r.
 
 Every negative answer from the public entry point carries a pair (S, T)
-violating Q_r(S,T) <= R_r(S,T); certificates are re-validated from the
-definition before being returned.
+violating Q_r(S,T) <= R_r(S,T): from the gates, from the structured
+pairs, or read exactly off the Gallai-Edmonds barrier of the gadget when
+the blossom decides, with no search or fallback.  Certificates are
+re-validated from the definition before being returned.
 """
 
 from __future__ import annotations
@@ -186,14 +188,6 @@ def tutte_verify_exhaustive(g: Graph, r: int) -> bool:
     return True
 
 
-def _exhaustive_violation(g: Graph, r: int) -> tuple[int, int] | None:
-    for smask, tmask in _iter_disjoint_pairs(g.n):
-        q, rr = _quantities(g, r, smask, tmask)
-        if q > rr:
-            return smask, tmask
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Structured refutation candidates
 # ---------------------------------------------------------------------------
@@ -330,13 +324,14 @@ def _build_gadget(g: Graph, r: int) -> _Gadget:
     for ei, (u, v) in enumerate(edges):
         inc[u].append(ei)
         inc[v].append(ei)
-    stub_id: dict[tuple[int, int], int] = {}
+    # stubs of edge ei = (u, v) with u < v, in numbering order: u's, then v's
+    stubs_on: list[list[int]] = [[] for _ in edges]
     stubs_of: list[list[int]] = [[] for _ in range(n)]
     nid = 0
     cores_of: list[range] = []
     for v in range(n):
         for ei in inc[v]:
-            stub_id[(v, ei)] = nid
+            stubs_on[ei].append(nid)
             stubs_of[v].append(nid)
             nid += 1
         k = g.degree(v) - r
@@ -344,8 +339,7 @@ def _build_gadget(g: Graph, r: int) -> _Gadget:
         nid += k
     adj: list[list[int]] = [[] for _ in range(nid)]
     edge_stubs = []
-    for ei, (u, v) in enumerate(edges):
-        a, b = stub_id[(u, ei)], stub_id[(v, ei)]
+    for a, b in stubs_on:
         adj[a].append(b)
         adj[b].append(a)
         edge_stubs.append((a, b))
@@ -400,83 +394,48 @@ def _factor_from_matching(g: Graph, r: int, gadget: _Gadget, mate: list[int]) ->
 
 
 def _ge_pair(g: Graph, gadget: _Gadget, matcher: _Matcher) -> tuple[int, int]:
-    """Translate the Gallai-Edmonds cut of the deficient expansion back
-    to a host pair: all stubs in the cut -> S, any stub outer -> T."""
+    """The Tutte pair read off the Gallai-Edmonds barrier of the gadget.
+
+    ``matcher`` holds a maximum matching of the gadget H that leaves
+    def(H) > 0 vertices exposed.  A is the set of non-outer vertices with
+    an outer neighbour, the set A(H) of the Gallai-Edmonds decomposition.
+    The pair is S = {v : every stub of v lies in A} and
+    T = {v not in S : every core of v lies in A}, which holds vacuously
+    when d(v) = r.  Then Q_r(S,T) - R_r(S,T) = def(H) >= 2:
+
+    - A is a maximum barrier: odd(H - A) - |A| = def(H).
+    - Taking a vertex x out of a maximum barrier whose outside
+      neighbours meet o odd components changes its value by
+      1 - o + [o even], so it stays maximum when o <= 2 (o = 0 would
+      exceed the maximum).
+    - The cores of v share their neighbours, so A holds all of them or
+      none, and never a core of v together with all of v's stubs:
+      removing that core would gain 2.
+    - Dropping v's stubs keeps the barrier maximum when v's cores are in
+      it (o <= 1: a stub's only neighbour outside is its edge partner)
+      and when v's cores and at least one stub of v are outside it
+      (o <= 2: the partner's component and the cores' component).
+    - After those drops the barrier is B = stubs(S) u cores(T).  The odd
+      components of H - B are the d(v) - r lone cores of each v in S,
+      the lone stubs of T on edges into S, and one per component C of
+      G - (S u T) with r|C| + e(C,T) odd, so odd(H - B) - |B| is
+      Q_r(S,T) - R_r(S,T).
+    """
     outer = matcher.outer_vertices()
-    in_cut = [False] * gadget.size
-    for v in range(gadget.size):
-        if not outer[v] and any(outer[u] for u in gadget.adj[v]):
-            in_cut[v] = True
+    in_a = [not outer[x] and any(outer[y] for y in gadget.adj[x]) for x in range(gadget.size)]
     smask = tmask = 0
     for v in range(g.n):
-        stubs = gadget.stubs_of[v]
-        if stubs and all(in_cut[s] for s in stubs):
+        if all(in_a[s] for s in gadget.stubs_of[v]):
             smask |= 1 << v
-        elif any(outer[s] for s in stubs):
+        elif all(in_a[c] for c in gadget.cores_of[v]):
             tmask |= 1 << v
     return smask, tmask
-
-
-def _climb_violation(
-    g: Graph, r: int, starts: list[tuple[int, int]], rounds: int = 400
-) -> tuple[int, int] | None:
-    """Local search maximizing Q_r - R_r from the given start pairs;
-    sideways moves allowed, seeded deterministically."""
-    rng = random.Random(0x5EED ^ (g.n * 1000003 + r))
-    n = g.n
-    for smask, tmask in starts:
-        if smask & tmask:
-            continue
-        best = _quantities(g, r, smask, tmask)
-        best_val = best[0] - best[1]
-        cur_s, cur_t = smask, tmask
-        for _ in range(rounds):
-            if best_val > 0:
-                return cur_s, cur_t
-            verts = list(range(n))
-            rng.shuffle(verts)
-            stepped = False
-            for v in verts:
-                bit = 1 << v
-                options = []
-                for ns, nt in ((0, 0), (1, 0), (0, 1)):
-                    s2 = (cur_s & ~bit) | (bit if ns else 0)
-                    t2 = (cur_t & ~bit) | (bit if nt else 0)
-                    if (s2, t2) == (cur_s, cur_t):
-                        continue
-                    q, rr = _quantities(g, r, s2, t2)
-                    options.append((q - rr, s2, t2))
-                val, s2, t2 = max(options)
-                if val > best_val or (val == best_val and rng.random() < 0.3):
-                    cur_s, cur_t = s2, t2
-                    if val > best_val:
-                        best_val = val
-                        stepped = True
-                        break
-            if not stepped and best_val <= 0 and rng.random() < 0.1:
-                break
-        if best_val > 0:
-            return cur_s, cur_t
-    return None
 
 
 def _find_certificate(
     g: Graph, r: int, gadget: _Gadget, matcher: _Matcher
 ) -> TutteCertificate:
-    # structured pairs were already tried upstream in _decide
-    smask, tmask = _ge_pair(g, gadget, matcher)
-    q, rr = _quantities(g, r, smask, tmask)
-    if q > rr:
-        hit = (smask, tmask)
-    else:
-        hit = _climb_violation(g, r, [(smask, tmask), (0, 0), (tmask, smask)])
-    if hit is None and g.n <= EXHAUSTIVE_TUTTE_MAX_N:
-        hit = _exhaustive_violation(g, r)
-    if hit is None:
-        raise InternalError(
-            f"no factor exists for r={r} but no violating (S,T) was found"
-        )
-    return _certificate_from_masks(g, r, hit[0], hit[1])
+    return _certificate_from_masks(g, r, *_ge_pair(g, gadget, matcher))
 
 
 # ---------------------------------------------------------------------------

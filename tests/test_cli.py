@@ -53,6 +53,19 @@ def test_regeven_and_factor(tmp_path, capsys):
     assert factor_graph.degrees() == [2] * 10
 
 
+def test_factor_blossom_negative_prints_certificate(tmp_path, capsys):
+    # structured pairs miss: the blossom decides and the barrier refutes
+    graph = tmp_path / "g.el"
+    code, _ = run(["construct", "--kind", "gnp", "--n", "16", "--p", "0.15",
+                   "--seed", "244", "--out", str(graph)], capsys)
+    assert code == 0
+    code, out = run(["factor", "--r", "1", "--input", str(graph)], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["exists"] is False
+    cert = payload["certificate"]
+    assert cert["Qr"] > cert["Rr"]
+
+
 def test_tutte_quantities_cli(tmp_path, capsys):
     c5 = tmp_path / "c5.el"
     c5.write_text("p 5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")

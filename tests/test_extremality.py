@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_min_closeness_score
 
-from hampack.core import Graph, Partition
+from hampack.core import Graph, Partition, edges_between, edges_inside
 from hampack.construct import (
     babai_graph,
     babai_partition,
@@ -208,6 +208,25 @@ def test_closeness_exact_matches_unpruned_brute_force(seed, kind):
     assert rep.score == brute_min_closeness_score(g, kind)
 
 
+@pytest.mark.parametrize("build, kind", [(complete_bipartite, "bipartite"),
+                                          (two_cliques, "two_cliques")])
+def test_closeness_heuristic_finds_the_family_split(build, kind):
+    # above n = 24 the swap search runs instead of the enumeration
+    rep = closeness(build(26), kind, Fraction(0))
+    assert rep.score == 0 and rep.close and not rep.exact
+    assert len(rep.a) == 13
+
+
+@pytest.mark.parametrize("kind", ["bipartite", "two_cliques"])
+def test_closeness_heuristic_score_recomputes_from_a(kind):
+    g = random_graph(30, 0.5, 7)
+    rep = closeness(g, kind, Fraction(1, 20), seed=3)
+    assert not rep.exact and len(rep.a) == 15
+    rest = set(range(30)) - rep.a
+    expected = edges_inside(g, rep.a) if kind == "bipartite" else edges_between(g, rep.a, rest)
+    assert rep.score == expected
+
+
 def test_closeness_bad_kind():
     with pytest.raises(InputError):
         closeness(complete_graph(4), "nope", Fraction(1, 10))
@@ -243,6 +262,23 @@ def test_classify_expander():
         g, Fraction(1, 20), Fraction(1, 100), Fraction(3, 10), Fraction(1, 50)
     )
     assert res.label == "robust_expander"
+
+
+def test_classify_two_cliques_above_exact_closeness():
+    res = trichotomy_classify(
+        two_cliques(30), Fraction(1, 15), Fraction(1, 16), Fraction(1, 4), Fraction(1, 20)
+    )
+    assert res.label == "close_cliques"
+    assert not res.cliques.exact and not res.bipartite.close
+
+
+def test_classify_above_exact_expander_cap_uses_monte_carlo():
+    g = random_graph(30, 0.7, 5)
+    res = trichotomy_classify(
+        g, Fraction(1, 4), Fraction(1, 100), Fraction(1, 4), Fraction(1, 50), mc_samples=50
+    )
+    assert res.label == "unclassified"
+    assert res.expander.checked_mode == "monte_carlo"
 
 
 def test_classify_hypothesis_violation():

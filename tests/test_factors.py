@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import graphs
 from oracles import brute_has_r_factor
 
-from hampack.core import Graph, union_edge_disjoint
+from hampack.core import Graph, iter_bits, union_edge_disjoint
 from hampack.construct import (
     babai_graph,
     circulant_regular,
@@ -18,7 +18,7 @@ from hampack.construct import (
     extremal_graph,
     random_graph,
 )
-from hampack.errors import CapacityError, ExistenceError, InputError, InternalError
+from hampack.errors import CapacityError, ExistenceError, InputError
 from hampack.factors import (
     _build_gadget,
     _ge_pair,
@@ -366,13 +366,20 @@ def test_seed_leaves_gallai_edmonds_pair_unchanged():
             continue
         negatives += 1
         assert plain.outer_vertices() == seeded.outer_vertices()
-        assert _ge_pair(g, gadget, plain) == _ge_pair(g, gadget, seeded)
+        smask, tmask = _ge_pair(g, gadget, plain)
+        assert (smask, tmask) == _ge_pair(g, gadget, seeded)
+        # the barrier pair is exact: Q_r - R_r is the gadget's deficiency
+        cert = tutte_quantities(g, r, iter_bits(smask), iter_bits(tmask))
+        assert cert.q_r - cert.r_r == gadget.size - 2 * size
     assert negatives > len(_HARD_NEGATIVES)
 
 
 @pytest.mark.parametrize("seed, r", [(244, 1), (337, 2)])
-def test_known_certificate_fault_still_raises(seed, r):
-    # the Gallai-Edmonds pair misses here and no fallback finds another;
-    # exact pairs from the decomposition are a separate open item
-    with pytest.raises(InternalError):
-        r_factor_exists(random_graph(16, 0.15, seed), r)
+def test_former_certificate_fault_gets_exact_pair(seed, r):
+    # the structured pairs miss here, so the pair comes off the barrier
+    g = random_graph(16, 0.15, seed)
+    decision = r_factor_exists(g, r)
+    assert decision.exists is False and decision.certificate is not None
+    cert = decision.certificate
+    redo = tutte_quantities(g, r, cert.s, cert.t)
+    assert redo.violates and (redo.q_r, redo.r_r) == (cert.q_r, cert.r_r)
