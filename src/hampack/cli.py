@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -63,14 +62,6 @@ def _emit_json(payload: dict, path: str | None) -> None:
     _emit(json.dumps(payload, sort_keys=True) + "\n", path)
 
 
-def _load_graph(path: str) -> Graph:
-    return edgelist.read_edge_list(path)
-
-
-def _frac_repr(q: Fraction) -> str:
-    return str(q)
-
-
 def _cert_payload(cert: factors.TutteCertificate | None):
     if cert is None:
         return None
@@ -109,7 +100,7 @@ def cmd_construct(args) -> None:
 
 
 def cmd_regeven(args) -> None:
-    g = _load_graph(args.input)
+    g = edgelist.read_edge_list(args.input)
     r, factor = factors.largest_even_factor(g)
     payload = {"n": g.n, "delta": g.min_degree(), "reg_even": r}
     if args.emit:
@@ -126,7 +117,7 @@ def cmd_bounds(args) -> None:
 
 
 def cmd_factor(args) -> None:
-    g = _load_graph(args.input)
+    g = edgelist.read_edge_list(args.input)
     decision = factors.r_factor_exists(g, args.r)
     payload = {"exists": decision.exists, "r": args.r}
     if decision.certificate is not None:
@@ -139,7 +130,7 @@ def cmd_factor(args) -> None:
 
 
 def cmd_tutte(args) -> None:
-    g = _load_graph(args.input)
+    g = edgelist.read_edge_list(args.input)
     if args.exhaustive:
         holds = factors.tutte_verify_exhaustive(g, args.r)
         _emit_json({"r": args.r, "holds_for_all_pairs": holds}, args.out)
@@ -154,7 +145,7 @@ def cmd_tutte(args) -> None:
 
 
 def cmd_expander(args) -> None:
-    g = _load_graph(args.input)
+    g = edgelist.read_edge_list(args.input)
     params = expanders.RobustParams(args.nu, args.tau)
     if args.mc:
         verdict = expanders.refute_robust_expander_mc(
@@ -166,8 +157,8 @@ def cmd_expander(args) -> None:
         "certified": verdict.certified,
         "mode": verdict.checked_mode,
         "samples": verdict.samples,
-        "nu": _frac_repr(params.nu),
-        "tau": _frac_repr(params.tau),
+        "nu": str(params.nu),
+        "tau": str(params.tau),
     }
     if verdict.witness is not None:
         payload["witness"] = sorted(verdict.witness)
@@ -177,13 +168,13 @@ def cmd_expander(args) -> None:
 
 
 def cmd_orient(args) -> None:
-    g = _load_graph(args.input)
+    g = edgelist.read_edge_list(args.input)
     d = expanders.eulerian_orientation(g)
     _emit(edgelist.format_arc_list(d), args.emit or args.out)
 
 
 def cmd_extremal(args) -> None:
-    g = _load_graph(args.input)
+    g = edgelist.read_edge_list(args.input)
     if args.a is not None or args.b is not None:
         if args.a is None or args.b is None:
             raise InputError("provide both --a and --b, or neither")
@@ -194,8 +185,8 @@ def cmd_extremal(args) -> None:
             g, args.eta, seed=args.seed, restarts=args.restarts
         )
     payload = {
-        "eta": _frac_repr(report.eta),
-        "alpha": _frac_repr(report.alpha),
+        "eta": str(report.eta),
+        "alpha": str(report.alpha),
         "mode": report.mode,
         "extremal": report.extremal,
         "conditions": {
@@ -213,12 +204,12 @@ def cmd_extremal(args) -> None:
 
 
 def cmd_closeness(args) -> None:
-    g = _load_graph(args.input)
+    g = edgelist.read_edge_list(args.input)
     kind = {"bipartite": "bipartite", "cliques": "two_cliques"}[args.kind]
     report = extremality.closeness(g, kind, args.epsilon, seed=args.seed)
     payload = {
         "kind": args.kind,
-        "epsilon": _frac_repr(report.epsilon),
+        "epsilon": str(report.epsilon),
         "score": report.score,
         "close": report.close,
         "exact": report.exact,
@@ -228,7 +219,7 @@ def cmd_closeness(args) -> None:
 
 
 def cmd_classify(args) -> None:
-    g = _load_graph(args.input)
+    g = edgelist.read_edge_list(args.input)
     result = extremality.trichotomy_classify(
         g, args.kappa, args.nu, args.tau, args.epsilon, seed=args.seed
     )
@@ -248,7 +239,7 @@ def cmd_classify(args) -> None:
 
 
 def cmd_ham(args) -> None:
-    g = _load_graph(args.input)
+    g = edgelist.read_edge_list(args.input)
     cycle = hamilton.find_hamilton(g)
     payload = {"hamiltonian": cycle is not None}
     if cycle is not None:
@@ -266,7 +257,7 @@ def _packing_payload(g: Graph, packing: hamilton.Packing, exact: bool) -> dict:
 
 
 def cmd_pack(args) -> None:
-    g = _load_graph(args.input)
+    g = edgelist.read_edge_list(args.input)
     packing = hamilton.pack_hamilton(g, args.target, budget=args.budget)
     payload = _packing_payload(g, packing, packing.exhaustive)
     payload["target"] = args.target
@@ -275,7 +266,7 @@ def cmd_pack(args) -> None:
 
 
 def cmd_maxpack(args) -> None:
-    g = _load_graph(args.input)
+    g = edgelist.read_edge_list(args.input)
     count, packing = hamilton.max_packing_exact(g)
     payload = _packing_payload(g, packing, True)
     payload["max"] = count
@@ -283,7 +274,7 @@ def cmd_maxpack(args) -> None:
 
 
 def cmd_decompose(args) -> None:
-    g = _load_graph(args.input)
+    g = edgelist.read_edge_list(args.input)
     packing = hamilton.decompose_even_regular(g, budget=args.budget)
     if packing is None:
         _emit_json({"decomposed": False}, args.out)
@@ -294,7 +285,7 @@ def cmd_decompose(args) -> None:
 
 
 def cmd_conjecture(args) -> None:
-    g = _load_graph(args.input)
+    g = edgelist.read_edge_list(args.input)
     report = hamilton.conjecture_experiment(g)
     payload = {
         "n": report.n,
@@ -427,12 +418,11 @@ def cmd_ensemble(args) -> None:
     }
     rng = _random.Random(args.seed)
     row_seeds = [rng.getrandbits(32) for _ in range(args.count)]
-    workers = args.workers or int(os.environ.get("HAMPACK_WORKERS", "1"))
     jobs = [(args.experiment, params, i, s) for i, s in enumerate(row_seeds)]
-    if workers > 1:
+    if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_run_row_star, jobs))
     else:
         rows = [_run_row_star(job) for job in jobs]
@@ -582,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=_fraction, default=Fraction(7, 10))
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 5))
     p.add_argument("--tau", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
 
     return parser
 

@@ -110,9 +110,6 @@ class Graph:
     def min_degree(self) -> int:
         return min(self.degrees(), default=0)
 
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
-
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and bool(self.adj[u] >> v & 1)
 
@@ -199,12 +196,6 @@ class DiGraph:
 
     def in_degree(self, v: int) -> int:
         return self.in_adj[v].bit_count()
-
-    def min_out_degree(self) -> int:
-        return min((r.bit_count() for r in self.out_adj), default=0)
-
-    def min_in_degree(self) -> int:
-        return min((r.bit_count() for r in self.in_adj), default=0)
 
     def arc_count(self) -> int:
         return sum(r.bit_count() for r in self.out_adj)

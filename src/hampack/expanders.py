@@ -4,10 +4,12 @@ extraction.
 
 A set S in the size window tau*n <= |S| <= (1-tau)*n must satisfy
 |RN_nu(S)| >= |S| + nu*n, where RN_nu(S) collects the vertices with at
-least nu*n neighbours (in-neighbours, for digraphs) inside S.  The
-exact checker enumerates all 2^n subsets with chunked numpy matmuls;
-thresholds are compared exactly as rationals against integer degree
-counts, never rounded.
+least nu*n neighbours (in-neighbours, for digraphs) inside S.  Graphs
+and digraphs run one path on in-neighbour rows (a graph's are its
+adjacency rows).  The exact checker enumerates the size window with
+``_subset_chunks``, which exact closeness also uses, and counts with
+numpy matmuls; thresholds are exact integers, and every emitted
+witness is re-checked against the definition as a rational.
 """
 
 from __future__ import annotations
@@ -76,49 +78,69 @@ def _window(n: int, tau: Fraction) -> tuple[int, int]:
     return _ceil_frac(tau * n), _floor_frac((1 - tau) * n)
 
 
+def _robust_vertices(in_rows: tuple[int, ...], smask: int, thr: int) -> list[int]:
+    """The vertices with at least thr in-neighbours inside smask: the
+    one robust-neighbourhood count."""
+    return [v for v, row in enumerate(in_rows) if (row & smask).bit_count() >= thr]
+
+
 def robust_neighborhood(g: Graph, s: Iterable[int], nu: Fraction | float) -> frozenset[int]:
     """All vertices with at least nu*n neighbours inside s (s-members allowed)."""
-    nu = Fraction(nu)
-    smask = mask_of(s, g.n)
-    thr = _ceil_frac(nu * g.n)
-    return frozenset(
-        v for v in range(g.n) if (g.adj[v] & smask).bit_count() >= thr
-    )
+    return frozenset(_robust_vertices(g.adj, mask_of(s, g.n), _ceil_frac(Fraction(nu) * g.n)))
 
 
 def robust_out_neighborhood(
     d: DiGraph, s: Iterable[int], nu: Fraction | float
 ) -> frozenset[int]:
     """All vertices with at least nu*n in-neighbours inside s."""
-    nu = Fraction(nu)
-    smask = mask_of(s, d.n)
-    thr = _ceil_frac(nu * d.n)
-    return frozenset(
-        v for v in range(d.n) if (d.in_adj[v] & smask).bit_count() >= thr
-    )
+    return frozenset(_robust_vertices(d.in_adj, mask_of(s, d.n), _ceil_frac(Fraction(nu) * d.n)))
+
+
+def _assert_witness(
+    in_rows: tuple[int, ...], n: int, params: RobustParams, s: frozenset[int]
+) -> None:
+    """Re-check a refuting set against the definition, as rationals:
+    it must fail |RN_nu(S)| >= |S| + nu*n."""
+    rn = _robust_vertices(in_rows, mask_of(s, n), _ceil_frac(params.nu * n))
+    if Fraction(len(rn)) >= len(s) + params.nu * n:
+        raise InternalError("emitted witness fails re-validation")
 
 
 # ---------------------------------------------------------------------------
 # Exact subset enumeration
 # ---------------------------------------------------------------------------
 
-def _credit_matrix_graph(g: Graph) -> np.ndarray:
-    mat = np.zeros((g.n, g.n), dtype=np.float32)
-    for u in range(g.n):
-        for v in iter_bits(g.adj[u]):
-            mat[u, v] = 1.0
+def _bit_matrix(rows: tuple[int, ...], n: int) -> np.ndarray:
+    """The 0/1 float32 matrix whose (u, v) entry is bit v of rows[u]."""
+    mat = np.zeros((n, n), dtype=np.float32)
+    for u, row in enumerate(rows):
+        mat[u, list(iter_bits(row))] = 1.0
     return mat
 
 
-def _credit_matrix_digraph(d: DiGraph) -> np.ndarray:
-    mat = np.zeros((d.n, d.n), dtype=np.float32)
-    for u in range(d.n):
-        for v in iter_bits(d.out_adj[u]):
-            mat[u, v] = 1.0
-    return mat
+def _subset_chunks(
+    n: int, kmin: int, kmax: int, must: int = 0
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (masks, rows) for every S with kmin <= |S| <= kmax that
+    contains ``must``, a mask of the vertices 0..j-1, in ascending bitmask
+    order, 2^16 masks scanned per chunk; rows are the 0/1 indicators."""
+    low = must.bit_length()
+    shifts = np.arange(n, dtype=np.uint32)
+    ones = np.ones(n, dtype=np.float32)  # a matvec sums rows faster than .sum(axis=1)
+    total = 1 << (n - low)
+    for lo in range(0, total, 1 << _CHUNK_BITS):
+        masks = np.arange(lo, min(lo + (1 << _CHUNK_BITS), total), dtype=np.uint32) << low | must
+        bits = ((masks[:, None] >> shifts) & 1).astype(np.float32)
+        sizes = bits @ ones
+        sel = (sizes >= kmin) & (sizes <= kmax)
+        if sel.any():
+            yield masks[sel], bits[sel]
 
 
-def _exact_window_check(credit: np.ndarray, n: int, params: RobustParams) -> ExpanderVerdict:
+def _exact_window_check(
+    in_rows: tuple[int, ...], n: int, params: RobustParams
+) -> ExpanderVerdict:
+    """Full enumeration over in-neighbour rows (a graph's adjacency rows)."""
     if n > EXACT_EXPANDER_MAX_N:
         raise CapacityError(
             f"exact expansion check capped at n <= {EXACT_EXPANDER_MAX_N}; "
@@ -128,25 +150,17 @@ def _exact_window_check(credit: np.ndarray, n: int, params: RobustParams) -> Exp
     need = _ceil_frac(params.nu * n)
     if kmin > kmax or kmin > n or kmax < 0:
         return ExpanderVerdict(True, None, "exact", 0)
-    shifts = np.arange(n, dtype=np.uint32)
+    credit = _bit_matrix(in_rows, n).T  # credit[u, v]: u is an in-neighbour of v
+    ones = np.ones(n, dtype=np.float32)
     examined = 0
-    total = 1 << n
-    for lo in range(0, total, 1 << _CHUNK_BITS):
-        hi = min(lo + (1 << _CHUNK_BITS), total)
-        masks = np.arange(lo, hi, dtype=np.uint32)
-        bits = ((masks[:, None] >> shifts) & 1).astype(np.float32)
-        sizes = bits.sum(axis=1)
-        sel = (sizes >= kmin) & (sizes <= kmax)
-        if not sel.any():
-            continue
-        idx = np.nonzero(sel)[0]
-        counts = bits[idx] @ credit
-        rn_sizes = (counts >= need).sum(axis=1)
-        bad = rn_sizes < sizes[idx] + need
-        examined += len(idx)
+    for masks, rows in _subset_chunks(n, kmin, kmax):
+        rn_sizes = np.count_nonzero(rows @ credit >= need, axis=1)
+        bad = rn_sizes < rows @ ones + need
+        examined += len(masks)
         if bad.any():
-            first = int(masks[idx[int(np.argmax(bad))]])
-            return ExpanderVerdict(False, set_of(first), "exact", examined)
+            witness = set_of(int(masks[int(np.argmax(bad))]))
+            _assert_witness(in_rows, n, params, witness)
+            return ExpanderVerdict(False, witness, "exact", examined)
     return ExpanderVerdict(True, None, "exact", examined)
 
 
@@ -156,26 +170,12 @@ def is_robust_expander_exact(g: Graph, params: RobustParams) -> ExpanderVerdict:
     The refuting witness, when present, is the first violating subset
     in ascending bitmask order.
     """
-    verdict = _exact_window_check(_credit_matrix_graph(g), g.n, params)
-    if verdict.refuted:
-        _assert_witness(g, params, verdict.witness)
-    return verdict
+    return _exact_window_check(g.adj, g.n, params)
 
 
 def is_robust_outexpander_exact(d: DiGraph, params: RobustParams) -> ExpanderVerdict:
     """Digraph analogue with in-neighbour robust neighbourhoods."""
-    verdict = _exact_window_check(_credit_matrix_digraph(d), d.n, params)
-    if verdict.refuted:
-        rn = robust_out_neighborhood(d, verdict.witness, params.nu)
-        if Fraction(len(rn)) >= len(verdict.witness) + params.nu * d.n:
-            raise InternalError("emitted witness fails re-validation")
-    return verdict
-
-
-def _assert_witness(g: Graph, params: RobustParams, s: frozenset[int]) -> None:
-    rn = robust_neighborhood(g, s, params.nu)
-    if Fraction(len(rn)) >= len(s) + params.nu * g.n:
-        raise InternalError("emitted witness fails re-validation")
+    return _exact_window_check(d.in_adj, d.n, params)
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +259,17 @@ def refute_robust_expander_mc(
     kmin, kmax = _window(n, params.tau)
     if kmin > kmax or kmin > n or kmax < 0:
         return ExpanderVerdict(False, None, "monte_carlo", 0)
-    thr = _ceil_frac(params.nu * n)
+    need = _ceil_frac(params.nu * n)
     tried = 0
 
     def violates(cand: frozenset[int]) -> bool:
-        smask = mask_of(cand, n)
-        rn = sum(1 for v in range(n) if (g.adj[v] & smask).bit_count() >= thr)
-        return Fraction(rn) < len(cand) + params.nu * n
+        # |RN| and |S| are integers, so |RN| < |S| + nu*n iff |RN| < |S| + need
+        return len(_robust_vertices(g.adj, mask_of(cand, n), need)) < len(cand) + need
 
     for cand in _structured_subsets(g, kmin, kmax):
         tried += 1
         if violates(cand):
-            _assert_witness(g, params, cand)
+            _assert_witness(g.adj, n, params, cand)
             return ExpanderVerdict(False, cand, "monte_carlo", tried)
     rng = random.Random(seed)
     for _ in range(samples):
@@ -278,7 +277,7 @@ def refute_robust_expander_mc(
         cand = frozenset(rng.sample(range(n), k))
         tried += 1
         if violates(cand):
-            _assert_witness(g, params, cand)
+            _assert_witness(g.adj, n, params, cand)
             return ExpanderVerdict(False, cand, "monte_carlo", tried)
     return ExpanderVerdict(False, None, "monte_carlo", tried)
 

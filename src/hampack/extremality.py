@@ -13,12 +13,13 @@ with alpha+ = max(alpha, 0); alpha is always derived from the actual
 minimum degree as an exact rational.  All four comparisons are decided
 exactly by squaring out the irrational thresholds.  Closeness to
 K_{n/2,n/2} (resp. two disjoint half cliques) asks for a half-sized A
-with e(A) (resp. e(A, complement)) at most eps*n^2.
+with e(A) (resp. e(A, complement)) at most eps*n^2.  Up to n = 24 every
+half-sized A is scored through the subset enumerator and 0/1 matrix of
+``expanders``, and the lexicographically first minimiser is returned.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,8 @@ from .expanders import (
     EXACT_EXPANDER_MAX_N,
     ExpanderVerdict,
     RobustParams,
+    _bit_matrix,
+    _subset_chunks,
     is_robust_expander_exact,
     refute_robust_expander_mc,
 )
@@ -483,40 +486,28 @@ def closeness(
 
 
 def _closeness_exact(g: Graph, kind: str, k: int) -> tuple[int, int]:
+    """The lexicographically first |A| = k set of minimum score."""
     n = g.n
-    adj_mat = np.zeros((n, n), dtype=np.float32)
-    for u in range(n):
-        for v in iter_bits(g.adj[u]):
-            adj_mat[u, v] = 1.0
+    adj_mat = _bit_matrix(g.adj, n)
     degs = np.array(g.degrees(), dtype=np.float32)
-    # complement symmetry halves the two-cliques search when n is even
-    fix_zero = kind == "two_cliques" and n % 2 == 0 and k >= 1
-    if fix_zero:
-        combos = (
-            (0,) + rest for rest in itertools.combinations(range(1, n), k - 1)
-        )
-    else:
-        combos = itertools.combinations(range(n), k)
-    best_mask = -1
-    best_score = None
-    chunk_size = 65536
-    while True:
-        chunk = list(itertools.islice(combos, chunk_size))
-        if not chunk:
-            break
-        arr = np.array(chunk, dtype=np.int64)
-        rows = np.zeros((len(chunk), n), dtype=np.float32)
-        rows[np.arange(len(chunk))[:, None], arr] = 1.0
+    # complement symmetry halves the two-cliques search when n is even:
+    # a minimiser's complement is one too, and the first contains vertex 0
+    must = 1 if kind == "two_cliques" and n % 2 == 0 else 0
+    # ties go to the largest key, which is the lexicographically first set
+    weights = np.array([2.0 ** (n - 1 - v) for v in range(n)])
+    best_mask, best_score, best_key = -1, None, 0.0
+    for masks, rows in _subset_chunks(n, k, k, must):
         counts = rows @ adj_mat
         if kind == "bipartite":
             scores = (rows * counts).sum(axis=1) / 2
         else:
             scores = (rows * (degs - counts)).sum(axis=1)
-        idx = int(np.argmin(scores))
-        sc = int(round(float(scores[idx])))
-        if best_score is None or sc < best_score:
-            best_score = sc
-            best_mask = mask_of(chunk[idx], n)
+        tied = np.flatnonzero(scores == scores.min())
+        keys = rows[tied] @ weights
+        i = tied[int(np.argmax(keys))]
+        score, key = int(round(float(scores[i]))), float(keys.max())
+        if best_score is None or (score, -key) < (best_score, -best_key):
+            best_mask, best_score, best_key = int(masks[i]), score, key
     assert best_score is not None
     return best_mask, best_score
 

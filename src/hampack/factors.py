@@ -54,9 +54,6 @@ class Matching:
     def size(self) -> int:
         return len(self.pairs)
 
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for e in self.pairs for v in e)
-
 
 @dataclass(frozen=True)
 class Factor:
@@ -192,19 +189,15 @@ def tutte_verify_exhaustive(g: Graph, r: int) -> bool:
 # Structured refutation candidates
 # ---------------------------------------------------------------------------
 
-def _structured_pairs(g: Graph, r: int) -> Iterator[tuple[int, int]]:
+def _structured_pairs(g: Graph) -> Iterator[tuple[int, int]]:
+    # Only reached once the degree gate has passed, so r <= delta: then
+    # no vertex has degree below r, and (0, V) has Q_r = 0 <= R_r = 2m - rn.
     n = g.n
     full = (1 << n) - 1
     yield 0, 0
-    yield 0, full
-    low = 0
     for v in range(n):
-        if g.degree(v) < r:
-            low |= 1 << v
         yield 0, 1 << v
         yield 1 << v, 0
-    if low:
-        yield 0, low
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     smask = 0
     for v in order[:-1]:
@@ -214,7 +207,7 @@ def _structured_pairs(g: Graph, r: int) -> Iterator[tuple[int, int]]:
 
 
 def _structured_violation(g: Graph, r: int) -> tuple[int, int] | None:
-    for smask, tmask in _structured_pairs(g, r):
+    for smask, tmask in _structured_pairs(g):
         q, rr = _quantities(g, r, smask, tmask)
         if q > rr:
             return smask, tmask

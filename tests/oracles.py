@@ -74,21 +74,41 @@ def brute_hamilton_exists(g: Graph) -> bool:
     return False
 
 
-def brute_min_closeness_score(g: Graph, kind: str) -> int:
-    """Unpruned minimum of e(A) or e(A, complement) over |A| = n//2."""
+def brute_min_closeness(g: Graph, kind: str) -> tuple[frozenset[int], int]:
+    """The lexicographically first minimiser of e(A) or e(A, complement)
+    over the combinations A of size n//2, and its score; unpruned."""
     n = g.n
-    k = n // 2
     edges = g.edges()
     best = None
-    for combo in itertools.combinations(range(n), k):
+    for combo in itertools.combinations(range(n), n // 2):
         inside = set(combo)
         if kind == "bipartite":
             score = sum(1 for u, v in edges if u in inside and v in inside)
         else:
             score = sum(1 for u, v in edges if (u in inside) != (v in inside))
-        if best is None or score < best:
-            best = score
-    return best if best is not None else 0
+        if best is None or score < best[1]:
+            best = (frozenset(combo), score)
+    return best if best is not None else (frozenset(), 0)
+
+
+def brute_min_closeness_score(g: Graph, kind: str) -> int:
+    """Unpruned minimum of e(A) or e(A, complement) over |A| = n//2."""
+    return brute_min_closeness(g, kind)[1]
+
+
+def brute_first_non_expanding_set(n: int, arcs, nu, tau) -> frozenset[int] | None:
+    """The first S in ascending bitmask order with tau*n <= |S| <= (1-tau)*n
+    and fewer than |S| + nu*n vertices that have at least nu*n
+    in-neighbours in S, straight from the definition; None if none."""
+    ins = [{a for a, b in arcs if b == v} for v in range(n)]
+    for mask in range(1 << n):
+        s = {v for v in range(n) if mask >> v & 1}
+        if not tau * n <= len(s) <= (1 - tau) * n:
+            continue
+        rn = [v for v in range(n) if len(ins[v] & s) >= nu * n]
+        if len(rn) < len(s) + nu * n:
+            return frozenset(s)
+    return None
 
 
 def all_graphs(n: int):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from oracles import brute_first_non_expanding_set
 
 from hampack.core import DiGraph, Graph, union_edge_disjoint
 from hampack.construct import (
@@ -235,6 +236,42 @@ def test_directed_cycle_refuted():
     assert v.refuted
     rn = robust_out_neighborhood(d, v.witness, params.nu)
     assert Fraction(len(rn)) < len(v.witness) + params.nu * d.n
+
+
+@pytest.mark.parametrize("nu, tau", [(Fraction(1, 10), Fraction(1, 4)),
+                                     (Fraction(1, 5), Fraction(1, 3)),
+                                     (Fraction(1, 12), Fraction(2, 5))])
+def test_symmetric_digraph_matches_graph_check(nu, tau):
+    # both arcs per edge: the digraph path must see exactly the graph;
+    # n runs past 16, where the enumeration takes more than one chunk
+    params = RobustParams(nu, tau)
+    outcomes = set()
+    for seed in range(12):
+        g = random_graph(8 + seed, (0.25, 0.5, 0.75)[seed % 3], seed)
+        d = DiGraph(g.n, [a for u, v in g.edges() for a in ((u, v), (v, u))])
+        want = is_robust_expander_exact(g, params)
+        got = is_robust_outexpander_exact(d, params)
+        assert (got.certified, got.witness, got.samples) == (
+            want.certified, want.witness, want.samples)
+        outcomes.add(want.certified)
+    assert outcomes == {True, False}
+
+
+def test_outexpander_matches_definition_on_one_way_digraphs():
+    # arcs mostly run from low to high vertices, so in- and out-neighbour
+    # counts differ and a checker that mixes them up gives other answers
+    params = RobustParams(Fraction(1, 8), Fraction(1, 4))
+    outcomes = set()
+    for seed in range(16):
+        rng = random.Random(seed)
+        n = 8 + seed % 3
+        arcs = [(u, v) for u in range(n) for v in range(n)
+                if u != v and rng.random() < (0.7 if u < v else 0.2)]
+        want = brute_first_non_expanding_set(n, arcs, params.nu, params.tau)
+        got = is_robust_outexpander_exact(DiGraph(n, arcs), params)
+        assert (got.certified, got.witness) == (want is None, want)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 def test_oriented_k12_certified():

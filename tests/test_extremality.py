@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_min_closeness_score
+from oracles import brute_min_closeness, brute_min_closeness_score
 
 from hampack.core import Graph, Partition, edges_between, edges_inside
 from hampack.construct import (
@@ -206,6 +206,19 @@ def test_closeness_exact_matches_unpruned_brute_force(seed, kind):
     g = random_graph(rng.randint(2, 10), rng.uniform(0.2, 0.9), seed)
     rep = closeness(g, kind, Fraction(1, 10))
     assert rep.score == brute_min_closeness_score(g, kind)
+
+
+@pytest.mark.parametrize("kind", ["bipartite", "two_cliques"])
+def test_closeness_exact_returns_lexicographically_first_minimiser(kind):
+    # ties are common (edgeless and complete graphs tie everywhere), so
+    # this pins which minimiser comes back, not only its score
+    graphs = [Graph(n) for n in range(1, 15)]
+    for n in range(1, 15):
+        for i, p in enumerate((0.3, 0.5, 0.8)):
+            graphs.append(random_graph(n, p, 100 * n + i))
+    for g in graphs:
+        rep = closeness(g, kind, Fraction(1, 10))
+        assert (rep.a, rep.score) == brute_min_closeness(g, kind), g.edges()
 
 
 @pytest.mark.parametrize("build, kind", [(complete_bipartite, "bipartite"),
