@@ -6,8 +6,10 @@ Edge lists (undirected)::
     p <n> <m>
     <u> <v>          (m lines, 0-based, u < v, no duplicates)
 
-Arc lists (directed) use the same header followed by ``a <u> <v>`` lines.
-These formats are the unit of exchange for every CLI command.
+Arc lists (directed) use the same header followed by ``a <u> <v>`` lines
+(u != v, no repeated arc).  Both formats go through one reader, so they
+reject the same faults with the same ``ParseError``.  These formats are
+the unit of exchange for every CLI command.
 """
 
 from __future__ import annotations
@@ -18,10 +20,15 @@ from .core import DiGraph, Graph
 from .errors import ParseError
 
 
-def parse_edge_list(text: str) -> Graph:
+def _read_pairs(text: str, arcs: bool) -> tuple[int, list[tuple[int, int]]]:
+    """The header, comment and record lines both formats share: the
+    vertex count and the records, each checked for range, loops and
+    repeats, with their number checked against the header."""
+    noun = "arc" if arcs else "edge"
+    shape = "'a <u> <v>'" if arcs else "'<u> <v>'"
     n = None
     m = None
-    edges = []
+    pairs = []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -40,27 +47,37 @@ def parse_edge_list(text: str) -> Graph:
             if n < 0 or m < 0:
                 raise ParseError("negative header fields", lineno)
             continue
+        if arcs:
+            if parts[0] != "a":
+                raise ParseError(f"expected {shape}, got {line!r}", lineno)
+            parts = parts[1:]
         if n is None:
-            raise ParseError("edge line before 'p' header", lineno)
+            raise ParseError(f"{noun} line before 'p' header", lineno)
         if len(parts) != 2:
-            raise ParseError(f"expected '<u> <v>', got {line!r}", lineno)
+            raise ParseError(f"expected {shape}, got {line!r}", lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError("non-integer endpoint", lineno) from None
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"endpoint out of range 0..{n - 1}", lineno)
-        if u >= v:
+        if arcs and u == v:
+            raise ParseError(f"loop at vertex {u}", lineno)
+        if not arcs and u >= v:
             raise ParseError(f"endpoints must satisfy u < v, got {u} {v}", lineno)
         if (u, v) in seen:
-            raise ParseError(f"duplicate edge {u} {v}", lineno)
+            raise ParseError(f"duplicate {noun} {u} {v}", lineno)
         seen.add((u, v))
-        edges.append((u, v))
+        pairs.append((u, v))
     if n is None:
         raise ParseError("missing 'p <n> <m>' header")
-    if m != len(edges):
-        raise ParseError(f"header declares m={m} but found {len(edges)} edges")
-    return Graph(n, edges)
+    if m != len(pairs):
+        raise ParseError(f"header declares m={m} but found {len(pairs)} {noun}s")
+    return n, pairs
+
+
+def parse_edge_list(text: str) -> Graph:
+    return Graph(*_read_pairs(text, arcs=False))
 
 
 def format_edge_list(g: Graph) -> str:
@@ -78,42 +95,7 @@ def write_edge_list(g: Graph, path: str | Path) -> None:
 
 
 def parse_arc_list(text: str) -> DiGraph:
-    n = None
-    m = None
-    arcs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate header line", lineno)
-            if len(parts) != 3:
-                raise ParseError("header must be 'p <n> <m>'", lineno)
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("non-integer header fields", lineno) from None
-            continue
-        if parts[0] != "a":
-            raise ParseError(f"expected 'a <u> <v>', got {line!r}", lineno)
-        if n is None:
-            raise ParseError("arc line before 'p' header", lineno)
-        if len(parts) != 3:
-            raise ParseError("arc lines are 'a <u> <v>'", lineno)
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError("non-integer endpoint", lineno) from None
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise ParseError(f"bad arc {u} -> {v}", lineno)
-        arcs.append((u, v))
-    if n is None:
-        raise ParseError("missing 'p <n> <m>' header")
-    if m != len(arcs):
-        raise ParseError(f"header declares m={m} but found {len(arcs)} arcs")
-    return DiGraph(n, arcs)
+    return DiGraph(*_read_pairs(text, arcs=True))
 
 
 def format_arc_list(d: DiGraph) -> str:

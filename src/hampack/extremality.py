@@ -11,7 +11,11 @@ disjoint pair (A, B) satisfies
 
 with alpha+ = max(alpha, 0); alpha is always derived from the actual
 minimum degree as an exact rational.  All four comparisons are decided
-exactly by squaring out the irrational thresholds.  Closeness to
+exactly by squaring out the irrational thresholds.  E1, E2 and E4 are
+one predicate each, shared by the pair check, the size windows of the
+witness search and the E4 prune of its exact 3^n enumeration; every
+report, given pair or found witness, is built and checked against the
+coverage bound n - |A u B| <= 2 eta n in one place.  Closeness to
 K_{n/2,n/2} (resp. two disjoint half cliques) asks for a half-sized A
 with e(A) (resp. e(A, complement)) at most eps*n^2.  Up to n = 24 every
 half-sized A is scored through the subset enumerator and 0/1 matrix of
@@ -80,27 +84,40 @@ def _pair_counts(g: Graph, amask: int, bmask: int) -> tuple[int, int, int, int]:
     return size_a, size_b, e_ab, e_b2 // 2
 
 
+def _e1_holds(n: int, ap: Fraction, eta: Fraction, size_a: int) -> bool:
+    sq = ap / 2 * n * n  # (sqrt(alpha+/2) * n)^2
+    half = Fraction(1, 2)
+    return (
+        cmp_sqrt((half - eta) * n - size_a, sq) <= 0
+        and cmp_sqrt((half + eta) * n - size_a, sq) >= 0
+    )
+
+
+def _e2_holds(n: int, ap: Fraction, eta: Fraction, size_b: int) -> bool:
+    sq = ap / 2 * n * n
+    half = Fraction(1, 2)
+    return (
+        cmp_sqrt(size_b - (half - eta) * n, sq) >= 0
+        and cmp_sqrt(size_b - (half + eta) * n, sq) <= 0
+    )
+
+
+def _e4_holds(n: int, ap: Fraction, eta: Fraction, e_b: int, size_b: int) -> bool:
+    q4 = Fraction(e_b) - (ap + eta) * n * size_b / 2
+    a4 = ap / 2 * (Fraction(n) * size_b / 2) ** 2
+    return cmp_sqrt(q4, a4) < 0
+
+
 def _conditions(
     g: Graph, eta: Fraction, amask: int, bmask: int
 ) -> tuple[bool, bool, bool, bool, dict]:
     n = g.n
-    alpha = alpha_of(g)
-    ap = max(alpha, Fraction(0))
+    ap = max(alpha_of(g), Fraction(0))
     size_a, size_b, e_ab, e_b = _pair_counts(g, amask, bmask)
-    sq = ap / 2 * n * n  # (sqrt(alpha+/2) * n)^2
-    half = Fraction(1, 2)
-    e1 = (
-        cmp_sqrt((half - eta) * n - size_a, sq) <= 0
-        and cmp_sqrt((half + eta) * n - size_a, sq) >= 0
-    )
-    e2 = (
-        cmp_sqrt(size_b - (half - eta) * n, sq) >= 0
-        and cmp_sqrt(size_b - (half + eta) * n, sq) <= 0
-    )
+    e1 = _e1_holds(n, ap, eta, size_a)
+    e2 = _e2_holds(n, ap, eta, size_b)
     e3 = Fraction(e_ab) > (1 - eta) * size_a * size_b
-    q4 = Fraction(e_b) - (ap + eta) * n * size_b / 2
-    a4 = ap / 2 * (Fraction(n) * size_b / 2) ** 2
-    e4 = cmp_sqrt(q4, a4) < 0
+    e4 = _e4_holds(n, ap, eta, e_b, size_b)
     quantities = {
         "size_a": size_a,
         "size_b": size_b,
@@ -113,15 +130,12 @@ def _conditions(
     return e1, e2, e3, e4, quantities
 
 
-def check_eta_extremal_pair(
-    g: Graph, eta: Fraction | float, part: Partition
+def _report(
+    g: Graph, eta: Fraction, amask: int, bmask: int, part: Partition, mode: str
 ) -> ExtremalityReport:
-    """Evaluate (E1)-(E4) for an explicit disjoint pair, exactly."""
-    eta = Fraction(eta)
-    amask = mask_of(part.a, g.n)
-    bmask = mask_of(part.b, g.n)
-    if amask & bmask:
-        raise InputError("A and B overlap")
+    """The report on (E1)-(E4) for one pair, with the coverage check:
+    (E1) and (E2) force n - |A u B| <= 2 eta n, so a positive report
+    that leaves more uncovered is a bug."""
     e1, e2, e3, e4, quantities = _conditions(g, eta, amask, bmask)
     report = ExtremalityReport(
         eta=eta,
@@ -131,19 +145,24 @@ def check_eta_extremal_pair(
         e2=e2,
         e3=e3,
         e4=e4,
-        mode="pair",
+        mode=mode,
         quantities=quantities,
     )
-    _assert_e5(g, eta, report)
+    if report.extremal and Fraction(quantities["uncovered"]) > 2 * eta * g.n:
+        raise InternalError("positive report violates the coverage slack bound")
     return report
 
 
-def _assert_e5(g: Graph, eta: Fraction, report: ExtremalityReport) -> None:
-    # (E1) and (E2) force n - |A u B| <= 2 eta n; violation means a bug
-    if report.extremal:
-        uncovered = report.quantities["uncovered"]
-        if Fraction(uncovered) > 2 * eta * g.n:
-            raise InternalError("positive report violates the coverage slack bound")
+def check_eta_extremal_pair(
+    g: Graph, eta: Fraction | float, part: Partition
+) -> ExtremalityReport:
+    """Evaluate (E1)-(E4) for an explicit disjoint pair, exactly."""
+    eta = Fraction(eta)
+    amask = mask_of(part.a, g.n)
+    bmask = mask_of(part.b, g.n)
+    if amask & bmask:
+        raise InputError("A and B overlap")
+    return _report(g, eta, amask, bmask, part, "pair")
 
 
 # ---------------------------------------------------------------------------
@@ -153,25 +172,9 @@ def _assert_e5(g: Graph, eta: Fraction, report: ExtremalityReport) -> None:
 def _size_windows(g: Graph, eta: Fraction) -> tuple[int, int, int, int]:
     """Integer ranges [lo_a, hi_a], [lo_b, hi_b] implied by E1/E2."""
     n = g.n
-    alpha = alpha_of(g)
-    ap = max(alpha, Fraction(0))
-    sq = ap / 2 * n * n
-    half = Fraction(1, 2)
-
-    def sat_a(k: int) -> bool:
-        return (
-            cmp_sqrt((half - eta) * n - k, sq) <= 0
-            and cmp_sqrt((half + eta) * n - k, sq) >= 0
-        )
-
-    def sat_b(k: int) -> bool:
-        return (
-            cmp_sqrt(k - (half - eta) * n, sq) >= 0
-            and cmp_sqrt(k - (half + eta) * n, sq) <= 0
-        )
-
-    a_ok = [k for k in range(n + 1) if sat_a(k)]
-    b_ok = [k for k in range(n + 1) if sat_b(k)]
+    ap = max(alpha_of(g), Fraction(0))
+    a_ok = [k for k in range(n + 1) if _e1_holds(n, ap, eta, k)]
+    b_ok = [k for k in range(n + 1) if _e2_holds(n, ap, eta, k)]
     lo_a, hi_a = (a_ok[0], a_ok[-1]) if a_ok else (1, 0)
     lo_b, hi_b = (b_ok[0], b_ok[-1]) if b_ok else (1, 0)
     return lo_a, hi_a, lo_b, hi_b
@@ -209,21 +212,9 @@ def find_eta_extremal_witness(
             quantities={},
         )
     amask, bmask = hit
-    e1, e2, e3, e4, quantities = _conditions(g, eta, amask, bmask)
-    if not (e1 and e2 and e3 and e4):
+    report = _report(g, eta, amask, bmask, Partition(set_of(amask), set_of(bmask)), mode)
+    if not report.extremal:
         raise InternalError("witness search returned a non-witness")
-    report = ExtremalityReport(
-        eta=eta,
-        alpha=alpha_of(g),
-        partition=Partition(set_of(amask), set_of(bmask)),
-        e1=e1,
-        e2=e2,
-        e3=e3,
-        e4=e4,
-        mode=mode,
-        quantities=quantities,
-    )
-    _assert_e5(g, eta, report)
     return report
 
 
@@ -232,18 +223,8 @@ def _exact_witness(g: Graph, eta: Fraction) -> tuple[int, int] | None:
     lo_a, hi_a, lo_b, hi_b = _size_windows(g, eta)
     if lo_a > hi_a or lo_b > hi_b:
         return None
-    alpha = alpha_of(g)
-    ap = max(alpha, Fraction(0))
+    ap = max(alpha_of(g), Fraction(0))
     one_minus_eta = 1 - eta
-
-    # E4 prune helper: e(B) already at least the bound for the largest
-    # reachable |B| kills the branch (e(B) and the bound both grow).
-    def e4_hopeless(e_b: int, b_max: int) -> bool:
-        if b_max == 0:
-            return e_b > 0
-        q = Fraction(e_b) - (ap + eta) * n * b_max / 2
-        a = ap / 2 * (Fraction(n) * b_max / 2) ** 2
-        return cmp_sqrt(q, a) >= 0
 
     adj = g.adj
     m_total = g.m
@@ -258,7 +239,10 @@ def _exact_witness(g: Graph, eta: Fraction) -> tuple[int, int] | None:
             return False
         if size_a + rem < lo_a or size_b + rem < lo_b:
             return False
-        if e4_hopeless(e_b2 // 2, min(hi_b, size_b + rem)):
+        # E4 prune: e(B) only grows and the E4 bound grows with |B|, so
+        # E4 failing at the largest reachable |B| kills the branch (E4
+        # always fails for empty B)
+        if not _e4_holds(n, ap, eta, e_b2 // 2, min(hi_b, size_b + rem)):
             return False
         # E3 prune: cross edges cannot exceed current + all unassigned-incident
         cross_max = e_ab + (m_total - e_assigned)

@@ -12,8 +12,14 @@ cycles form a spanning 2k-regular subgraph, so no packing is larger.
 The search exhausts only when the maximum lies below that ceiling.
 
 The single-cycle finder is an exact bitmask dynamic program over
-(subset, endpoint) states up to n = 20 and a pruned backtracking search
-up to n = 64.
+(subset, endpoint) states up to n = 20.  From n = 21 to 64 a graph
+without a 2-factor is answered exactly by ``r_factor_exists(g, 2)``
+(a Hamilton cycle is a connected 2-factor); otherwise the finder takes
+the first cycle of the same pruned enumeration the packing searches
+use, under a budget of SEARCH_NODE_BUDGET search nodes, past which it
+raises CapacityError.  The enumeration extends paths from vertex 0 in
+ascending order, so its first cycle is the lexicographically least
+Hamilton sequence, which is canonical.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ from dataclasses import dataclass, field
 
 from .core import Graph, iter_bits
 from .errors import CapacityError, InputError, InternalError
-from .factors import RegEvenBounds, reg_even_of_graph, regeven_bounds
+from .factors import RegEvenBounds, r_factor_exists, reg_even_of_graph, regeven_bounds
 
 HAMILTON_DP_MAX_N = 20
 HAMILTON_MAX_N = 64
 EXACT_PACKING_MAX_N = 12
+SEARCH_NODE_BUDGET = 2_000_000
 
 HamCycle = tuple[int, ...]
 
@@ -148,34 +155,13 @@ def _feasible(adj: list[int] | tuple[int, ...], n: int, used: int, cur: int) -> 
     return bool(adj[0] & unvisited)
 
 
-def _hamilton_backtrack(g: Graph) -> HamCycle | None:
-    n = g.n
-    adj = g.adj
-    path = [0]
-
-    def dfs(v: int, used: int) -> bool:
-        if len(path) == n:
-            return bool(adj[v] & 1)
-        if not _feasible(adj, n, used, v):
-            return False
-        ext = adj[v] & ~used
-        while ext:
-            ub = ext & -ext
-            ext ^= ub
-            u = ub.bit_length() - 1
-            path.append(u)
-            if dfs(u, used | ub):
-                return True
-            path.pop()
-        return False
-
-    if dfs(0, 1):
-        return canonical_cycle(path)
-    return None
-
-
 def find_hamilton(g: Graph) -> HamCycle | None:
-    """A Hamilton cycle of g in canonical form, or None if none exists."""
+    """A Hamilton cycle of g in canonical form, or None if none exists.
+
+    Above the DP cap a graph without a 2-factor has no Hamilton cycle;
+    otherwise the first cycle of the enumeration is returned, and a
+    search that spends SEARCH_NODE_BUDGET nodes raises CapacityError.
+    """
     if g.n > HAMILTON_MAX_N:
         raise CapacityError(f"Hamilton search capped at n <= {HAMILTON_MAX_N}")
     if g.n < 3:
@@ -184,7 +170,15 @@ def find_hamilton(g: Graph) -> HamCycle | None:
         return None
     if g.n <= HAMILTON_DP_MAX_N:
         return _hamilton_dp(g)
-    return _hamilton_backtrack(g)
+    if not r_factor_exists(g, 2):
+        return None
+    budget = _Budget(SEARCH_NODE_BUDGET)
+    cycle = next(_iter_cycles(list(g.adj), g.n, None, budget), None)
+    if budget.exhausted:
+        raise CapacityError(
+            f"Hamilton search spent its budget of {SEARCH_NODE_BUDGET} nodes without an answer"
+        )
+    return cycle
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +218,11 @@ def _iter_cycles(
     yield from dfs(0, 1, lower is not None)
 
 
-def _remove_cycle(rows: list[int], cycle: HamCycle) -> None:
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-
-
-def _restore_cycle(rows: list[int], cycle: HamCycle) -> None:
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+def _toggle_cycle(rows: list[int], cycle: HamCycle) -> None:
+    """Remove the cycle's edges from the rows, or put them back."""
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
 
 
 def _packing_upper_bound(rows: list[int], n: int) -> int:
@@ -276,11 +263,11 @@ def _search_packing(
         elif cap < target:
             return False
         for cycle in _iter_cycles(rows, n, lower, budget):
-            _remove_cycle(rows, cycle)
+            _toggle_cycle(rows, cycle)
             cycles.append(cycle)
             hit = rec(cycle)
             cycles.pop()
-            _restore_cycle(rows, cycle)
+            _toggle_cycle(rows, cycle)
             if hit:
                 return True
             if budget.exhausted:
@@ -336,7 +323,8 @@ def decompose_even_regular(g: Graph, budget: int | None = None) -> Packing | Non
     """Partition an even-regular graph into Hamilton cycles, if possible.
 
     Definitive negatives only for n <= 12 with an uncut search; above
-    that a budget (default 2_000_000 nodes) makes the search best-effort.
+    that a budget (default SEARCH_NODE_BUDGET nodes) makes the search
+    best-effort.
     """
     degs = g.degrees()
     if not degs:
@@ -351,7 +339,7 @@ def decompose_even_regular(g: Graph, budget: int | None = None) -> Packing | Non
     if g.n > HAMILTON_MAX_N:
         raise CapacityError(f"decomposition search capped at n <= {HAMILTON_MAX_N}")
     if budget is None:
-        budget = None if g.n <= EXACT_PACKING_MAX_N else 2_000_000
+        budget = None if g.n <= EXACT_PACKING_MAX_N else SEARCH_NODE_BUDGET
     b = _Budget(budget)
     best, achieved = _search_packing(g, r // 2, b)
     if not achieved:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hampack import hamilton
 from hampack.cli import main
+from hampack.core import Graph
 from hampack.edgelist import format_edge_list, parse_edge_list, read_edge_list
 from hampack.construct import babai_graph, complete_graph, random_graph
 
@@ -173,6 +175,27 @@ def test_ham_pack_maxpack_decompose_conjecture(tmp_path, capsys):
     code, out = run(["conjecture", "--input", str(k7)], capsys)
     payload = json.loads(out)
     assert code == 0 and payload["graph_law_ok"] and payload["class_law_ok"]
+
+
+@pytest.mark.parametrize("a", [10, 20])
+def test_ham_unbalanced_complete_bipartite_is_false(tmp_path, capsys, a):
+    # above the DP cap; no 2-factor, so no search runs
+    path = tmp_path / "kab.el"
+    path.write_text(format_edge_list(Graph(2 * a + 1, [(u, a + v) for u in range(a) for v in range(a + 1)])))
+    code, out = run(["ham", "--input", str(path)], capsys)
+    assert code == 0 and json.loads(out) == {"hamiltonian": False}
+
+
+def test_ham_exhausted_budget_exits_3(tmp_path, capsys, monkeypatch):
+    # two K_11 sharing vertex 10: a 2-factor, no Hamilton cycle
+    monkeypatch.setattr(hamilton, "SEARCH_NODE_BUDGET", 1000)
+    edges = {(u, v) for lo in (0, 10) for u in range(lo, lo + 11) for v in range(u + 1, lo + 11)}
+    path = tmp_path / "g.el"
+    path.write_text(format_edge_list(Graph(21, sorted(edges))))
+    code = main(["ham", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "1000 nodes" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -59,3 +59,18 @@ def test_arc_parse_errors():
         parse_arc_list("p 3 1\n0 1\n")  # missing 'a' prefix
     with pytest.raises(ParseError):
         parse_arc_list("p 3 1\na 0 0\n")
+
+
+def test_arc_list_rejects_repeated_arc():
+    # the header declares two arcs; a repeat must not count as one
+    with pytest.raises(ParseError, match="line 3"):
+        parse_arc_list("p 3 2\na 0 1\na 0 1\n")
+    assert sorted(parse_arc_list("p 2 2\na 0 1\na 1 0\n").arcs()) == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("text", ["p -1 0\n", "p 3 -1\n"])
+def test_negative_header_is_a_parse_error_in_both_formats(text):
+    with pytest.raises(ParseError):
+        parse_edge_list(text)
+    with pytest.raises(ParseError):
+        parse_arc_list(text)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,29 @@ def test_exact_negative_is_definitive():
     assert rep.mode == "exact"
     assert not rep.extremal
     assert rep.partition is None
+
+
+def _first_witness_by_scan(g, eta):
+    """The first extremal pair over all 3^n assignments, vertex 0 most
+    significant and A before B before unassigned: no pruning at all."""
+    for assign in itertools.product("abu", repeat=g.n):
+        part = Partition(frozenset(v for v, c in enumerate(assign) if c == "a"),
+                         frozenset(v for v, c in enumerate(assign) if c == "b"))
+        if check_eta_extremal_pair(g, eta, part).extremal:
+            return part
+    return None
+
+
+@pytest.mark.parametrize(
+    "g",
+    [extremal_graph(6, 4)[0], extremal_graph(7, 5)[0]]
+    + [random_graph(7, p, seed) for p in (0.4, 0.7) for seed in range(3)],
+)
+@pytest.mark.parametrize("eta", [Fraction(1, 20), Fraction(1, 10), Fraction(1, 4)])
+def test_exact_search_finds_the_first_witness_of_an_unpruned_scan(g, eta):
+    rep = find_eta_extremal_witness(g, eta)
+    assert rep.mode == "exact"
+    assert rep.partition == _first_witness_by_scan(g, eta)
 
 
 def test_heuristic_recovers_construction_witness():

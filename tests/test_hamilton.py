@@ -1,5 +1,7 @@
+import time
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
@@ -14,8 +16,10 @@ from hampack.construct import (
     random_graph,
 )
 from hampack.errors import CapacityError, InputError, InternalError
-from hampack.factors import reg_even_of_graph
+from hampack.factors import r_factor_exists, reg_even_of_graph
+from hampack import hamilton
 from hampack.hamilton import (
+    SEARCH_NODE_BUDGET,
     Packing,
     _audit_packing,
     _Budget,
@@ -49,7 +53,7 @@ def test_petersen_has_none():
 
 
 def test_backtracking_range_matches_dp_structure():
-    # n = 22 forces the backtracking path
+    # n = 22 is above the DP cap: the budgeted enumeration decides
     g = cycle_graph(22)
     assert find_hamilton(g) == tuple(range(22))
     rows = list(g.adj)
@@ -60,6 +64,71 @@ def test_backtracking_range_matches_dp_structure():
 def test_capacity():
     with pytest.raises(CapacityError):
         find_hamilton(Graph(65))
+
+
+def _cliques_sharing_a_vertex(k: int) -> Graph:
+    """K_k on 0..k-1 and K_k on k-1..2k-2, sharing vertex k - 1."""
+    edges = {(u, v) for lo in (0, k - 1) for u in range(lo, lo + k) for v in range(u + 1, lo + k)}
+    return Graph(2 * k - 1, sorted(edges))
+
+
+def _generalized_petersen(k: int, s: int) -> Graph:
+    edges = set()
+    for i in range(k):
+        for u, v in ((i, (i + 1) % k), (i, k + i), (k + i, k + (i + s) % k)):
+            edges.add((min(u, v), max(u, v)))
+    return Graph(2 * k, sorted(edges))
+
+
+def test_search_past_its_budget_raises_capacity_error():
+    # a 2-factor but a cut vertex: the search cannot refute it in budget
+    g = _cliques_sharing_a_vertex(11)
+    assert g.n == 21 and r_factor_exists(g, 2)
+    with pytest.raises(CapacityError, match=f"{SEARCH_NODE_BUDGET} nodes"):
+        find_hamilton(g)
+
+
+def test_exhausted_search_within_budget_returns_none(monkeypatch):
+    spent = []
+
+    class CountingBudget(hamilton._Budget):
+        def spend(self):
+            spent.append(1)
+            return super().spend()
+
+    monkeypatch.setattr(hamilton, "_Budget", CountingBudget)
+    g = _generalized_petersen(11, 2)
+    assert g.n == 22 and r_factor_exists(g, 2)
+    assert find_hamilton(g) is None
+    assert len(spent) == 2038
+
+
+# the full 2 000 000-node budget takes about 4-10 s on a 2-core machine
+HAMILTON_TIME_BOUND_S = 60.0
+
+
+@seed(20261018)
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(21, 40),
+    st.sampled_from([0.1, 0.15, 0.2, 0.3, 0.5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_finder_above_dp_cap_answers_soundly_in_bounded_time(n, p, graph_seed):
+    g = random_graph(n, p, graph_seed)
+    assume(g.min_degree() >= 2)
+    start = time.perf_counter()
+    try:
+        cycle = find_hamilton(g)
+    except CapacityError:
+        cycle = "capacity"
+    assert time.perf_counter() - start < HAMILTON_TIME_BOUND_S
+    if not r_factor_exists(g, 2):
+        assert cycle is None
+    if isinstance(cycle, tuple):
+        assert sorted(cycle) == list(range(n))
+        for i in range(n):
+            assert g.has_edge(cycle[i], cycle[(i + 1) % n])
 
 
 @settings(max_examples=150, deadline=None)
