@@ -161,6 +161,56 @@ class Graph:
             todo &= ~seen
         return comps
 
+    def cut_vertices(self) -> int:
+        """Bitmask of the vertices v for which G - v is disconnected.
+
+        With three or more components that is every vertex, with two it
+        is every vertex outside a one-vertex component, and a connected
+        graph's cut vertices are its articulation points, found by one
+        iterative depth-first pass with low points (Hopcroft-Tarjan),
+        O(n + m).
+        """
+        n = self.n
+        full = (1 << n) - 1
+        comps = self.components()
+        if len(comps) >= 3:
+            return full
+        if len(comps) == 2:
+            return full & ~sum(c for c in comps if c & (c - 1) == 0)
+        if n < 3:
+            return 0
+        adj = self.adj
+        disc = [0] * n  # discovery time, 0 while unvisited
+        low = [0] * n
+        disc[0] = low[0] = clock = 1
+        stack = [[0, -1, adj[0]]]  # vertex, DFS parent, neighbours still to scan
+        root_children = 0
+        cut = 0
+        while stack:
+            top = stack[-1]
+            v, parent, todo = top
+            if todo:
+                wb = todo & -todo
+                top[2] = todo ^ wb
+                w = wb.bit_length() - 1
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append([w, v, adj[w]])
+                elif w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
+                continue
+            stack.pop()
+            if parent == 0:
+                root_children += 1
+            elif parent > 0 and low[v] >= disc[parent]:
+                cut |= 1 << parent
+            if parent >= 0 and low[v] < low[parent]:
+                low[parent] = low[v]
+        if root_children >= 2:
+            cut |= 1
+        return cut
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

@@ -4,9 +4,26 @@ certificates, the largest even-factor degree, and its two-sided bound.
 The r-factor decision runs a layered pipeline, cheapest first:
 
 1. parity / degree gates with immediate certificates,
-2. structured Tutte pairs (empty pair, whole vertex set, singletons,
-   degree-sorted prefix splits) that refute most infeasible instances
-   in O(n) evaluations,
+2. structured Tutte pairs that refute most infeasible instances: the
+   empty pair, (0, {v}) and ({v}, 0) for each vertex v, and (S, V - S)
+   and (S, 0) for each proper prefix S of the vertices by degree.  Only
+   the pairs that can violate are evaluated, so the pass costs
+   O(n + m) plus one components pass per pair evaluated:
+   - the empty pair only when G is disconnected (one component C = V
+     has r|C| = rn even, so Q_r = 0 = R_r);
+   - the single-vertex pairs only at cut vertices, v with G - v
+     disconnected: otherwise G - v is one component C and Q_r is at
+     most (r|C| + d(v)) mod 2 = (d(v) - r) mod 2 <= d(v) - r = R_r for
+     T = {v}, and at most 1 <= r = R_r for S = {v}.  When 2 delta >= n
+     (n >= 3) G is Hamiltonian by Dirac's theorem, hence 2-connected,
+     and the cut-vertex pass is skipped;
+   - (S, V - S) leaves nothing outside S u T, so Q_r = 0 and the pair
+     violates iff R_r < 0; R_r is updated in O(1) bit counts as each
+     vertex moves from T to S;
+   - (S, 0) has R_r = r|S| and is skipped for even r, where Q_r = 0;
+     for odd r, Q_r is the number of odd components of G - S, read for
+     every prefix off one reverse union-find pass.
+   The first violating pair is the first of the full list,
 3. for even r, a constructive fast path: balanced orientation plus a
    unit-capacity flow that extracts an explicit factor when it exists
    under that orientation,
@@ -189,28 +206,74 @@ def tutte_verify_exhaustive(g: Graph, r: int) -> bool:
 # Structured refutation candidates
 # ---------------------------------------------------------------------------
 
-def _structured_pairs(g: Graph) -> Iterator[tuple[int, int]]:
-    # Only reached once the degree gate has passed, so r <= delta: then
-    # no vertex has degree below r, and (0, V) has Q_r = 0 <= R_r = 2m - rn.
+def _odd_components_after_prefixes(g: Graph, order: list[int]) -> list[int]:
+    """odd[k] = the number of odd components of G - {order[0..k-1]} for
+    k = 1..n-1, from one union-find pass that adds the vertices back
+    in reverse order."""
     n = g.n
-    full = (1 << n) - 1
-    yield 0, 0
-    for v in range(n):
-        yield 0, 1 << v
-        yield 1 << v, 0
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    smask = 0
-    for v in order[:-1]:
-        smask |= 1 << v
-        yield smask, full & ~smask
-        yield smask, 0
+    root = list(range(n))
+    size = [1] * n
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    odd = [0] * n
+    count = added = 0
+    for k in range(n - 1, 0, -1):
+        v = order[k]
+        count += 1
+        for w in iter_bits(g.adj[v] & added):
+            a, b = find(v), find(w)
+            if a != b:
+                count -= (size[a] & 1) + (size[b] & 1)
+                if size[a] < size[b]:
+                    a, b = b, a
+                root[b] = a
+                size[a] += size[b]
+                count += size[a] & 1
+        added |= 1 << v
+        odd[k] = count
+    return odd
 
 
 def _structured_violation(g: Graph, r: int) -> tuple[int, int] | None:
-    for smask, tmask in _structured_pairs(g):
+    """The first violating pair in the order (0, 0); (0, {v}) and
+    ({v}, 0) for v = 0..n-1; then (S_k, V - S_k) and (S_k, 0) for each
+    proper prefix S_k of the vertices by degree, descending, ties by
+    index.  Only reached after the gates, so rn is even and
+    1 <= r <= delta; the pairs skipped are those the module docstring
+    proves never violate, so the first hit is that of the whole list.
+    """
+    n = g.n
+    adj = g.adj
+    degs = g.degrees()
+    if n >= 3 and 2 * min(degs) >= n:
+        connected, cuts = True, 0  # Dirac: Hamiltonian, hence 2-connected
+    else:
+        connected, cuts = g.is_connected(), g.cut_vertices()
+    candidates = [] if connected else [(0, 0)]
+    for v in iter_bits(cuts):
+        candidates += [(0, 1 << v), (1 << v, 0)]
+    for smask, tmask in candidates:
         q, rr = _quantities(g, r, smask, tmask)
         if q > rr:
             return smask, tmask
+    order = sorted(range(n), key=lambda v: (-degs[v], v))
+    odd = _odd_components_after_prefixes(g, order) if r % 2 else None
+    full = (1 << n) - 1
+    smask = 0
+    rr = 2 * g.m - r * n  # R_r(0, V)
+    for k, v in enumerate(order[:-1], 1):
+        # v moves from T to S: R_r changes by 2(|N(v) & S| - d(v) + r)
+        rr += 2 * ((adj[v] & smask).bit_count() - degs[v] + r)
+        smask |= 1 << v
+        if rr < 0:
+            return smask, full & ~smask
+        if odd is not None and odd[k] > r * k:
+            return smask, 0
     return None
 
 

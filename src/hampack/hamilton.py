@@ -13,13 +13,14 @@ The search exhausts only when the maximum lies below that ceiling.
 
 The single-cycle finder is an exact bitmask dynamic program over
 (subset, endpoint) states up to n = 20.  From n = 21 to 64 a graph
-without a 2-factor is answered exactly by ``r_factor_exists(g, 2)``
-(a Hamilton cycle is a connected 2-factor); otherwise the finder takes
-the first cycle of the same pruned enumeration the packing searches
-use, under a budget of SEARCH_NODE_BUDGET search nodes, past which it
-raises CapacityError.  The enumeration extends paths from vertex 0 in
-ascending order, so its first cycle is the lexicographically least
-Hamilton sequence, which is canonical.
+that is disconnected or has a cut vertex, or has no 2-factor by
+``r_factor_exists(g, 2)``, is answered exactly (a Hamilton cycle is a
+connected 2-factor, and a graph with one is 2-connected); otherwise the
+finder takes the first cycle of the same pruned enumeration the packing
+searches use, under a budget of SEARCH_NODE_BUDGET search nodes, past
+which it raises CapacityError.  The enumeration extends paths from
+vertex 0 in ascending order, so its first cycle is the lexicographically
+least Hamilton sequence, which is canonical.
 """
 
 from __future__ import annotations
@@ -158,9 +159,10 @@ def _feasible(adj: list[int] | tuple[int, ...], n: int, used: int, cur: int) -> 
 def find_hamilton(g: Graph) -> HamCycle | None:
     """A Hamilton cycle of g in canonical form, or None if none exists.
 
-    Above the DP cap a graph without a 2-factor has no Hamilton cycle;
-    otherwise the first cycle of the enumeration is returned, and a
-    search that spends SEARCH_NODE_BUDGET nodes raises CapacityError.
+    Above the DP cap a graph that is not 2-connected or has no 2-factor
+    has no Hamilton cycle; otherwise the first cycle of the enumeration
+    is returned, and a search that spends SEARCH_NODE_BUDGET nodes
+    raises CapacityError.
     """
     if g.n > HAMILTON_MAX_N:
         raise CapacityError(f"Hamilton search capped at n <= {HAMILTON_MAX_N}")
@@ -170,7 +172,7 @@ def find_hamilton(g: Graph) -> HamCycle | None:
         return None
     if g.n <= HAMILTON_DP_MAX_N:
         return _hamilton_dp(g)
-    if not r_factor_exists(g, 2):
+    if g.cut_vertices() or not r_factor_exists(g, 2):
         return None
     budget = _Budget(SEARCH_NODE_BUDGET)
     cycle = next(_iter_cycles(list(g.adj), g.n, None, budget), None)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 
-from hampack.core import Graph
+from hampack.core import Graph, iter_bits
+from hampack.factors import tutte_quantities
 
 
 def brute_has_r_factor(g: Graph, r: int) -> bool:
@@ -125,6 +126,20 @@ def petersen() -> Graph:
     return Graph(10, outer + spokes + inner)
 
 
+def cliques_sharing_a_vertex(k: int) -> Graph:
+    """K_k on 0..k-1 and K_k on k-1..2k-2, sharing vertex k - 1."""
+    edges = {(u, v) for lo in (0, k - 1) for u in range(lo, lo + k) for v in range(u + 1, lo + k)}
+    return Graph(2 * k - 1, sorted(edges))
+
+
+def generalized_petersen(k: int, s: int) -> Graph:
+    edges = set()
+    for i in range(k):
+        for u, v in ((i, (i + 1) % k), (i, k + i), (k + i, k + (i + s) % k)):
+            edges.add((min(u, v), max(u, v)))
+    return Graph(2 * k, sorted(edges))
+
+
 def brute_all_hamilton_cycles(g: Graph) -> list[tuple[int, ...]]:
     """All Hamilton cycles in canonical form, by permutation scan."""
     n = g.n
@@ -161,3 +176,24 @@ def brute_max_packing(g: Graph) -> int:
 
     dfs(0, frozenset(), 0)
     return best
+
+
+def first_structured_violation(g: Graph, r: int) -> tuple[int, int] | None:
+    """The first violating pair of the full structured list, evaluated
+    pair by pair from the definition: (0, 0); (0, {v}) and ({v}, 0) for
+    every v; then (S_k, V - S_k) and (S_k, 0) for each proper prefix S_k
+    of the vertices by degree, descending, ties by index."""
+    n = g.n
+    full = (1 << n) - 1
+    pairs = [(0, 0)]
+    for v in range(n):
+        pairs += [(0, 1 << v), (1 << v, 0)]
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    smask = 0
+    for v in order[:-1]:
+        smask |= 1 << v
+        pairs += [(smask, full & ~smask), (smask, 0)]
+    for smask, tmask in pairs:
+        if tutte_quantities(g, r, iter_bits(smask), iter_bits(tmask)).violates:
+            return smask, tmask
+    return None

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from oracles import cliques_sharing_a_vertex, generalized_petersen
+
 from hampack import hamilton
 from hampack.cli import main
 from hampack.core import Graph
@@ -187,15 +189,23 @@ def test_ham_unbalanced_complete_bipartite_is_false(tmp_path, capsys, a):
 
 
 def test_ham_exhausted_budget_exits_3(tmp_path, capsys, monkeypatch):
-    # two K_11 sharing vertex 10: a 2-factor, no Hamilton cycle
+    # the generalized Petersen graph GP(11, 2): 2-connected with a
+    # 2-factor, and refuting a Hamilton cycle takes 2 038 search nodes
     monkeypatch.setattr(hamilton, "SEARCH_NODE_BUDGET", 1000)
-    edges = {(u, v) for lo in (0, 10) for u in range(lo, lo + 11) for v in range(u + 1, lo + 11)}
     path = tmp_path / "g.el"
-    path.write_text(format_edge_list(Graph(21, sorted(edges))))
+    path.write_text(format_edge_list(generalized_petersen(11, 2)))
     code = main(["ham", "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert "1000 nodes" in captured.err
+
+
+def test_ham_cut_vertex_is_false(tmp_path, capsys):
+    # two K_11 sharing vertex 10: a 2-factor and a cut vertex
+    path = tmp_path / "g.el"
+    path.write_text(format_edge_list(cliques_sharing_a_vertex(11)))
+    code, out = run(["ham", "--input", str(path)], capsys)
+    assert code == 0 and json.loads(out) == {"hamiltonian": False}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from hampack.core import (
     remove_subgraph,
     union_edge_disjoint,
 )
-from hampack.construct import complete_graph
+from hampack.construct import complete_graph, random_graph
 from hampack.errors import CapacityError, DisjointnessError, InputError
 
 
@@ -167,3 +169,14 @@ def test_remove_then_union_reconstructs(g, data):
 def test_partition_disjointness():
     with pytest.raises(InputError):
         Partition(frozenset({1}), frozenset({1, 2}))
+
+
+def test_cut_vertices_match_brute_force():
+    rng = random.Random(20261018)
+    for n in range(15):
+        for p in (0.1, 0.2, 0.35, 0.6):
+            for _ in range(6):
+                g = random_graph(n, p, rng.getrandbits(32))
+                full = (1 << n) - 1
+                brute = sum(1 << v for v in range(n) if len(g.components(full & ~(1 << v))) > 1)
+                assert g.cut_vertices() == brute

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from oracles import brute_has_r_factor
+from oracles import brute_has_r_factor, first_structured_violation
 
 from hampack.core import Graph, iter_bits, union_edge_disjoint
 from hampack.construct import (
@@ -18,11 +19,13 @@ from hampack.construct import (
     extremal_graph,
     random_graph,
 )
+from hampack.edgelist import read_edge_list
 from hampack.errors import CapacityError, ExistenceError, InputError
 from hampack.factors import (
     _build_gadget,
     _ge_pair,
     _seed_mate,
+    _structured_violation,
     extract_r_factor,
     largest_even_factor,
     dense_factor_degree,
@@ -383,3 +386,81 @@ def test_former_certificate_fault_gets_exact_pair(seed, r):
     cert = decision.certificate
     redo = tutte_quantities(g, r, cert.s, cert.t)
     assert redo.violates and (redo.q_r, redo.r_r) == (cert.q_r, cert.r_r)
+
+
+# ---------------------------------------------------------------------------
+# The pruned structured pass against the full pair list
+# ---------------------------------------------------------------------------
+
+FIXED_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "fixed"
+
+
+def _side_by_side(a: Graph, b: Graph, shared: int) -> Graph:
+    """a and b on consecutive labels, with the last ``shared`` (0 or 1)
+    vertex of a identified with vertex 0 of b."""
+    off = a.n - shared
+    return Graph(off + b.n, a.edges() + [(u + off, v + off) for u, v in b.edges()])
+
+
+def _hub(blob: Graph, copies: int) -> Graph:
+    """A new vertex 0 joined by one edge to vertex 0 of each copy of blob."""
+    edges = []
+    for i in range(copies):
+        off = 1 + i * blob.n
+        edges.append((0, off))
+        edges += [(u + off, v + off) for u, v in blob.edges()]
+    return Graph(1 + copies * blob.n, edges)
+
+
+def _join(a: Graph, b: Graph) -> Graph:
+    """a and b side by side, with every edge between them."""
+    edges = _side_by_side(a, b, 0).edges()
+    return Graph(a.n + b.n, edges + [(u, a.n + v) for u in range(a.n) for v in range(b.n)])
+
+
+def _structured_inputs():
+    """Seeded G(n, p) for n = 2..30, two of them side by side (a
+    disconnected graph) and sharing a vertex (a cut vertex), graphs
+    built around a known violating pair, and the fixed hard negatives."""
+    rng = random.Random(20261018)
+    for n in range(2, 31):
+        for p in (0.15, 0.3, 0.6, 0.9):
+            yield random_graph(n, p, rng.getrandbits(32))
+        a = random_graph(rng.randint(2, 15), rng.uniform(0.3, 1), rng.getrandbits(32))
+        b = random_graph(rng.randint(2, 15), rng.uniform(0.3, 1), rng.getrandbits(32))
+        yield _side_by_side(a, b, 0)
+        yield _side_by_side(a, b, 1)
+    yield _hub(complete_graph(4), 3)
+    yield _hub(complete_graph(3), 3)
+    triangles = Graph(0)
+    for _ in range(6):
+        triangles = _side_by_side(triangles, complete_graph(3), 0)
+    yield _join(Graph(2), triangles)
+    for path in sorted(FIXED_INPUTS.glob("*.txt")):
+        yield read_edge_list(path)
+
+
+def _pair_kind(pair: tuple[int, int]) -> str:
+    smask, tmask = pair
+    if smask == 0:
+        return "(0, {v})" if tmask else "(0, 0)"
+    if tmask:
+        return "(S, V - S)"
+    return "({v}, 0)" if smask.bit_count() == 1 else "(S, 0)"
+
+
+def test_pruned_structured_pass_matches_full_pair_list():
+    assert len(list(FIXED_INPUTS.glob("*.txt"))) == 8
+    kinds = set()
+    for g in _structured_inputs():
+        degs = g.degrees()
+        for r in range(1, 7):
+            # the gates that run before the structured pass
+            if r > min(degs) or (r * g.n) % 2 or all(d == r for d in degs):
+                continue
+            hit = _structured_violation(g, r)
+            assert hit == first_structured_violation(g, r)
+            if hit is not None:
+                kinds.add(_pair_kind(hit))
+    assert kinds == {"(0, 0)", "(0, {v})", "({v}, 0)", "(S, V - S)", "(S, 0)"}
+

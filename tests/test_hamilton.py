@@ -5,7 +5,12 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from oracles import brute_hamilton_exists, petersen
+from oracles import (
+    brute_hamilton_exists,
+    cliques_sharing_a_vertex,
+    generalized_petersen,
+    petersen,
+)
 
 from hampack.core import Graph
 from hampack.construct import (
@@ -66,26 +71,21 @@ def test_capacity():
         find_hamilton(Graph(65))
 
 
-def _cliques_sharing_a_vertex(k: int) -> Graph:
-    """K_k on 0..k-1 and K_k on k-1..2k-2, sharing vertex k - 1."""
-    edges = {(u, v) for lo in (0, k - 1) for u in range(lo, lo + k) for v in range(u + 1, lo + k)}
-    return Graph(2 * k - 1, sorted(edges))
-
-
-def _generalized_petersen(k: int, s: int) -> Graph:
-    edges = set()
-    for i in range(k):
-        for u, v in ((i, (i + 1) % k), (i, k + i), (k + i, k + (i + s) % k)):
-            edges.add((min(u, v), max(u, v)))
-    return Graph(2 * k, sorted(edges))
-
-
 def test_search_past_its_budget_raises_capacity_error():
-    # a 2-factor but a cut vertex: the search cannot refute it in budget
-    g = _cliques_sharing_a_vertex(11)
-    assert g.n == 21 and r_factor_exists(g, 2)
+    # 2-connected with a 2-factor: the search cannot decide it in budget
+    g = random_graph(47, 0.125, 504706)
+    assert g.min_degree() >= 2 and g.cut_vertices() == 0 and r_factor_exists(g, 2)
     with pytest.raises(CapacityError, match=f"{SEARCH_NODE_BUDGET} nodes"):
         find_hamilton(g)
+
+
+def test_cut_vertex_answers_without_search(monkeypatch):
+    # a 2-factor, but removing the shared vertex leaves two components
+    monkeypatch.setattr(hamilton, "_iter_cycles", None)
+    g = cliques_sharing_a_vertex(11)
+    assert g.n == 21 and r_factor_exists(g, 2)
+    assert g.cut_vertices() == 1 << 10
+    assert find_hamilton(g) is None
 
 
 def test_exhausted_search_within_budget_returns_none(monkeypatch):
@@ -97,7 +97,7 @@ def test_exhausted_search_within_budget_returns_none(monkeypatch):
             return super().spend()
 
     monkeypatch.setattr(hamilton, "_Budget", CountingBudget)
-    g = _generalized_petersen(11, 2)
+    g = generalized_petersen(11, 2)
     assert g.n == 22 and r_factor_exists(g, 2)
     assert find_hamilton(g) is None
     assert len(spent) == 2038
@@ -338,6 +338,7 @@ def test_babai_packing_law_small_m():
         assert count <= (m + 1) // 2
 
 
+@seed(20261018)
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_max_packing_matches_cycle_list_oracle(seed):
