@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
+import time
 from fractions import Fraction
 
 from . import construct, edgelist, expanders, extremality, factors, hamilton
@@ -58,13 +60,7 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _emit_json(payload: dict, path: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True) + "\n", path)
-
-
-def _cert_payload(cert: factors.TutteCertificate | None):
-    if cert is None:
-        return None
+def _cert_payload(cert: factors.TutteCertificate) -> dict:
     return {
         "S": sorted(cert.s),
         "T": sorted(cert.t),
@@ -74,10 +70,12 @@ def _cert_payload(cert: factors.TutteCertificate | None):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its JSON payload (a dict) or its text output,
+# which ``main`` writes to ``--out``.  Commands that declare ``--input``
+# get the graph it names as their first argument.
 # ---------------------------------------------------------------------------
 
-def cmd_construct(args) -> None:
+def cmd_construct(args) -> str:
     kind = args.kind
     if kind == "babai":
         if args.m is None:
@@ -96,28 +94,25 @@ def cmd_construct(args) -> None:
             raise InputError(f"construct --kind {kind} requires --n")
         name = {"bipartite": "complete_bipartite", "two-cliques": "two_cliques"}.get(kind, kind)
         g = construct.reference_graph(args.n, name)
-    _emit(edgelist.format_edge_list(g), args.out)
+    return edgelist.format_edge_list(g)
 
 
-def cmd_regeven(args) -> None:
-    g = edgelist.read_edge_list(args.input)
+def cmd_regeven(g: Graph, args) -> dict:
     r, factor = factors.largest_even_factor(g)
-    payload = {"n": g.n, "delta": g.min_degree(), "reg_even": r}
     if args.emit:
         _emit(edgelist.format_edge_list(factor.subgraph.to_graph()), args.emit)
-    _emit_json(payload, args.out)
+    return {"n": g.n, "delta": g.min_degree(), "reg_even": r}
 
 
-def cmd_bounds(args) -> None:
+def cmd_bounds(args) -> dict:
     b = factors.regeven_bounds(args.n, args.delta)
     payload = {"n": b.n, "delta": b.delta, "lower": b.lower, "upper": float(b.upper)}
     if b.note:
         payload["note"] = b.note
-    _emit_json(payload, args.out)
+    return payload
 
 
-def cmd_factor(args) -> None:
-    g = edgelist.read_edge_list(args.input)
+def cmd_factor(g: Graph, args) -> dict:
     decision = factors.r_factor_exists(g, args.r)
     payload = {"exists": decision.exists, "r": args.r}
     if decision.certificate is not None:
@@ -126,26 +121,19 @@ def cmd_factor(args) -> None:
         payload["note"] = decision.note
     if decision.exists and args.emit:
         _emit(edgelist.format_edge_list(decision.factor.subgraph.to_graph()), args.emit)
-    _emit_json(payload, args.out)
+    return payload
 
 
-def cmd_tutte(args) -> None:
-    g = edgelist.read_edge_list(args.input)
+def cmd_tutte(g: Graph, args) -> dict:
     if args.exhaustive:
-        holds = factors.tutte_verify_exhaustive(g, args.r)
-        _emit_json({"r": args.r, "holds_for_all_pairs": holds}, args.out)
-        return
+        return {"r": args.r, "holds_for_all_pairs": factors.tutte_verify_exhaustive(g, args.r)}
     if args.s is None or args.t is None:
         raise InputError("tutte requires either --exhaustive or both --s and --t")
     cert = factors.tutte_quantities(g, args.r, args.s, args.t)
-    payload = _cert_payload(cert)
-    payload["r"] = args.r
-    payload["violates"] = cert.violates
-    _emit_json(payload, args.out)
+    return {**_cert_payload(cert), "r": args.r, "violates": cert.violates}
 
 
-def cmd_expander(args) -> None:
-    g = edgelist.read_edge_list(args.input)
+def cmd_expander(g: Graph, args) -> dict:
     params = expanders.RobustParams(args.nu, args.tau)
     if args.mc:
         verdict = expanders.refute_robust_expander_mc(
@@ -164,17 +152,15 @@ def cmd_expander(args) -> None:
         payload["witness"] = sorted(verdict.witness)
     else:
         payload["inconclusive"] = verdict.inconclusive
-    _emit_json(payload, args.out)
+    return payload
 
 
-def cmd_orient(args) -> None:
-    g = edgelist.read_edge_list(args.input)
-    d = expanders.eulerian_orientation(g)
-    _emit(edgelist.format_arc_list(d), args.emit or args.out)
+def cmd_orient(g: Graph, args) -> str:
+    args.out = args.emit or args.out  # the arc list goes to --emit when given
+    return edgelist.format_arc_list(expanders.eulerian_orientation(g))
 
 
-def cmd_extremal(args) -> None:
-    g = edgelist.read_edge_list(args.input)
+def cmd_extremal(g: Graph, args) -> dict:
     if args.a is not None or args.b is not None:
         if args.a is None or args.b is None:
             raise InputError("provide both --a and --b, or neither")
@@ -200,14 +186,13 @@ def cmd_extremal(args) -> None:
     if report.partition is not None:
         payload["A"] = sorted(report.partition.a)
         payload["B"] = sorted(report.partition.b)
-    _emit_json(payload, args.out)
+    return payload
 
 
-def cmd_closeness(args) -> None:
-    g = edgelist.read_edge_list(args.input)
+def cmd_closeness(g: Graph, args) -> dict:
     kind = {"bipartite": "bipartite", "cliques": "two_cliques"}[args.kind]
     report = extremality.closeness(g, kind, args.epsilon, seed=args.seed)
-    payload = {
+    return {
         "kind": args.kind,
         "epsilon": str(report.epsilon),
         "score": report.score,
@@ -215,11 +200,9 @@ def cmd_closeness(args) -> None:
         "exact": report.exact,
         "A": sorted(report.a),
     }
-    _emit_json(payload, args.out)
 
 
-def cmd_classify(args) -> None:
-    g = edgelist.read_edge_list(args.input)
+def cmd_classify(g: Graph, args) -> dict:
     result = extremality.trichotomy_classify(
         g, args.kappa, args.nu, args.tau, args.epsilon, seed=args.seed
     )
@@ -235,16 +218,15 @@ def cmd_classify(args) -> None:
         payload["expander_mode"] = result.expander.checked_mode
         if result.expander.witness is not None:
             payload["expander_witness"] = sorted(result.expander.witness)
-    _emit_json(payload, args.out)
+    return payload
 
 
-def cmd_ham(args) -> None:
-    g = edgelist.read_edge_list(args.input)
+def cmd_ham(g: Graph, args) -> dict:
     cycle = hamilton.find_hamilton(g)
     payload = {"hamiltonian": cycle is not None}
     if cycle is not None:
         payload["cycle"] = list(cycle)
-    _emit_json(payload, args.out)
+    return payload
 
 
 def _packing_payload(g: Graph, packing: hamilton.Packing, exact: bool) -> dict:
@@ -256,36 +238,27 @@ def _packing_payload(g: Graph, packing: hamilton.Packing, exact: bool) -> dict:
     }
 
 
-def cmd_pack(args) -> None:
-    g = edgelist.read_edge_list(args.input)
+def cmd_pack(g: Graph, args) -> dict:
     packing = hamilton.pack_hamilton(g, args.target, budget=args.budget)
     payload = _packing_payload(g, packing, packing.exhaustive)
     payload["target"] = args.target
     payload["achieved"] = packing.size >= args.target
-    _emit_json(payload, args.out)
+    return payload
 
 
-def cmd_maxpack(args) -> None:
-    g = edgelist.read_edge_list(args.input)
+def cmd_maxpack(g: Graph, args) -> dict:
     count, packing = hamilton.max_packing_exact(g)
-    payload = _packing_payload(g, packing, True)
-    payload["max"] = count
-    _emit_json(payload, args.out)
+    return {**_packing_payload(g, packing, True), "max": count}
 
 
-def cmd_decompose(args) -> None:
-    g = edgelist.read_edge_list(args.input)
+def cmd_decompose(g: Graph, args) -> dict:
     packing = hamilton.decompose_even_regular(g, budget=args.budget)
     if packing is None:
-        _emit_json({"decomposed": False}, args.out)
-        return
-    payload = _packing_payload(g, packing, packing.exhaustive)
-    payload["decomposed"] = True
-    _emit_json(payload, args.out)
+        return {"decomposed": False}
+    return {**_packing_payload(g, packing, packing.exhaustive), "decomposed": True}
 
 
-def cmd_conjecture(args) -> None:
-    g = edgelist.read_edge_list(args.input)
+def cmd_conjecture(g: Graph, args) -> dict:
     report = hamilton.conjecture_experiment(g)
     payload = {
         "n": report.n,
@@ -299,7 +272,7 @@ def cmd_conjecture(args) -> None:
     }
     if report.counterexample is not None:
         payload["counterexample_edge_list"] = report.counterexample
-    _emit_json(payload, args.out)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -307,23 +280,18 @@ def cmd_conjecture(args) -> None:
 # ---------------------------------------------------------------------------
 
 def _row_expansion(params: dict, row_seed: int) -> dict:
-    import random as _random
-
-    from .construct import random_graph
-    from .expanders import RobustParams, is_robust_expander_exact
-
-    rng = _random.Random(row_seed)
+    rng = random.Random(row_seed)
     ratio = Fraction(params["ratio"])
     for _ in range(10_000):
         n = rng.randint(params["n_min"], params["n_max"])
-        g = random_graph(n, params["p"], rng.getrandbits(32))
+        g = construct.random_graph(n, params["p"], rng.getrandbits(32))
         if Fraction(g.min_degree()) >= ratio * n:
             break
     else:
         raise InputError("could not sample a graph meeting the degree condition")
     eps = Fraction(params["eps"])
     tau = Fraction(params["tau"])
-    verdict = is_robust_expander_exact(g, RobustParams(nu=eps * tau / 2, tau=tau))
+    verdict = expanders.is_robust_expander_exact(g, expanders.RobustParams(nu=eps * tau / 2, tau=tau))
     return {
         "n": g.n,
         "m": g.m,
@@ -334,20 +302,15 @@ def _row_expansion(params: dict, row_seed: int) -> dict:
 
 
 def _row_conjecture(params: dict, row_seed: int) -> dict:
-    import random as _random
-
-    from .construct import random_graph
-    from .hamilton import conjecture_experiment
-
-    rng = _random.Random(row_seed)
+    rng = random.Random(row_seed)
     for _ in range(10_000):
         n = rng.randint(params["n_min"], params["n_max"])
-        g = random_graph(n, rng.uniform(0.5, 0.95), rng.getrandbits(32))
+        g = construct.random_graph(n, rng.uniform(0.5, 0.95), rng.getrandbits(32))
         if 2 * g.min_degree() >= n:
             break
     else:
         raise InputError("could not sample a graph with delta >= n/2")
-    rep = conjecture_experiment(g)
+    rep = hamilton.conjecture_experiment(g)
     return {
         "n": rep.n,
         "m": g.m,
@@ -397,11 +360,7 @@ def _run_row(experiment: str, params: dict, index: int, row_seed: int) -> dict:
     return row
 
 
-def cmd_ensemble(args) -> None:
-    import random as _random
-
-    if args.experiment not in _EXPERIMENTS:
-        raise InputError(f"unknown experiment {args.experiment!r}")
+def cmd_ensemble(args) -> str:
     _, header = _EXPERIMENTS[args.experiment]
     default_window = {"expansion": (8, 18), "conjecture": (6, 10)}[args.experiment]
     n_min = args.n_min if args.n_min is not None else default_window[0]
@@ -416,17 +375,16 @@ def cmd_ensemble(args) -> None:
         "eps": str(args.eps),
         "tau": str(args.tau),
     }
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     row_seeds = [rng.getrandbits(32) for _ in range(args.count)]
-    jobs = [(args.experiment, params, i, s) for i, s in enumerate(row_seeds)]
+    columns = ([args.experiment] * args.count, [params] * args.count, range(args.count), row_seeds)
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_run_row_star, jobs))
+            rows = list(pool.map(_run_row, *columns))
     else:
-        rows = [_run_row_star(job) for job in jobs]
-    rows.sort(key=lambda r: r["index"])
+        rows = list(map(_run_row, *columns))
 
     lines = [",".join(header)]
     for row in rows:
@@ -439,150 +397,159 @@ def cmd_ensemble(args) -> None:
         else:
             summary = "summary,,min=,max=,mean="
         lines.append(summary)
-    _emit("\n".join(lines) + "\n", args.out)
-
-
-def _run_row_star(job) -> dict:
-    return _run_row(*job)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# The command table: the one place each command and its options are declared
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _opt(flag: str, **kwargs) -> tuple[str, dict]:
+    return flag, kwargs
+
+
+INPUT = _opt("--input", required=True)
+SEED = _opt("--seed", type=int, default=0)
+COMMON = [
+    _opt("--out", help="output path (default stdout)"),
+    _opt("--record", help="also write a run record (command echo, version, wall time) here; "
+         "kept out of the main output so identical seeded runs stay byte-identical"),
+]
+
+# name -> (handler, help, options in help order); a list of options is a
+# mutually exclusive group.
+COMMANDS = {
+    "construct": (cmd_construct, "emit a generated graph as an edge list", [
+        _opt("--kind", required=True,
+             choices=["babai", "extremal", "complete", "bipartite", "two-cliques", "cycle", "gnp"]),
+        _opt("--n", type=int),
+        _opt("--delta", type=int),
+        _opt("--m", type=int, help="parameter m of the babai construction"),
+        _opt("--p", type=_fraction, help="edge probability for gnp"),
+        SEED,
+    ]),
+    "regeven": (cmd_regeven, "largest even-factor degree of a graph", [
+        INPUT,
+        _opt("--emit", help="write the witness factor as an edge list"),
+    ]),
+    "bounds": (cmd_bounds, "two-sided bound on reg_even(n, delta)", [
+        _opt("--n", type=int, required=True),
+        _opt("--delta", type=int, required=True),
+    ]),
+    "factor": (cmd_factor, "decide r-factor existence with witness/certificate", [
+        _opt("--r", type=int, required=True),
+        INPUT,
+        _opt("--emit", help="write the factor as an edge list when it exists"),
+    ]),
+    "tutte": (cmd_tutte, "evaluate Tutte quantities or verify all pairs", [
+        _opt("--r", type=int, required=True),
+        INPUT,
+        _opt("--s", type=_vertex_list, help="comma-separated S"),
+        _opt("--t", type=_vertex_list, help="comma-separated T"),
+        _opt("--exhaustive", action="store_true"),
+    ]),
+    "expander": (cmd_expander, "certify or refute robust expansion", [
+        _opt("--nu", type=_fraction, required=True),
+        _opt("--tau", type=_fraction, required=True),
+        [
+            _opt("--exact", action="store_true", help="exhaustive subset check (the default)"),
+            _opt("--mc", action="store_true", help="seeded Monte-Carlo refuter"),
+        ],
+        _opt("--samples", type=int, default=1000),
+        SEED,
+        INPUT,
+    ]),
+    "orient": (cmd_orient, "balanced Eulerian orientation as an arc list", [
+        INPUT,
+        _opt("--emit", help="output path for the arc list"),
+    ]),
+    "extremal": (cmd_extremal, "eta-extremality check or witness search", [
+        _opt("--eta", type=_fraction, required=True),
+        INPUT,
+        [
+            _opt("--exact", action="store_true",
+                 help="the default: exact search for n <= 14, local search above"),
+            _opt("--heuristic", action="store_true",
+                 help="also the default: exact search for n <= 14, local search above"),
+        ],
+        SEED,
+        _opt("--restarts", type=int, default=20, help="starts of the local search above n = 14"),
+        _opt("--a", type=_vertex_list, help="explicit class A to check"),
+        _opt("--b", type=_vertex_list, help="explicit class B to check"),
+    ]),
+    "closeness": (cmd_closeness, "closeness to K_{n/2,n/2} or two cliques", [
+        _opt("--kind", required=True, choices=["bipartite", "cliques"]),
+        _opt("--epsilon", type=_fraction, required=True),
+        SEED,
+        INPUT,
+    ]),
+    "classify": (cmd_classify, "closeness/expansion trichotomy", [
+        _opt("--kappa", type=_fraction, required=True),
+        _opt("--nu", type=_fraction, required=True),
+        _opt("--tau", type=_fraction, required=True),
+        _opt("--epsilon", type=_fraction, required=True),
+        SEED,
+        INPUT,
+    ]),
+    "ham": (cmd_ham, "find one Hamilton cycle", [INPUT]),
+    "pack": (cmd_pack, "pack edge-disjoint Hamilton cycles", [
+        INPUT,
+        _opt("--target", type=int, required=True),
+        _opt("--budget", type=int, default=500_000),
+    ]),
+    "maxpack": (cmd_maxpack, "exact maximum Hamilton packing (n <= 12)", [INPUT]),
+    "decompose": (cmd_decompose, "Hamilton decomposition of an even-regular graph", [
+        INPUT,
+        _opt("--budget", type=int),
+    ]),
+    "conjecture": (cmd_conjecture, "packing-vs-even-factor laws on one graph", [INPUT]),
+    "ensemble": (cmd_ensemble, "seeded experiment ensemble as CSV", [
+        _opt("--experiment", required=True, choices=sorted(_EXPERIMENTS)),
+        _opt("--count", type=int, required=True),
+        SEED,
+        _opt("--n-min", type=int, help="default: 8 (expansion), 6 (conjecture)"),
+        _opt("--n-max", type=int, help="default: 18 (expansion), 10 (conjecture)"),
+        _opt("--p", type=_fraction, default=Fraction(17, 20)),
+        _opt("--ratio", type=_fraction, default=Fraction(7, 10)),
+        _opt("--eps", type=_fraction, default=Fraction(1, 5)),
+        _opt("--tau", type=_fraction, default=Fraction(1, 2)),
+        _opt("--workers", type=int, default=1),
+    ]),
+}
+
+
+def _add_options(parser, options) -> None:
+    for option in options:
+        if isinstance(option, list):
+            _add_options(parser.add_mutually_exclusive_group(), option)
+        else:
+            parser.add_argument(option[0], **option[1])
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.  The
+    one-command parser names the full command list in its usage, so its
+    help and error texts are those of the full parser."""
     parser = argparse.ArgumentParser(
         prog="hampack",
         description="Even factors, robust expansion and Hamilton cycle packing at desk scale.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        fn, help_text, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--record",
-            default=None,
-            help="also write a run record (command echo, version, wall time) here; "
-            "kept out of the main output so identical seeded runs stay byte-identical",
-        )
-        return p
-
-    p = add("construct", cmd_construct, help="emit a generated graph as an edge list")
-    p.add_argument("--kind", required=True,
-                   choices=["babai", "extremal", "complete", "bipartite", "two-cliques", "cycle", "gnp"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--m", type=int, help="parameter m of the babai construction")
-    p.add_argument("--p", type=_fraction, help="edge probability for gnp")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("regeven", cmd_regeven, help="largest even-factor degree of a graph")
-    p.add_argument("--input", required=True)
-    p.add_argument("--emit", help="write the witness factor as an edge list")
-
-    p = add("bounds", cmd_bounds, help="two-sided bound on reg_even(n, delta)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-
-    p = add("factor", cmd_factor, help="decide r-factor existence with witness/certificate")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--emit", help="write the factor as an edge list when it exists")
-
-    p = add("tutte", cmd_tutte, help="evaluate Tutte quantities or verify all pairs")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--s", type=_vertex_list, help="comma-separated S")
-    p.add_argument("--t", type=_vertex_list, help="comma-separated T")
-    p.add_argument("--exhaustive", action="store_true")
-
-    p = add("expander", cmd_expander, help="certify or refute robust expansion")
-    p.add_argument("--nu", type=_fraction, required=True)
-    p.add_argument("--tau", type=_fraction, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=False,
-                      help="exhaustive subset check (the default)")
-    mode.add_argument("--mc", action="store_true", default=False,
-                      help="seeded Monte-Carlo refuter")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input", required=True)
-
-    p = add("orient", cmd_orient, help="balanced Eulerian orientation as an arc list")
-    p.add_argument("--input", required=True)
-    p.add_argument("--emit", help="output path for the arc list")
-
-    p = add("extremal", cmd_extremal, help="eta-extremality check or witness search")
-    p.add_argument("--eta", type=_fraction, required=True)
-    p.add_argument("--input", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=False,
-                      help="the default: exact search for n <= 14, local search above")
-    mode.add_argument("--heuristic", action="store_true", default=False,
-                      help="also the default: exact search for n <= 14, local search above")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=20,
-                   help="starts of the local search above n = 14")
-    p.add_argument("--a", type=_vertex_list, help="explicit class A to check")
-    p.add_argument("--b", type=_vertex_list, help="explicit class B to check")
-
-    p = add("closeness", cmd_closeness, help="closeness to K_{n/2,n/2} or two cliques")
-    p.add_argument("--kind", required=True, choices=["bipartite", "cliques"])
-    p.add_argument("--epsilon", type=_fraction, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input", required=True)
-
-    p = add("classify", cmd_classify, help="closeness/expansion trichotomy")
-    p.add_argument("--kappa", type=_fraction, required=True)
-    p.add_argument("--nu", type=_fraction, required=True)
-    p.add_argument("--tau", type=_fraction, required=True)
-    p.add_argument("--epsilon", type=_fraction, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input", required=True)
-
-    p = add("ham", cmd_ham, help="find one Hamilton cycle")
-    p.add_argument("--input", required=True)
-
-    p = add("pack", cmd_pack, help="pack edge-disjoint Hamilton cycles")
-    p.add_argument("--input", required=True)
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--budget", type=int, default=500_000)
-
-    p = add("maxpack", cmd_maxpack, help="exact maximum Hamilton packing (n <= 12)")
-    p.add_argument("--input", required=True)
-
-    p = add("decompose", cmd_decompose, help="Hamilton decomposition of an even-regular graph")
-    p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=int, default=None)
-
-    p = add("conjecture", cmd_conjecture, help="packing-vs-even-factor laws on one graph")
-    p.add_argument("--input", required=True)
-
-    p = add("ensemble", cmd_ensemble, help="seeded experiment ensemble as CSV")
-    p.add_argument("--experiment", required=True, choices=sorted(_EXPERIMENTS))
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-min", type=int, default=None,
-                   help="default: 8 (expansion), 6 (conjecture)")
-    p.add_argument("--n-max", type=int, default=None,
-                   help="default: 18 (expansion), 10 (conjecture)")
-    p.add_argument("--p", type=_fraction, default=Fraction(17, 20))
-    p.add_argument("--ratio", type=_fraction, default=Fraction(7, 10))
-    p.add_argument("--eps", type=_fraction, default=Fraction(1, 5))
-    p.add_argument("--tau", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--workers", type=int, default=1)
-
+        _add_options(p, COMMON + options)
     return parser
 
 
-def _write_record(args, argv, elapsed: float) -> None:
+def _write_record(args, argv: list[str], elapsed: float) -> None:
     from . import __version__
 
     record = {
         "command": args.command,
-        "argv": list(argv) if argv is not None else sys.argv[1:],
+        "argv": argv,
         "version": __version__,
         "wall_time_s": round(elapsed, 6),
     }
@@ -592,13 +559,18 @@ def _write_record(args, argv, elapsed: float) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import time
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         t0 = time.perf_counter()
-        args.fn(args)
+        if "input" in args:
+            result = args.fn(edgelist.read_edge_list(args.input), args)
+        else:
+            result = args.fn(args)
+        if isinstance(result, dict):
+            result = json.dumps(result, sort_keys=True) + "\n"
+        _emit(result, args.out)
         if args.record:
             _write_record(args, argv, time.perf_counter() - t0)
     except ParseError as exc:

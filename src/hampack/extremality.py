@@ -395,30 +395,20 @@ def almost_regular_audit(
 def greedy_sparsify(g: Graph, inside: Iterable[int]) -> Graph:
     """Repeatedly delete an edge within ``inside`` whose endpoints both
     currently exceed the original minimum degree; the first such edge in
-    (u, v) order goes first.  Preserves the minimum degree exactly."""
+    (u, v) order goes first.  Preserves the minimum degree exactly.
+
+    One pass in (u, v) order does this: degrees only fall, so an edge
+    that is not deletable when passed never becomes deletable later."""
     amask = mask_of(inside, g.n)
     delta0 = g.min_degree()
     rows = list(g.adj)
     deg = [r.bit_count() for r in rows]
-    while True:
-        target = None
-        for u in iter_bits(amask):
-            if deg[u] <= delta0:
-                continue
-            cand = rows[u] & amask & ~((1 << (u + 1)) - 1)
-            for v in iter_bits(cand):
-                if deg[v] > delta0:
-                    target = (u, v)
-                    break
-            if target:
-                break
-        if target is None:
-            break
-        u, v = target
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        deg[u] -= 1
-        deg[v] -= 1
+    for u, v in g.edges():
+        if (amask >> u) & (amask >> v) & 1 and deg[u] > delta0 and deg[v] > delta0:
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+            deg[u] -= 1
+            deg[v] -= 1
     out = Graph.from_adj(rows)
     if out.n and out.min_degree() != delta0:
         raise InternalError("sparsification changed the minimum degree")

@@ -498,7 +498,7 @@ def _find_certificate(
 # The decision pipeline
 # ---------------------------------------------------------------------------
 
-def _decide(g: Graph, r: int, need_certificate: bool = True) -> FactorDecision:
+def _decide(g: Graph, r: int) -> FactorDecision:
     n = g.n
     if not 0 <= r <= max(n - 1, 0):
         raise InputError(f"r must satisfy 0 <= r <= n-1, got r={r}, n={n}")
@@ -535,8 +535,6 @@ def _decide(g: Graph, r: int, need_certificate: bool = True) -> FactorDecision:
     mate = matcher.solve()
     if all(m != -1 for m in mate):
         return FactorDecision(True, r, factor=_factor_from_matching(g, r, gadget, mate))
-    if not need_certificate:
-        return FactorDecision(False, r, note="certificate suppressed")
     return FactorDecision(False, r, certificate=_find_certificate(g, r, gadget, matcher))
 
 
@@ -547,11 +545,11 @@ def r_factor_exists(g: Graph, r: int) -> FactorDecision:
     pair (S, T) violating Q_r(S,T) <= R_r(S,T) (except for the r*n
     parity gate, which is noted instead).
     """
-    return _decide(g, r, need_certificate=True)
+    return _decide(g, r)
 
 
 def extract_r_factor(g: Graph, r: int) -> Factor:
-    decision = _decide(g, r, need_certificate=True)
+    decision = _decide(g, r)
     if not decision.exists:
         raise ExistenceError(
             f"graph has no {r}-factor", certificate=decision.certificate
@@ -573,7 +571,7 @@ def largest_even_factor(g: Graph) -> tuple[int, Factor]:
     delta = g.min_degree()
     r = delta if delta % 2 == 0 else delta - 1
     while r >= 2:
-        decision = _decide(g, r, need_certificate=False)
+        decision = _decide(g, r)
         if decision.exists:
             assert decision.factor is not None
             return r, decision.factor

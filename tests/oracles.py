@@ -155,27 +155,61 @@ def brute_all_hamilton_cycles(g: Graph) -> list[tuple[int, ...]]:
 
 
 def brute_max_packing(g: Graph) -> int:
-    """Exact maximum edge-disjoint packing over the explicit cycle list."""
-    cycles = brute_all_hamilton_cycles(g)
-    edge_sets = []
-    for c in cycles:
-        es = frozenset(
-            (c[i], c[(i + 1) % len(c)]) if c[i] < c[(i + 1) % len(c)]
-            else (c[(i + 1) % len(c)], c[i])
-            for i in range(len(c))
-        )
-        edge_sets.append(es)
+    """Exact maximum edge-disjoint packing over the explicit cycle list.
+
+    Cycles are edge bitmasks; a branch stops once even every unused edge
+    in further cycles (n edges each) could not beat the best so far."""
+    n, m = g.n, g.m
+    index = {e: i for i, e in enumerate(g.edges())}
+    masks = []
+    for c in brute_all_hamilton_cycles(g):
+        mask = 0
+        for i in range(n):
+            u, v = sorted((c[i], c[(i + 1) % n]))
+            mask |= 1 << index[u, v]
+        masks.append(mask)
     best = 0
 
-    def dfs(i: int, used: frozenset, size: int) -> None:
+    def dfs(i: int, used: int, size: int) -> None:
         nonlocal best
         best = max(best, size)
-        for j in range(i, len(edge_sets)):
-            if not (edge_sets[j] & used):
-                dfs(j + 1, used | edge_sets[j], size + 1)
+        if size + (m - size * n) // n <= best:
+            return
+        for j in range(i, len(masks)):
+            if not masks[j] & used:
+                dfs(j + 1, used | masks[j], size + 1)
 
-    dfs(0, frozenset(), 0)
+    dfs(0, 0, 0)
     return best
+
+
+def rescan_greedy_sparsify(g: Graph, inside) -> Graph:
+    """``greedy_sparsify`` by its definition: rescan from the first edge
+    after every deletion for the first edge within ``inside`` whose
+    endpoints both exceed the original minimum degree."""
+    amask = sum(1 << v for v in inside)
+    delta0 = g.min_degree()
+    rows = list(g.adj)
+    deg = [r.bit_count() for r in rows]
+    while True:
+        target = None
+        for u in iter_bits(amask):
+            if deg[u] <= delta0:
+                continue
+            cand = rows[u] & amask & ~((1 << (u + 1)) - 1)
+            for v in iter_bits(cand):
+                if deg[v] > delta0:
+                    target = (u, v)
+                    break
+            if target:
+                break
+        if target is None:
+            return Graph.from_adj(rows)
+        u, v = target
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        deg[u] -= 1
+        deg[v] -= 1
 
 
 def first_structured_violation(g: Graph, r: int) -> tuple[int, int] | None:

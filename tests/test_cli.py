@@ -5,7 +5,7 @@ import pytest
 from oracles import cliques_sharing_a_vertex, generalized_petersen
 
 from hampack import hamilton
-from hampack.cli import main
+from hampack.cli import COMMANDS, build_parser, main
 from hampack.core import Graph
 from hampack.edgelist import format_edge_list, parse_edge_list, read_edge_list
 from hampack.construct import babai_graph, complete_graph, random_graph
@@ -302,3 +302,74 @@ def test_run_record_written(tmp_path, capsys):
     payload = json.loads(rec.read_text())
     assert payload["command"] == "bounds"
     assert "wall_time_s" in payload and "version" in payload
+
+
+# ---------------------------------------------------------------------------
+# The command table and the one-command parser
+# ---------------------------------------------------------------------------
+
+BAD_VALUE = {
+    "construct": ["--kind", "nope"], "regeven": ["--input"], "bounds": ["--n", "x"],
+    "factor": ["--r", "x"], "tutte": ["--s", "1,x"], "expander": ["--nu", "1/0"],
+    "orient": ["--emit"], "extremal": ["--eta", "x"], "closeness": ["--epsilon", "x"],
+    "classify": ["--kappa", "x"], "ham": ["--input"], "pack": ["--target", "x"],
+    "maxpack": ["--out"], "decompose": ["--budget", "x"], "conjecture": ["--record"],
+    "ensemble": ["--experiment", "nope"],
+}
+
+
+def outcome(parse, argv, capsys):
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("shape", ["help", "bare", "unknown", "bad"])
+def test_one_command_parser_matches_full_parser(command, shape, capsys):
+    assert sorted(BAD_VALUE) == sorted(COMMANDS)
+    argv = [command] + {"help": ["--help"], "bare": [], "unknown": ["--bogus", "1"],
+                        "bad": BAD_VALUE[command]}[shape]
+    subparsers = [a for a in build_parser(command)._actions if a.dest == "command"]
+    assert list(subparsers[0].choices) == [command]
+    full = outcome(build_parser().parse_args, argv, capsys)
+    assert isinstance(full[0], int)  # every shape ends inside argparse
+    assert outcome(main, argv, capsys) == full
+
+
+def test_one_command_parser_keeps_the_full_usage_line(tmp_path, capsys):
+    argv = ["ham", "--input", str(tmp_path / "g.el"), "stray"]
+    full = outcome(build_parser().parse_args, argv, capsys)
+    assert "{construct,regeven," in full[2] and "unrecognized arguments: stray" in full[2]
+    assert outcome(main, argv, capsys) == full
+
+
+def test_graph_commands_read_their_input_once(tmp_path, capsys, monkeypatch):
+    from hampack import edgelist
+
+    k5 = tmp_path / "k5.el"
+    k5.write_text(format_edge_list(complete_graph(5)))
+    graph_args = {
+        "regeven": [], "factor": ["--r", "2"], "tutte": ["--r", "2", "--exhaustive"],
+        "expander": ["--nu", "1/10", "--tau", "2/5"], "orient": [], "extremal": ["--eta", "1/5"],
+        "closeness": ["--kind", "bipartite", "--epsilon", "1/5"],
+        "classify": ["--kappa", "1/10", "--nu", "1/10", "--tau", "2/5", "--epsilon", "1/5"],
+        "ham": [], "pack": ["--target", "2"], "maxpack": [], "decompose": [], "conjecture": [],
+    }
+    other_args = {"construct": ["--kind", "cycle", "--n", "5"], "bounds": ["--n", "8", "--delta", "4"],
+                  "ensemble": ["--experiment", "expansion", "--count", "0"]}
+    assert sorted([*graph_args, *other_args]) == sorted(COMMANDS)
+    calls = []
+    read = edgelist.read_edge_list
+    monkeypatch.setattr(edgelist, "read_edge_list", lambda path: calls.append(path) or read(path))
+    for command, extra in graph_args.items():
+        calls.clear()
+        code, _ = run([command, "--input", str(k5)] + extra, capsys)
+        assert code == 0 and calls == [str(k5)], command
+    for command, extra in other_args.items():
+        calls.clear()
+        code, _ = run([command] + extra, capsys)
+        assert code == 0 and calls == [], command

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_min_closeness, brute_min_closeness_score
+from oracles import brute_min_closeness, brute_min_closeness_score, rescan_greedy_sparsify
 
 from hampack.core import Graph, Partition, edges_between, edges_inside
 from hampack.construct import (
@@ -197,6 +197,17 @@ def test_sparsify_removes_injected_a_edges():
         if inside:
             assert out.degree(u) <= 9 or out.degree(v) <= 9
     assert out == g  # the three extras are exactly what goes away
+
+
+def test_sparsify_one_pass_matches_rescan_reference():
+    import random
+
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 16)
+        g = random_graph(n, rng.uniform(0.2, 1.0), seed)
+        inside = [v for v in range(n) if rng.random() < 0.6]
+        assert greedy_sparsify(g, inside) == rescan_greedy_sparsify(g, inside)
 
 
 # ---------------------------------------------------------------------------
