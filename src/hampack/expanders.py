@@ -6,10 +6,12 @@ A set S in the size window tau*n <= |S| <= (1-tau)*n must satisfy
 |RN_nu(S)| >= |S| + nu*n, where RN_nu(S) collects the vertices with at
 least nu*n neighbours (in-neighbours, for digraphs) inside S.  Graphs
 and digraphs run one path on in-neighbour rows (a graph's are its
-adjacency rows).  The exact checker enumerates the size window with
-``_subset_chunks``, which exact closeness also uses, and counts with
-numpy matmuls; thresholds are exact integers, and every emitted
-witness is re-checked against the definition as a rational.
+adjacency rows).  The exact checker walks all 2^n masks in ascending
+order, 2^16 at a time: each chunk fixes the high bits, so a vertex's
+in-neighbour count in S is its count in the high part plus a lookup in
+one int8 table over the low 16 bits, built once per call.  Thresholds
+are exact integers, and every emitted witness is re-checked against the
+definition as a rational.
 """
 
 from __future__ import annotations
@@ -118,29 +120,13 @@ def _bit_matrix(rows: tuple[int, ...], n: int) -> np.ndarray:
     return mat
 
 
-def _subset_chunks(
-    n: int, kmin: int, kmax: int, must: int = 0
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (masks, rows) for every S with kmin <= |S| <= kmax that
-    contains ``must``, a mask of the vertices 0..j-1, in ascending bitmask
-    order, 2^16 masks scanned per chunk; rows are the 0/1 indicators."""
-    low = must.bit_length()
-    shifts = np.arange(n, dtype=np.uint32)
-    ones = np.ones(n, dtype=np.float32)  # a matvec sums rows faster than .sum(axis=1)
-    total = 1 << (n - low)
-    for lo in range(0, total, 1 << _CHUNK_BITS):
-        masks = np.arange(lo, min(lo + (1 << _CHUNK_BITS), total), dtype=np.uint32) << low | must
-        bits = ((masks[:, None] >> shifts) & 1).astype(np.float32)
-        sizes = bits @ ones
-        sel = (sizes >= kmin) & (sizes <= kmax)
-        if sel.any():
-            yield masks[sel], bits[sel]
-
-
 def _exact_window_check(
     in_rows: tuple[int, ...], n: int, params: RobustParams
 ) -> ExpanderVerdict:
-    """Full enumeration over in-neighbour rows (a graph's adjacency rows)."""
+    """Full enumeration over in-neighbour rows (a graph's adjacency rows),
+    in ascending bitmask order, 2^16 masks per chunk.  A chunk fixes the
+    high bits, so v's in-neighbour count in S is its count in the fixed
+    high part plus a lookup in one table over the low 16 bits."""
     if n > EXACT_EXPANDER_MAX_N:
         raise CapacityError(
             f"exact expansion check capped at n <= {EXACT_EXPANDER_MAX_N}; "
@@ -150,15 +136,36 @@ def _exact_window_check(
     need = _ceil_frac(params.nu * n)
     if kmin > kmax or kmin > n or kmax < 0:
         return ExpanderVerdict(True, None, "exact", 0)
-    credit = _bit_matrix(in_rows, n).T  # credit[u, v]: u is an in-neighbour of v
-    ones = np.ones(n, dtype=np.float32)
+    b = min(n, _CHUNK_BITS)
+    # low_counts[v, l]: in-neighbours of v among the set bits of l, and
+    # low_sizes[l]: the popcount of l, both doubled one low bit at a time
+    credit = _bit_matrix(in_rows, n).T.astype(np.int8)  # credit[u, v]: u -> v
+    low_counts = np.zeros((n, 1), dtype=np.int8)
+    low_sizes = np.zeros(1, dtype=np.int16)
+    for u in range(b):
+        low_counts = np.concatenate([low_counts, low_counts + credit[u][:, None]], axis=1)
+        low_sizes = np.concatenate([low_sizes, low_sizes + 1])
+    robust = np.empty(1 << b, dtype=np.int16)
     examined = 0
-    for masks, rows in _subset_chunks(n, kmin, kmax):
-        rn_sizes = np.count_nonzero(rows @ credit >= need, axis=1)
-        bad = rn_sizes < rows @ ones + need
-        examined += len(masks)
+    for high in range(1 << (n - b)):
+        hmask = high << b
+        hsize = high.bit_count()
+        in_window = (low_sizes >= kmin - hsize) & (low_sizes <= kmax - hsize)
+        if not in_window.any():
+            continue
+        examined += int(np.count_nonzero(in_window))
+        robust.fill(0)
+        always = 0  # vertices robust through their high count alone
+        for v, row in enumerate(in_rows):
+            # v is robust when its low count reaches need - its high count
+            thr = need - (row & hmask).bit_count()
+            if thr <= 0:
+                always += 1
+            else:
+                robust += low_counts[v] >= thr
+        bad = in_window & (robust < low_sizes + (hsize + need - always))
         if bad.any():
-            witness = set_of(int(masks[int(np.argmax(bad))]))
+            witness = set_of(hmask | int(np.argmax(bad)))
             _assert_witness(in_rows, n, params, witness)
             return ExpanderVerdict(False, witness, "exact", examined)
     return ExpanderVerdict(True, None, "exact", examined)

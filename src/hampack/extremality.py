@@ -17,9 +17,9 @@ witness search and the E4 prune of its exact 3^n enumeration; every
 report, given pair or found witness, is built and checked against the
 coverage bound n - |A u B| <= 2 eta n in one place.  Closeness to
 K_{n/2,n/2} (resp. two disjoint half cliques) asks for a half-sized A
-with e(A) (resp. e(A, complement)) at most eps*n^2.  Up to n = 24 every
-half-sized A is scored through the subset enumerator and 0/1 matrix of
-``expanders``, and the lexicographically first minimiser is returned.
+with e(A) (resp. e(A, complement)) at most eps*n^2.  Up to n = 24 the
+minimum is exact, by meet in the middle over the two halves of V, and
+the lexicographically first minimiser is returned.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .expanders import (
     ExpanderVerdict,
     RobustParams,
     _bit_matrix,
-    _subset_chunks,
     is_robust_expander_exact,
     refute_robust_expander_mc,
 )
@@ -440,8 +439,10 @@ def closeness(
     restarts: int = 20,
 ) -> ClosenessReport:
     """Minimize e(A) (bipartite) or e(A, complement) (two_cliques) over
-    all A with |A| = floor(n/2); exact by enumeration up to n = 24,
-    seeded swap search with restarts above."""
+    all A with |A| = floor(n/2).  Up to n = 24 the minimum is exact and A
+    is the lexicographically first minimiser, found by meet in the middle
+    (``_closeness_exact``); above, a seeded swap search with restarts
+    gives an upper bound."""
     if kind not in CLOSENESS_KINDS:
         raise InputError(f"kind must be one of {CLOSENESS_KINDS}, got {kind!r}")
     epsilon = Fraction(epsilon)
@@ -459,29 +460,68 @@ def closeness(
     return ClosenessReport(kind, epsilon, set_of(best_mask), best_score, close, exact)
 
 
+def _half_tables(adj_mat: np.ndarray, degs: np.ndarray, lo: int, hi: int, c: float):
+    """Every X within the vertices lo..hi-1, grouped by |X|: for each
+    size j, (masks, bit rows, deg(X) + c e(X)) with the rows sorted
+    lexicographically, which is ascending combination order."""
+    h = hi - lo
+    masks = np.arange(1 << h, dtype=np.int64)
+    bits = ((masks[:, None] >> np.arange(h)) & 1).astype(np.float32)
+    inner = adj_mat[lo:hi, lo:hi]
+    # deg(X) + c e(X), with 2 e(X) = sum over X of the row counts in X
+    values = bits @ degs[lo:hi] + (c / 2) * ((bits @ inner) * bits).sum(axis=1)
+    # lexicographic order is descending weight sum_{v in X} 2^(h-1-v)
+    order = np.argsort(-(bits @ 2.0 ** np.arange(h - 1, -1, -1)), kind="stable")
+    sizes = bits.sum(axis=1)[order]
+    groups = []
+    for j in range(h + 1):
+        idx = order[sizes == j]
+        groups.append((masks[idx] << lo, bits[idx], values[idx]))
+    return groups
+
+
 def _closeness_exact(g: Graph, kind: str, k: int) -> tuple[int, int]:
-    """The lexicographically first |A| = k set of minimum score."""
+    """The lexicographically first |A| = k set of minimum score, by meet
+    in the middle: A = X u Y with X within L = {0..n//2-1} and Y within
+    the rest R.  The score is a(X) + a(Y) + c e(X, Y), with a = e and
+    c = 1 for bipartite (e(A)) and a = deg - 2e and c = -2 for
+    two_cliques (e(A, complement) = deg(A) - 2 e(A)); for each |X| = j
+    one (X @ A_LR) @ Y^T block holds every e(X, Y).  All entries are
+    integers below 2^24, so float32 is exact."""
     n = g.n
+    half = n // 2
     adj_mat = _bit_matrix(g.adj, n)
-    degs = np.array(g.degrees(), dtype=np.float32)
+    if kind == "bipartite":
+        degs, c = np.zeros(n, dtype=np.float32), 1.0
+    else:
+        degs, c = np.array(g.degrees(), dtype=np.float32), -2.0
+    left = _half_tables(adj_mat, degs, 0, half, c)
+    right = _half_tables(adj_mat, degs, half, n, c)
+    cross = adj_mat[:half, half:]
     # complement symmetry halves the two-cliques search when n is even:
     # a minimiser's complement is one too, and the first contains vertex 0
     must = 1 if kind == "two_cliques" and n % 2 == 0 else 0
-    # ties go to the largest key, which is the lexicographically first set
-    weights = np.array([2.0 ** (n - 1 - v) for v in range(n)])
-    best_mask, best_score, best_key = -1, None, 0.0
-    for masks, rows in _subset_chunks(n, k, k, must):
-        counts = rows @ adj_mat
-        if kind == "bipartite":
-            scores = (rows * counts).sum(axis=1) / 2
-        else:
-            scores = (rows * (degs - counts)).sum(axis=1)
-        tied = np.flatnonzero(scores == scores.min())
-        keys = rows[tied] @ weights
-        i = tied[int(np.argmax(keys))]
-        score, key = int(round(float(scores[i]))), float(keys.max())
-        if best_score is None or (score, -key) < (best_score, -best_key):
-            best_mask, best_score, best_key = int(masks[i]), score, key
+    # rows and columns run in lexicographic order and L precedes R, so
+    # argmin's first hit is the block's lexicographically first minimiser
+    best_mask, best_score = -1, None
+    for j in range(max(must, k - (n - half)), min(half, k) + 1):
+        xmasks, xbits, xvals = left[j]
+        if must:
+            keep = (xmasks & must) != 0
+            xmasks, xbits, xvals = xmasks[keep], xbits[keep], xvals[keep]
+        ymasks, ybits, yvals = right[k - j]
+        block = (xbits @ cross) @ ybits.T
+        block *= c
+        block += xvals[:, None]
+        block += yvals[None, :]
+        i, col = divmod(int(np.argmin(block)), block.shape[1])
+        mask, score = int(xmasks[i] | ymasks[col]), int(block[i, col])
+        # of two equal-sized sets, the one holding the smallest vertex of
+        # their symmetric difference is lexicographically first
+        diff = mask ^ best_mask
+        first = mask & diff & -diff
+        if best_score is None or score < best_score or (score == best_score and first):
+            best_mask, best_score = mask, score
     assert best_score is not None
     return best_mask, best_score
 

@@ -102,12 +102,13 @@ def brute_first_non_expanding_set(n: int, arcs, nu, tau) -> frozenset[int] | Non
     and fewer than |S| + nu*n vertices that have at least nu*n
     in-neighbours in S, straight from the definition; None if none."""
     ins = [{a for a, b in arcs if b == v} for v in range(n)]
+    lo, hi, thr = tau * n, (1 - tau) * n, nu * n
     for mask in range(1 << n):
-        s = {v for v in range(n) if mask >> v & 1}
-        if not tau * n <= len(s) <= (1 - tau) * n:
+        if not lo <= mask.bit_count() <= hi:
             continue
-        rn = [v for v in range(n) if len(ins[v] & s) >= nu * n]
-        if len(rn) < len(s) + nu * n:
+        s = {v for v in range(n) if mask >> v & 1}
+        rn = [v for v in range(n) if len(ins[v] & s) >= thr]
+        if len(rn) < len(s) + thr:
             return frozenset(s)
     return None
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import graphs
 from oracles import brute_first_non_expanding_set
 
-from hampack.core import DiGraph, Graph, union_edge_disjoint
+from hampack.core import DiGraph, Graph, mask_of, union_edge_disjoint
 from hampack.construct import (
     complete_graph,
     cycle_graph,
@@ -272,6 +273,37 @@ def test_outexpander_matches_definition_on_one_way_digraphs():
         assert (got.certified, got.witness) == (want is None, want)
         outcomes.add(want is None)
     assert outcomes == {True, False}
+
+
+def _dense_below_16(n, seed, directed):
+    """Arcs of G(n, 0.7) on the vertices below 16 (both ways for a
+    graph), each pair touching a vertex >= 16 kept with probability 0.1."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(n) if (u != v if directed else u < v)]
+    return [(u, v) for u, v in pairs if rng.random() < (0.7 if max(u, v) < 16 else 0.1)]
+
+
+@pytest.mark.parametrize("n, seed, directed", [(17, 3, False), (18, 1, False), (18, 0, True)])
+def test_first_witness_across_the_16_bit_chunk_split(n, seed, directed):
+    # the first violating set lies in the second 2^16-mask chunk, where
+    # the high bits are fixed and the low 16 bits come from the table
+    params = RobustParams(Fraction(1, 6), Fraction(1, 4))
+    arcs = _dense_below_16(n, seed, directed)
+    if directed:
+        got = is_robust_outexpander_exact(DiGraph(n, arcs), params)
+    else:
+        got = is_robust_expander_exact(Graph(n, arcs), params)
+        arcs += [(v, u) for u, v in arcs]
+    want = brute_first_non_expanding_set(n, arcs, params.nu, params.tau)
+    assert max(want) >= 16
+    assert got.witness == want and not got.certified
+    # samples counts the window-sized masks of every whole chunk up to
+    # and including the witness's
+    kmin, kmax = -(-n // 4), 3 * n // 4
+    chunk = mask_of(want, n) >> 16
+    assert got.samples == sum(
+        comb(16, s) for high in range(chunk + 1) for s in range(17)
+        if kmin <= s + high.bit_count() <= kmax)
 
 
 def test_oriented_k12_certified():

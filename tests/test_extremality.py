@@ -256,6 +256,20 @@ def test_closeness_exact_returns_lexicographically_first_minimiser(kind):
         assert (rep.a, rep.score) == brute_min_closeness(g, kind), g.edges()
 
 
+@pytest.mark.parametrize("kind", ["bipartite", "two_cliques"])
+@pytest.mark.parametrize("n", [15, 16, 17, 18])
+def test_closeness_exact_first_minimiser_across_the_halves(n, kind):
+    # A is split between L = {0..n//2-1} and the rest; the first minimiser
+    # must come out the same whatever |A n L| is, and on edgeless and
+    # complete graphs every set ties
+    graphs = [Graph(n), complete_graph(n)]
+    graphs += [random_graph(n, p, 100 * n + i) for i, p in enumerate((0.2, 0.5, 0.8))]
+    for g in graphs:
+        rep = closeness(g, kind, Fraction(1, 10))
+        assert rep.exact
+        assert (rep.a, rep.score) == brute_min_closeness(g, kind), g.edges()
+
+
 @pytest.mark.parametrize("build, kind", [(complete_bipartite, "bipartite"),
                                           (two_cliques, "two_cliques")])
 def test_closeness_heuristic_finds_the_family_split(build, kind):
