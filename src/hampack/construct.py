@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-import numpy as np
-
 from .core import Graph, Partition
 from .errors import InputError, ParityError
 
@@ -130,6 +128,8 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     probability p, reproducibly from the seed."""
     if not 0 <= p <= 1:
         raise InputError(f"probability must be in [0,1], got {p}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     edges = []
     if n >= 2:

@@ -111,7 +111,7 @@ class Graph:
         return min(self.degrees(), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and bool(self.adj[u] >> v & 1)
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> list[int]:
         return list(iter_bits(self.adj[v]))

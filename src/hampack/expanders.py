@@ -19,13 +19,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import DiGraph, Graph, iter_bits, mask_of, set_of
 from .errors import CapacityError, InputError, InternalError
 from .orientation import balanced_orientation_arcs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXACT_EXPANDER_MAX_N = 22
 _CHUNK_BITS = 16
@@ -114,6 +115,8 @@ def _assert_witness(
 
 def _bit_matrix(rows: tuple[int, ...], n: int) -> np.ndarray:
     """The 0/1 float32 matrix whose (u, v) entry is bit v of rows[u]."""
+    import numpy as np
+
     mat = np.zeros((n, n), dtype=np.float32)
     for u, row in enumerate(rows):
         mat[u, list(iter_bits(row))] = 1.0
@@ -136,6 +139,8 @@ def _exact_window_check(
     need = _ceil_frac(params.nu * n)
     if kmin > kmax or kmin > n or kmax < 0:
         return ExpanderVerdict(True, None, "exact", 0)
+    import numpy as np
+
     b = min(n, _CHUNK_BITS)
     # low_counts[v, l]: in-neighbours of v among the set bits of l, and
     # low_sizes[l]: the popcount of l, both doubled one low bit at a time

@@ -27,9 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .core import Graph, Partition, iter_bits, mask_of, set_of
 from .errors import InputError, InternalError
@@ -42,6 +40,9 @@ from .expanders import (
     is_robust_expander_exact,
     refute_robust_expander_mc,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXACT_WITNESS_MAX_N = 14
 EXACT_CLOSENESS_MAX_N = 24
@@ -464,6 +465,8 @@ def _half_tables(adj_mat: np.ndarray, degs: np.ndarray, lo: int, hi: int, c: flo
     """Every X within the vertices lo..hi-1, grouped by |X|: for each
     size j, (masks, bit rows, deg(X) + c e(X)) with the rows sorted
     lexicographically, which is ascending combination order."""
+    import numpy as np
+
     h = hi - lo
     masks = np.arange(1 << h, dtype=np.int64)
     bits = ((masks[:, None] >> np.arange(h)) & 1).astype(np.float32)
@@ -488,6 +491,8 @@ def _closeness_exact(g: Graph, kind: str, k: int) -> tuple[int, int]:
     two_cliques (e(A, complement) = deg(A) - 2 e(A)); for each |X| = j
     one (X @ A_LR) @ Y^T block holds every e(X, Y).  All entries are
     integers below 2^24, so float32 is exact."""
+    import numpy as np
+
     n = g.n
     half = n // 2
     adj_mat = _bit_matrix(g.adj, n)

@@ -1,5 +1,6 @@
 """Degree factors: maximum matching, r-factor existence with Tutte
-certificates, the largest even-factor degree, and its two-sided bound.
+certificates, the largest even-factor degree, its two-sided bound, and
+the split of an even-regular graph into 2-factors.
 
 The r-factor decision runs a layered pipeline, cheapest first:
 
@@ -24,9 +25,11 @@ The r-factor decision runs a layered pipeline, cheapest first:
      for odd r, Q_r is the number of odd components of G - S, read for
      every prefix off one reverse union-find pass.
    The first violating pair is the first of the full list,
-3. for even r, a constructive fast path: balanced orientation plus a
-   unit-capacity flow that extracts an explicit factor when it exists
-   under that orientation,
+3. for even r, a constructive fast path (Petersen's argument): in the
+   balanced orientation, choose r/2 out-arcs at every tail and r/2
+   in-arcs at every head, a bipartite b-matching (greedy, then BFS
+   augmenting paths) whose arcs form an r-factor.  A miss proves
+   nothing, since another orientation might succeed,
 4. the stub/core expansion to a perfect-matching instance decided by
    the blossom algorithm -- the exact arbiter for everything the fast
    paths leave open.  The blossom search starts from the gadget matching
@@ -42,7 +45,6 @@ re-validated from the definition before being returned.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -278,84 +280,87 @@ def _structured_violation(g: Graph, r: int) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# Fast constructive path for even r: balanced orientation + unit flow
+# Fast constructive path for even r: balanced orientation + b-matching
 # ---------------------------------------------------------------------------
 
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+def _balanced_subdigraph(
+    n: int, arcs: list[tuple[int, int]], half: int
+) -> list[int] | None:
+    """Indices of arcs forming a spanning sub-digraph with every in- and
+    out-degree equal to ``half``, or None when there is none.
 
-    def add(self, u: int, v: int, c: int) -> int:
-        eid = len(self.to)
-        self.head[u].append(eid)
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return eid
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for v in queue:
-                for eid in self.head[v]:
-                    if self.cap[eid] and level[self.to[eid]] < 0:
-                        level[self.to[eid]] = level[v] + 1
-                        queue.append(self.to[eid])
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(v: int, pushed: int) -> int:
-                if v == t:
-                    return pushed
-                while it[v] < len(self.head[v]):
-                    eid = self.head[v][it[v]]
-                    w = self.to[eid]
-                    if self.cap[eid] and level[w] == level[v] + 1:
-                        got = dfs(w, min(pushed, self.cap[eid]))
-                        if got:
-                            self.cap[eid] -= got
-                            self.cap[eid ^ 1] += got
-                            return got
-                    it[v] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
+    A bipartite b-matching of tails to heads: the arcs are first taken
+    greedily in order while the tail and the head have room, then each
+    missing unit of a tail is found by one BFS for an augmenting path,
+    which alternates an unchosen arc out of a tail with a chosen arc back
+    into a head.  When the search from tail u fails, let X and Y be the
+    tails and heads it reached: every head in Y is full, fed only from X,
+    and every arc from X to a head outside Y is chosen, so the cut
+    {source} u X u Y has capacity half(n - |X|) + e(X, V - Y) + half|Y|,
+    which is the load of X plus half(n - |X|), below n half.  By
+    max-flow/min-cut no full selection exists.
+    """
+    into: list[list[int]] = [[] for _ in range(n)]  # arc ids by head
+    by_tail: list[list[int]] = [[] for _ in range(n)]
+    chosen = [False] * len(arcs)
+    out = [0] * n
+    load = [0] * n
+    for i, (u, v) in enumerate(arcs):
+        by_tail[u].append(i)
+        into[v].append(i)
+        if out[u] < half and load[v] < half:
+            chosen[i] = True
+            out[u] += 1
+            load[v] += 1
+    for u in range(n):
+        while out[u] < half:
+            via = [-1] * n   # head -> the unchosen arc that reached it
+            back = [-1] * n  # tail -> the chosen arc that reached it
+            back[u] = len(arcs)  # marks the root as reached
+            queue = [u]
+            end = -1
+            for x in queue:
+                for i in by_tail[x]:
+                    y = arcs[i][1]
+                    if chosen[i] or via[y] >= 0:
+                        continue
+                    via[y] = i
+                    if load[y] < half:
+                        end = y
+                        break
+                    for j in into[y]:
+                        w = arcs[j][0]
+                        if chosen[j] and back[w] < 0:
+                            back[w] = j
+                            queue.append(w)
+                if end >= 0:
                     break
-                flow += pushed
+            if end < 0:
+                return None
+            load[end] += 1
+            out[u] += 1
+            y = end
+            while True:
+                i = via[y]
+                chosen[i] = True
+                x = arcs[i][0]
+                if x == u:
+                    break
+                j = back[x]
+                chosen[j] = False
+                y = arcs[j][1]
+    return [i for i, c in enumerate(chosen) if c]
 
 
-def _even_factor_via_orientation(
-    g: Graph, r: int, rng: random.Random | None
-) -> Factor | None:
+def _even_factor_via_orientation(g: Graph, r: int) -> Factor | None:
     """Try to realize an r-factor (r even) as an in/out balanced
-    sub-digraph of one balanced orientation.  Sound but incomplete:
+    sub-digraph of the balanced orientation.  Sound but incomplete:
     a miss proves nothing."""
-    half = r // 2
-    n = g.n
-    arcs = balanced_orientation_arcs(g, rng)
-    dinic = _Dinic(2 * n + 2)
-    src, snk = 2 * n, 2 * n + 1
-    for v in range(n):
-        dinic.add(src, v, half)
-        dinic.add(n + v, snk, half)
-    arc_eids = []
-    for u, v in arcs:
-        arc_eids.append(dinic.add(u, n + v, 1))
-    if dinic.max_flow(src, snk) != n * half:
+    arcs = balanced_orientation_arcs(g)
+    picked = _balanced_subdigraph(g.n, arcs, r // 2)
+    if picked is None:
         return None
-    edges = [arcs[i] for i, eid in enumerate(arc_eids) if dinic.cap[eid] == 0]
-    factor = Factor(EdgeSubgraph(n, edges), r)
+    factor = Factor(EdgeSubgraph(g.n, [arcs[i] for i in picked]), r)
     factor.validate(g)
     return factor
 
@@ -522,13 +527,9 @@ def _decide(g: Graph, r: int) -> FactorDecision:
         return FactorDecision(False, r, certificate=_certificate_from_masks(g, r, *hit))
 
     if r % 2 == 0:
-        for attempt in range(3):
-            rng = None if attempt == 0 else random.Random(
-                ((n * 1000003 + g.m) * 1000003 + r) * 7 + attempt
-            )
-            factor = _even_factor_via_orientation(g, r, rng)
-            if factor is not None:
-                return FactorDecision(True, r, factor=factor)
+        factor = _even_factor_via_orientation(g, r)
+        if factor is not None:
+            return FactorDecision(True, r, factor=factor)
 
     gadget = _build_gadget(g, r)
     matcher = _Matcher(gadget.size, gadget.adj, _seed_mate(g, r, gadget))
@@ -648,8 +649,9 @@ def petersen_two_factorization(g: Graph) -> list[Factor]:
     """Split a 2k-regular graph into k edge-disjoint 2-factors.
 
     Balanced orientation makes every vertex out/in degree k; peeling k
-    perfect matchings off the associated out/in bipartite graph (each
-    exists since that graph stays regular) yields the 2-factors.
+    perfect matchings (``_balanced_subdigraph`` with half = 1) off the
+    associated out/in bipartite graph (each exists since that graph stays
+    regular) yields the 2-factors.
     """
     if g.n == 0:
         return []
@@ -660,34 +662,18 @@ def petersen_two_factorization(g: Graph) -> list[Factor]:
     if rdeg % 2:
         raise InputError(f"input graph is {rdeg}-regular; even regularity required")
     k = rdeg // 2
-    if k == 0:
-        return []
     n = g.n
-    arcs = balanced_orientation_arcs(g)
-    remaining = list(arcs)
+    remaining = balanced_orientation_arcs(g)
     factors = []
     for _ in range(k):
-        adj: list[list[int]] = [[] for _ in range(2 * n)]
-        for u, v in remaining:
-            adj[u].append(n + v)
-            adj[n + v].append(u)
-        mate = maximum_matching(2 * n, adj)
-        chosen = []
-        leftover = []
-        for u, v in remaining:
-            if mate[u] == n + v:
-                chosen.append((u, v))
-                mate[u] = -2  # consume; guards against double use of u
-            else:
-                leftover.append((u, v))
-        if len(chosen) != n:
+        picked = _balanced_subdigraph(n, remaining, 1)
+        if picked is None:
             raise InternalError("bipartite peel failed to find a perfect matching")
-        factor = Factor(EdgeSubgraph(n, chosen), 2)
+        factor = Factor(EdgeSubgraph(n, [remaining[i] for i in picked]), 2)
         factor.validate(g)
         factors.append(factor)
-        remaining = leftover
-    if remaining:
-        raise InternalError("orientation peel left unused arcs")
+        taken = set(picked)
+        remaining = [a for i, a in enumerate(remaining) if i not in taken]
     return factors
 
 

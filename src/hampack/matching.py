@@ -1,13 +1,14 @@
 """Maximum cardinality matching in general graphs (Edmonds' blossom
 algorithm, array-based, O(V^3)-style).
 
-Used directly for the matching API and as the arbiter inside the
-degree-factor machinery via the stub/core expansion.  The search starts
-from a greedy maximal matching, which may extend a partial seed matching
-handed in by the caller: the degree-factor pipeline seeds it from an
-r-capped selection of host edges, so only a few gadget vertices start
-exposed.  Each alternating tree resets and scans only the vertices it
-reached, so an augmentation costs the size of its tree, not of the graph.
+Called by ``factors.max_matching`` and by the exact r-factor arbiter on
+the stub/core expansion; the bipartite selections in ``factors`` use
+their own b-matching.  The search starts from a greedy maximal matching,
+which may extend a partial seed matching handed in by the caller: the
+degree-factor pipeline seeds it from an r-capped selection of host
+edges, so only a few gadget vertices start exposed.  Each alternating
+tree resets and scans only the vertices it reached, so an augmentation
+costs the size of its tree, not of the graph.
 """
 
 from __future__ import annotations

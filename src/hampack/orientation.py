@@ -9,19 +9,16 @@ balance wherever the degree is even.
 
 from __future__ import annotations
 
-import random
-
 from .core import Graph
 from .errors import InternalError
 
 
-def balanced_orientation_arcs(
-    g: Graph, rng: random.Random | None = None
-) -> list[tuple[int, int]]:
+def balanced_orientation_arcs(g: Graph) -> list[tuple[int, int]]:
     """Orient the edges of ``g``; returns one (u, v) arc per edge.
 
-    Deterministic for ``rng=None``; an rng shuffles traversal order to
-    sample alternative balanced orientations.
+    Deterministic: each circuit starts at the lowest vertex with an
+    unused edge and leaves every vertex by its first unused edge in
+    ``g.edges()`` order, the virtual edges last.
     """
     n = g.n
     records: list[tuple[int, int, bool]] = [(u, v, False) for u, v in g.edges()]
@@ -33,9 +30,6 @@ def balanced_orientation_arcs(
     for eid, (u, v, _) in enumerate(records):
         inc[u].append((eid, v))
         inc[v].append((eid, u))
-    if rng is not None:
-        for lst in inc:
-            rng.shuffle(lst)
 
     used = [False] * len(records)
     ptr = [0] * n

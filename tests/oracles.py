@@ -113,6 +113,22 @@ def brute_first_non_expanding_set(n: int, arcs, nu, tau) -> frozenset[int] | Non
     return None
 
 
+def brute_balanced_subdigraph_exists(n: int, arcs, half: int) -> bool:
+    """Whether some arcs give every vertex in- and out-degree ``half``,
+    by the min-cut formula of the tails-to-heads flow: for every set X
+    of tails, half (n - |X|) + sum over heads y of min(half, e(X, y))
+    must reach n half."""
+    for xmask in range(1 << n):
+        into = [0] * n
+        for u, v in arcs:
+            if xmask >> u & 1:
+                into[v] += 1
+        cut = half * (n - xmask.bit_count()) + sum(min(half, c) for c in into)
+        if cut < n * half:
+            return False
+    return True
+
+
 def all_graphs(n: int):
     """Every labeled graph on n vertices."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]

@@ -293,6 +293,93 @@ def test_ensemble_worker_pool_matches_sequential(tmp_path, capsys):
     assert seq.read_bytes() == par.read_bytes()
 
 
+# Seeded inputs on which the even-factor fast path hits, misses with the
+# blossom saying yes, and misses with the blossom saying no, at r = 2 and
+# 4; the negatives carry gate, structured-pair and Gallai-Edmonds
+# certificates.
+PINNED_INPUTS = {
+    "gnp10_06_1": ["gnp", "--n", "10", "--p", "0.6", "--seed", "1"],
+    "gnp10_05_27": ["gnp", "--n", "10", "--p", "0.5", "--seed", "27"],
+    "gnp10_06_10": ["gnp", "--n", "10", "--p", "0.6", "--seed", "10"],
+    "gnp10_03_28": ["gnp", "--n", "10", "--p", "0.3", "--seed", "28"],
+    "gnp13_05_16": ["gnp", "--n", "13", "--p", "0.5", "--seed", "16"],
+    "gnp16_015_114": ["gnp", "--n", "16", "--p", "0.15", "--seed", "114"],
+    "gnp21_025_11": ["gnp", "--n", "21", "--p", "0.25", "--seed", "11"],
+    "gnp22_015_46": ["gnp", "--n", "22", "--p", "0.15", "--seed", "46"],
+    "extremal24_14": ["extremal", "--n", "24", "--delta", "14"],
+    "babai2": ["babai", "--m", "2"],
+}
+
+PINNED_STDOUT = [
+    ("regeven", "gnp10_06_1", [], '{"delta": 4, "n": 10, "reg_even": 4}'),
+    ("regeven", "gnp10_05_27", [], '{"delta": 4, "n": 10, "reg_even": 4}'),
+    ("regeven", "gnp10_06_10", [], '{"delta": 3, "n": 10, "reg_even": 2}'),
+    ("regeven", "gnp10_03_28", [], '{"delta": 2, "n": 10, "reg_even": 0}'),
+    ("regeven", "extremal24_14", [], '{"delta": 14, "n": 24, "reg_even": 12}'),
+    ("regeven", "babai2", [], '{"delta": 5, "n": 10, "reg_even": 2}'),
+    ("factor", "gnp10_06_1", ["1"], '{"exists": true, "r": 1}'),
+    ("factor", "gnp10_06_1", ["2"], '{"exists": true, "r": 2}'),
+    ("factor", "gnp10_06_1", ["3"], '{"exists": true, "r": 3}'),
+    ("factor", "gnp10_06_1", ["4"], '{"exists": true, "r": 4}'),
+    ("factor", "gnp10_03_28", ["1"], '{"exists": true, "r": 1}'),
+    ("factor", "gnp10_03_28", ["2"],
+     '{"certificate": {"Qr": 1, "Rr": -1, "S": [4], "T": [0, 1, 3, 5, 7, 9]}, "exists": false, "r": 2}'),
+    ("factor", "gnp10_03_28", ["3"],
+     '{"certificate": {"Qr": 1, "Rr": -1, "S": [], "T": [0]}, "exists": false, "r": 3}'),
+    ("factor", "gnp10_03_28", ["4"],
+     '{"certificate": {"Qr": 0, "Rr": -2, "S": [], "T": [0]}, "exists": false, "r": 4}'),
+    ("factor", "gnp13_05_16", ["1"],
+     '{"exists": false, "note": "r*n is odd; no spanning r-regular subgraph", "r": 1}'),
+    ("factor", "gnp13_05_16", ["2"], '{"exists": true, "r": 2}'),
+    ("factor", "gnp13_05_16", ["3"],
+     '{"exists": false, "note": "r*n is odd; no spanning r-regular subgraph", "r": 3}'),
+    ("factor", "gnp13_05_16", ["4"], '{"exists": true, "r": 4}'),
+    ("factor", "gnp16_015_114", ["1"],
+     '{"certificate": {"Qr": 0, "Rr": -2, "S": [2, 4, 7, 10, 12, 14, 15], '
+     '"T": [0, 1, 3, 5, 6, 8, 9, 11, 13]}, "exists": false, "r": 1}'),
+    ("factor", "gnp16_015_114", ["2"],
+     '{"certificate": {"Qr": 1, "Rr": -1, "S": [], "T": [9]}, "exists": false, "r": 2}'),
+    ("factor", "gnp16_015_114", ["3"],
+     '{"certificate": {"Qr": 0, "Rr": -2, "S": [], "T": [9]}, "exists": false, "r": 3}'),
+    ("factor", "gnp16_015_114", ["4"],
+     '{"certificate": {"Qr": 1, "Rr": -3, "S": [], "T": [9]}, "exists": false, "r": 4}'),
+    ("factor", "babai2", ["1"], '{"exists": true, "r": 1}'),
+    ("factor", "babai2", ["2"], '{"exists": true, "r": 2}'),
+    ("factor", "babai2", ["3"], '{"exists": true, "r": 3}'),
+    ("factor", "babai2", ["4"],
+     '{"certificate": {"Qr": 0, "Rr": -2, "S": [0, 1, 2, 3], "T": [4, 5, 6, 7, 8, 9]}, '
+     '"exists": false, "r": 4}'),
+    # above n = 20, ham asks r_factor_exists(g, 2) before it searches
+    ("ham", "gnp22_015_46", [], '{"hamiltonian": false}'),
+    ("ham", "gnp21_025_11", [],
+     '{"cycle": [0, 1, 3, 13, 15, 9, 4, 2, 5, 16, 18, 11, 19, 6, 12, 10, 7, 20, 17, 14, 8], '
+     '"hamiltonian": true}'),
+]
+
+
+@pytest.mark.parametrize("command,name,r,expected", PINNED_STDOUT,
+                         ids=[f"{c}-{n}" + "".join(f"-r{x}" for x in r) for c, n, r, _ in PINNED_STDOUT])
+def test_pinned_factor_stdout(tmp_path, capsys, command, name, r, expected):
+    graph = tmp_path / "g.el"
+    code, _ = run(["construct", "--kind", *PINNED_INPUTS[name], "--out", str(graph)], capsys)
+    assert code == 0
+    emitted = tmp_path / "f.el"
+    args = [command, "--input", str(graph)]
+    if r:
+        args += ["--r", *r]
+    if command != "ham":
+        args += ["--emit", str(emitted)]
+    code, out = run(args, capsys)
+    assert (code, out) == (0, expected + "\n")
+    payload = json.loads(out)
+    degree = payload.get("reg_even", int(r[0]) if r else 0)
+    if degree and payload.get("exists", True):
+        # an emitted factor may differ between versions; it must be an r-factor
+        host, factor = read_edge_list(graph), read_edge_list(emitted)
+        assert factor.n == host.n and factor.degrees() == [degree] * host.n
+        assert all(host.has_edge(u, v) for u, v in factor.edges())
+
+
 def test_run_record_written(tmp_path, capsys):
     rec = tmp_path / "rec.json"
     out = tmp_path / "b.json"

@@ -39,6 +39,13 @@ def test_degree_out_of_range():
         complete_graph(4).degree(4)
 
 
+@pytest.mark.parametrize("u,v", [(0, -1), (-1, 0), (0, 3), (3, 0), (-1, -1)])
+def test_has_edge_out_of_range_is_false_in_either_order(u, v):
+    g = Graph(3, [(0, 1)])
+    assert g.has_edge(u, v) is False
+    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+
+
 def test_capacity_cap():
     with pytest.raises(CapacityError):
         Graph(1025)

@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from oracles import brute_has_r_factor, first_structured_violation
+from oracles import (
+    brute_balanced_subdigraph_exists,
+    brute_has_r_factor,
+    first_structured_violation,
+)
 
 from hampack.core import Graph, iter_bits, union_edge_disjoint
 from hampack.construct import (
@@ -22,6 +26,7 @@ from hampack.construct import (
 from hampack.edgelist import read_edge_list
 from hampack.errors import CapacityError, ExistenceError, InputError
 from hampack.factors import (
+    _balanced_subdigraph,
     _build_gadget,
     _ge_pair,
     _seed_mate,
@@ -38,6 +43,7 @@ from hampack.factors import (
     tutte_verify_exhaustive,
 )
 from hampack.matching import _Matcher, matching_size
+from hampack.orientation import balanced_orientation_arcs
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +266,47 @@ def test_bounds_grid_invariants():
             assert b.lower % 2 == 0
             assert b.admits(b.lower)
             assert not b.admits(b.lower + 40)
+
+
+# ---------------------------------------------------------------------------
+# The b-matching of the even fast path and of the 2-factor peel
+# ---------------------------------------------------------------------------
+
+def _assert_full_selection(n, arcs, half, picked):
+    assert picked == sorted(set(picked))
+    out, into = [0] * n, [0] * n
+    for i in picked:
+        u, v = arcs[i]
+        out[u] += 1
+        into[v] += 1
+    assert out == [half] * n and into == [half] * n
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10), st.data())
+def test_balanced_subdigraph_matches_min_cut_oracle(g, data):
+    # a wrong None would go unseen elsewhere: the blossom decides after it
+    edges = g.edges()
+    if data.draw(st.booleans()):
+        arcs = balanced_orientation_arcs(g)
+    else:
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        arcs = [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
+    for half in range(max(g.degrees(), default=0) + 2):
+        picked = _balanced_subdigraph(g.n, arcs, half)
+        assert (picked is not None) == brute_balanced_subdigraph_exists(g.n, arcs, half)
+        if picked is not None:
+            _assert_full_selection(g.n, arcs, half, picked)
+
+
+def test_balanced_subdigraph_long_augmenting_path():
+    # the greedy pass takes every (i, i+1), so tail n-1 is left short and
+    # its one augmenting path alternates through every other tail
+    n = 1000
+    arcs = [(i, i + 1) for i in range(n - 1)] + [(i, i - 1) for i in range(1, n)]
+    picked = _balanced_subdigraph(n, arcs, 1)
+    assert picked is not None
+    _assert_full_selection(n, arcs, 1, picked)
 
 
 # ---------------------------------------------------------------------------
