@@ -12,6 +12,13 @@ in-neighbour count in S is its count in the high part plus a lookup in
 one int8 table over the low 16 bits, built once per call.  Thresholds
 are exact integers, and every emitted witness is re-checked against the
 definition as a rational.
+
+Beyond the exact cap (n <= 22) the Monte-Carlo refuter can only
+refute.  It tries structured candidates (the components and their
+complements, cumulative unions of components, neighbourhoods,
+degree-sorted prefixes and suffixes, BFS balls), then seeded random
+subsets, as 0/1 rows: one rows @ adj product scores a block of 64, and
+the first violating row is the witness.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .core import DiGraph, Graph, iter_bits, mask_of, set_of
+from .core import DiGraph, Graph, mask_of, set_of
 from .errors import CapacityError, InputError, InternalError
 from .orientation import balanced_orientation_arcs
 
@@ -32,13 +39,19 @@ EXACT_EXPANDER_MAX_N = 22
 _CHUNK_BITS = 16
 
 
+def _as_fraction(x: Fraction | float) -> Fraction:
+    """x as a Fraction, a float read as the decimal it prints as: 0.1
+    is 1/10, not the binary double just above it."""
+    return Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
+
+
 @dataclass(frozen=True)
 class RobustParams:
     nu: Fraction
     tau: Fraction
 
     def __post_init__(self):
-        nu, tau = Fraction(self.nu), Fraction(self.tau)
+        nu, tau = _as_fraction(self.nu), _as_fraction(self.tau)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "tau", tau)
         if not 0 < nu <= tau < 1:
@@ -89,14 +102,14 @@ def _robust_vertices(in_rows: tuple[int, ...], smask: int, thr: int) -> list[int
 
 def robust_neighborhood(g: Graph, s: Iterable[int], nu: Fraction | float) -> frozenset[int]:
     """All vertices with at least nu*n neighbours inside s (s-members allowed)."""
-    return frozenset(_robust_vertices(g.adj, mask_of(s, g.n), _ceil_frac(Fraction(nu) * g.n)))
+    return frozenset(_robust_vertices(g.adj, mask_of(s, g.n), _ceil_frac(_as_fraction(nu) * g.n)))
 
 
 def robust_out_neighborhood(
     d: DiGraph, s: Iterable[int], nu: Fraction | float
 ) -> frozenset[int]:
     """All vertices with at least nu*n in-neighbours inside s."""
-    return frozenset(_robust_vertices(d.in_adj, mask_of(s, d.n), _ceil_frac(Fraction(nu) * d.n)))
+    return frozenset(_robust_vertices(d.in_adj, mask_of(s, d.n), _ceil_frac(_as_fraction(nu) * d.n)))
 
 
 def _assert_witness(
@@ -113,14 +126,15 @@ def _assert_witness(
 # Exact subset enumeration
 # ---------------------------------------------------------------------------
 
-def _bit_matrix(rows: tuple[int, ...], n: int) -> np.ndarray:
-    """The 0/1 float32 matrix whose (u, v) entry is bit v of rows[u]."""
+def _bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
+    """The 0/1 float32 matrix whose (u, v) entry is bit v of rows[u],
+    unpacked from the rows' little-endian bytes in one call."""
     import numpy as np
 
-    mat = np.zeros((n, n), dtype=np.float32)
-    for u, row in enumerate(rows):
-        mat[u, list(iter_bits(row))] = 1.0
-    return mat
+    nb = (n + 7) // 8
+    raw = np.frombuffer(b"".join(r.to_bytes(nb, "little") for r in rows), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(rows), nb), axis=1, count=n, bitorder="little")
+    return bits.astype(np.float32)
 
 
 def _exact_window_check(
@@ -194,103 +208,155 @@ def is_robust_outexpander_exact(d: DiGraph, params: RobustParams) -> ExpanderVer
 # Monte-Carlo refutation for larger graphs
 # ---------------------------------------------------------------------------
 
-def _structured_subsets(g: Graph, kmin: int, kmax: int) -> Iterator[frozenset[int]]:
-    """Cheap witness candidates: components, neighbourhoods, BFS balls,
-    degree-sorted prefixes, and their complements, coerced into the
-    size window deterministically."""
+_BLOCK = 64  # candidate rows scored by one rows @ adj product
+_GATHER_BYTES = 1 << 23  # adjacency bytes gathered by one BFS step
+
+
+def _coerce(members: np.ndarray, kmin: int, kmax: int) -> np.ndarray:
+    """Each 0/1 row moved into the size window: a row above kmax keeps
+    its lowest kmax members, a row below kmin gains its lowest kmin - k
+    non-members."""
+    import numpy as np
+
+    short = kmin - np.count_nonzero(members, axis=1)
+    keep = members & (np.cumsum(members, axis=1) <= kmax)
+    pad = ~members & (np.cumsum(~members, axis=1) <= short[:, None])
+    return keep | pad
+
+
+def _bfs_distances(member: np.ndarray) -> np.ndarray:
+    """dist[v, u]: the BFS distance from v to u in the graph whose 0/1
+    adjacency matrix is member, n when u is unreachable.  A group of
+    roots advances one layer per step, and a step ORs together the
+    packed adjacency rows of the (root, u) frontier pairs, so the search
+    gathers each of the n^2 pairs at most once.  The group is as large
+    as keeps one step's gathered rows within _GATHER_BYTES."""
+    import numpy as np
+
+    n = len(member)
+    packed = np.packbits(member, axis=1, bitorder="little")
+    reached = np.packbits(np.eye(n, dtype=bool), axis=1, bitorder="little")
+    dist = np.full((n, n), n, dtype=np.int32)
+    group = max(1, _GATHER_BYTES // max(1, packed.size))
+    for first in range(0, n, group):
+        roots = us = np.arange(first, min(n, first + group))
+        dist[roots, us] = 0
+        layer = 0
+        while roots.size:
+            layer += 1
+            starts = np.flatnonzero(np.diff(roots, prepend=-1))
+            owners = roots[starts]
+            nxt = np.bitwise_or.reduceat(packed[us], starts, axis=0) & ~reached[owners]
+            reached[owners] |= nxt
+            # unpack only the nonzero bytes of the new layer
+            hit, byte = np.nonzero(nxt)
+            pick, bit = np.nonzero(np.unpackbits(nxt[hit, byte][:, None], axis=1, bitorder="little"))
+            roots, us = owners[hit[pick]], 8 * byte[pick] + bit
+            dist[roots, us] = layer
+    return dist
+
+
+def _structured_subsets(g: Graph, kmin: int, kmax: int, adj: np.ndarray) -> Iterator[np.ndarray]:
+    """Cheap witness candidates as 0/1 rows, one section at a time:
+    the components and their complements, cumulative unions of the
+    components, open and closed neighbourhoods, degree-sorted prefixes
+    and suffixes, then BFS balls.  Every set is coerced into the size
+    window (_coerce), and a set already yielded is dropped.  A section
+    is built only once the caller asks for it, so a graph refuted by an
+    early candidate never pays for the BFS balls."""
+    import numpy as np
+
     n = g.n
-    everything = list(range(n))
+    seen: set[bytes] = set()
 
-    def coerce(vertices: list[int]) -> Iterator[frozenset[int]]:
-        k = len(vertices)
-        if kmin <= k <= kmax:
-            yield frozenset(vertices)
-        if k > kmax:
-            yield frozenset(sorted(vertices)[:kmax])
-        if k < kmin:
-            pad = [v for v in everything if v not in set(vertices)]
-            yield frozenset(list(vertices) + pad[: kmin - k])
+    def fresh(members: np.ndarray) -> np.ndarray:
+        rows = _coerce(members, kmin, kmax)
+        keys = np.packbits(rows, axis=1, bitorder="little")
+        keep = []
+        for i, key in enumerate(keys):
+            key = key.tobytes()
+            if key not in seen:
+                seen.add(key)
+                keep.append(i)
+        return rows[keep]
 
-    seen = set()
-    def emit(vertices):
-        for cand in coerce(vertices):
-            if kmin <= len(cand) <= kmax and cand not in seen:
-                seen.add(cand)
-                yield cand
-
-    comps = [list(iter_bits(c)) for c in g.components()]
-    for comp_list in comps:
-        yield from emit(comp_list)
-        yield from emit([v for v in range(n) if v not in set(comp_list)])
+    comps = g.components()
+    inside = _bit_matrix(comps, n) > 0
+    yield fresh(np.stack([inside, ~inside], axis=1).reshape(2 * len(comps), n))
     # cumulative unions of components catch many-small-component graphs
     # whose individual pieces all sit below the size window
-    for ordering in (sorted(comps, key=len), sorted(comps, key=len, reverse=True)):
-        acc: list[int] = []
-        for comp_list in ordering:
-            acc.extend(comp_list)
-            if len(acc) >= kmin:
-                yield from emit(list(acc))
-            if len(acc) > kmax:
+    sizes = [c.bit_count() for c in comps]
+    unions = []
+    for reverse in (False, True):
+        acc = size = 0
+        for i in sorted(range(len(comps)), key=sizes.__getitem__, reverse=reverse):
+            acc |= comps[i]
+            size += sizes[i]
+            if size >= kmin:
+                unions.append(acc)
+            if size > kmax:
                 break
-    for v in range(n):
-        nb = g.neighbors(v)
-        yield from emit(nb)
-        yield from emit(nb + [v])
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    for k in (kmin, (kmin + kmax) // 2, kmax):
-        if 0 <= k <= n:
-            yield from emit(order[:k])
-            yield from emit(order[::-1][:k])
-    # BFS balls around each vertex, clipped at each window size boundary
-    for v in range(n):
-        ball_order = []
-        seen_mask = 0
-        frontier = 1 << v
-        while frontier:
-            for u in iter_bits(frontier):
-                ball_order.append(u)
-            seen_mask |= frontier
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~seen_mask
-        for k in (kmin, kmax):
-            if k <= len(ball_order):
-                yield from emit(ball_order[:k])
+    yield fresh(_bit_matrix(unions, n) > 0)
+    member = adj > 0
+    yield fresh(np.stack([member, member | np.eye(n, dtype=bool)], axis=1).reshape(2 * n, n))
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(-np.count_nonzero(member, axis=1), kind="stable")] = np.arange(n)
+    ks = (kmin, (kmin + kmax) // 2, kmax)
+    yield fresh(np.array([part for k in ks for part in (rank < k, rank >= n - k)]))
+    if n:
+        # BFS balls around each vertex, clipped at kmin and at kmax: a
+        # ball's order is by distance, ties by index
+        dist = _bfs_distances(member)
+        key = dist * n + np.arange(n, dtype=np.int32)
+        ranked = np.sort(key, axis=1)
+        balls = np.stack([key <= ranked[:, [k - 1]] for k in (kmin, kmax)], axis=1)
+        whole = np.count_nonzero(dist < n, axis=1)
+        yield fresh(balls[np.stack([whole >= kmin, whole >= kmax], axis=1)])
 
 
 def refute_robust_expander_mc(
     g: Graph, params: RobustParams, samples: int, seed: int
 ) -> ExpanderVerdict:
     """Search for a refuting subset: structured candidates first, then
-    seeded random subsets.  Never certifies; no witness means the run
-    is inconclusive."""
+    seeded random subsets.  Candidates are 0/1 rows scored _BLOCK at a
+    time: rows @ adj counts every vertex's neighbours in each set, and
+    the first violating row is the witness.  ``samples`` in the verdict
+    counts the candidates up to and including the witness.  Never
+    certifies; no witness means the run is inconclusive."""
     if samples < 1:
         raise InputError(f"samples must be >= 1, got {samples}")
     n = g.n
     kmin, kmax = _window(n, params.tau)
     if kmin > kmax or kmin > n or kmax < 0:
         return ExpanderVerdict(False, None, "monte_carlo", 0)
+    import numpy as np
+
     need = _ceil_frac(params.nu * n)
+    adj = _bit_matrix(g.adj, n)
+
+    def blocks() -> Iterator[np.ndarray]:
+        for section in _structured_subsets(g, kmin, kmax, adj):
+            for start in range(0, len(section), _BLOCK):
+                yield section[start : start + _BLOCK]
+        rng = random.Random(seed)
+        for start in range(0, samples, _BLOCK):
+            block = np.zeros((min(_BLOCK, samples - start), n), dtype=bool)
+            for row in block:
+                k = rng.randint(kmin, min(kmax, n))
+                row[rng.sample(range(n), k)] = True
+            yield block
+
     tried = 0
-
-    def violates(cand: frozenset[int]) -> bool:
+    for block in blocks():
+        counts = block.astype(np.float32) @ adj
         # |RN| and |S| are integers, so |RN| < |S| + nu*n iff |RN| < |S| + need
-        return len(_robust_vertices(g.adj, mask_of(cand, n), need)) < len(cand) + need
-
-    for cand in _structured_subsets(g, kmin, kmax):
-        tried += 1
-        if violates(cand):
-            _assert_witness(g.adj, n, params, cand)
-            return ExpanderVerdict(False, cand, "monte_carlo", tried)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        k = rng.randint(kmin, min(kmax, n))
-        cand = frozenset(rng.sample(range(n), k))
-        tried += 1
-        if violates(cand):
-            _assert_witness(g.adj, n, params, cand)
-            return ExpanderVerdict(False, cand, "monte_carlo", tried)
+        bad = np.count_nonzero(counts >= need, axis=1) < np.count_nonzero(block, axis=1) + need
+        if bad.any():
+            i = int(bad.argmax())
+            witness = frozenset(np.flatnonzero(block[i]).tolist())
+            _assert_witness(g.adj, n, params, witness)
+            return ExpanderVerdict(False, witness, "monte_carlo", tried + i + 1)
+        tried += len(block)
     return ExpanderVerdict(False, None, "monte_carlo", tried)
 
 
@@ -303,7 +369,7 @@ def min_degree_implies_expander_params(
 ) -> RobustParams:
     """Largest nu with eps >= 2*nu/tau: any graph with min degree at
     least (1/2+eps)n is then a robust (nu,tau)-expander."""
-    eps, tau = Fraction(eps), Fraction(tau)
+    eps, tau = _as_fraction(eps), _as_fraction(tau)
     if not 0 < eps < Fraction(1, 2):
         raise InputError(f"need 0 < eps < 1/2, got eps={eps}")
     if not 0 < tau < 1:
@@ -343,7 +409,7 @@ def sparse_expander_factor(
     """
     from .factors import extract_r_factor, r_factor_exists
 
-    eps = Fraction(eps)
+    eps = _as_fraction(eps)
     r_frac = eps * g.n
     if r_frac.denominator != 1 or r_frac < 2 or r_frac % 2:
         raise InputError(f"eps*n must be an even integer >= 2, got {r_frac}")

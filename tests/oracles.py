@@ -8,8 +8,11 @@ Hamilton cycles checked over raw vertex permutations.
 from __future__ import annotations
 
 import itertools
+import random
+from fractions import Fraction
 
 from hampack.core import Graph, iter_bits
+from hampack.expanders import ExpanderVerdict, RobustParams
 from hampack.factors import tutte_quantities
 
 
@@ -248,3 +251,101 @@ def first_structured_violation(g: Graph, r: int) -> tuple[int, int] | None:
         if tutte_quantities(g, r, iter_bits(smask), iter_bits(tmask)).violates:
             return smask, tmask
     return None
+
+
+def _reference_structured_subsets(g: Graph, kmin: int, kmax: int):
+    """The refuter's structured candidates one frozenset at a time:
+    components and their complements, cumulative unions of components,
+    open and closed neighbourhoods, degree-sorted prefixes and suffixes,
+    then BFS balls, each coerced into the window and yielded once."""
+    n = g.n
+    everything = list(range(n))
+
+    def coerce(vertices):
+        k = len(vertices)
+        if kmin <= k <= kmax:
+            yield frozenset(vertices)
+        if k > kmax:
+            yield frozenset(sorted(vertices)[:kmax])
+        if k < kmin:
+            members = set(vertices)
+            pad = [v for v in everything if v not in members]
+            yield frozenset(list(vertices) + pad[: kmin - k])
+
+    seen = set()
+
+    def emit(vertices):
+        for cand in coerce(vertices):
+            if kmin <= len(cand) <= kmax and cand not in seen:
+                seen.add(cand)
+                yield cand
+
+    comps = [list(iter_bits(c)) for c in g.components()]
+    for comp_list in comps:
+        members = set(comp_list)
+        yield from emit(comp_list)
+        yield from emit([v for v in range(n) if v not in members])
+    for ordering in (sorted(comps, key=len), sorted(comps, key=len, reverse=True)):
+        acc = []
+        for comp_list in ordering:
+            acc.extend(comp_list)
+            if len(acc) >= kmin:
+                yield from emit(list(acc))
+            if len(acc) > kmax:
+                break
+    for v in range(n):
+        nb = g.neighbors(v)
+        yield from emit(nb)
+        yield from emit(nb + [v])
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    for k in (kmin, (kmin + kmax) // 2, kmax):
+        if 0 <= k <= n:
+            yield from emit(order[:k])
+            yield from emit(order[::-1][:k])
+    for v in range(n):
+        ball_order = []
+        seen_mask = 0
+        frontier = 1 << v
+        while frontier:
+            ball_order.extend(iter_bits(frontier))
+            seen_mask |= frontier
+            nxt = 0
+            for u in iter_bits(frontier):
+                nxt |= g.adj[u]
+            frontier = nxt & ~seen_mask
+        for k in (kmin, kmax):
+            if k <= len(ball_order):
+                yield from emit(ball_order[:k])
+
+
+def reference_refute_mc(g: Graph, params: RobustParams, samples: int, seed: int) -> ExpanderVerdict:
+    """The Monte-Carlo refuter one candidate at a time, each scored by a
+    popcount pass over the adjacency rows: the structured candidates,
+    then ``samples`` subsets drawn as rng.randint(kmin, kmax) sizes and
+    rng.sample(range(n), k) members from random.Random(seed)."""
+    n = g.n
+    nu, tau = Fraction(params.nu), Fraction(params.tau)
+    kmin = -((-tau.numerator * n) // tau.denominator)
+    kmax = ((1 - tau) * n).numerator // ((1 - tau) * n).denominator
+    if kmin > kmax or kmin > n or kmax < 0:
+        return ExpanderVerdict(False, None, "monte_carlo", 0)
+    need = -((-nu.numerator * n) // nu.denominator)
+
+    def violates(cand):
+        smask = sum(1 << v for v in cand)
+        robust = sum(1 for row in g.adj if (row & smask).bit_count() >= need)
+        return robust < len(cand) + need
+
+    tried = 0
+    for cand in _reference_structured_subsets(g, kmin, kmax):
+        tried += 1
+        if violates(cand):
+            return ExpanderVerdict(False, cand, "monte_carlo", tried)
+    rng = random.Random(seed)
+    for _ in range(samples):
+        k = rng.randint(kmin, min(kmax, n))
+        cand = frozenset(rng.sample(range(n), k))
+        tried += 1
+        if violates(cand):
+            return ExpanderVerdict(False, cand, "monte_carlo", tried)
+    return ExpanderVerdict(False, None, "monte_carlo", tried)

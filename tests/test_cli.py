@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from oracles import cliques_sharing_a_vertex, generalized_petersen
 
+import hampack
 from hampack import hamilton
 from hampack.cli import COMMANDS, build_parser, main
 from hampack.core import Graph
@@ -378,6 +383,54 @@ def test_pinned_factor_stdout(tmp_path, capsys, command, name, r, expected):
         host, factor = read_edge_list(graph), read_edge_list(emitted)
         assert factor.n == host.n and factor.degrees() == [degree] * host.n
         assert all(host.has_edge(u, v) for u, v in factor.edges())
+
+
+PINNED_MC = [
+    # refuted by the complement of the giant component, coerced into the window
+    (["gnp", "--n", "30", "--p", "0.3", "--seed", "5"],
+     ["--nu", "1/8", "--tau", "1/4", "--samples", "100", "--seed", "1"],
+     '{"certified": false, "mode": "monte_carlo", "nu": "1/8", "samples": 2, "tau": "1/4", '
+     '"witness": [0, 1, 2, 3, 4, 5, 6, 7]}'),
+    # refuted by a seeded random subset, after every structured candidate
+    (["gnp", "--n", "32", "--p", "0.6", "--seed", "831"],
+     ["--nu", "13/64", "--tau", "7/16", "--samples", "300", "--seed", "1"],
+     '{"certified": false, "mode": "monte_carlo", "nu": "13/64", "samples": 143, "tau": "7/16", '
+     '"witness": [0, 2, 8, 9, 11, 12, 15, 17, 20, 23, 25, 26, 29, 31]}'),
+    (["gnp", "--n", "64", "--p", "0.5", "--seed", "7"],
+     ["--nu", "1/64", "--tau", "1/4", "--samples", "200", "--seed", "3"],
+     '{"certified": false, "inconclusive": true, "mode": "monte_carlo", "nu": "1/64", '
+     '"samples": 464, "tau": "1/4"}'),
+    (["gnp", "--n", "96", "--p", "0.1", "--seed", "4"],
+     ["--nu", "1/32", "--tau", "1/4", "--samples", "50", "--seed", "9"],
+     '{"certified": false, "mode": "monte_carlo", "nu": "1/32", "samples": 182, "tau": "1/4", '
+     '"witness": [2, 8, 11, 18, 19, 22, 26, 28, 29, 35, 39, 42, 44, 50, 54, 56, 57, 64, 67, 80, 82, '
+     '86, 88, 94]}'),
+    (["gnp", "--n", "128", "--p", "0.7", "--seed", "3"],
+     ["--nu", "1/64", "--tau", "1/4", "--samples", "300", "--seed", "11"],
+     '{"certified": false, "inconclusive": true, "mode": "monte_carlo", "nu": "1/64", '
+     '"samples": 797, "tau": "1/4"}'),
+]
+
+
+@pytest.mark.parametrize("kind,options,expected", PINNED_MC,
+                         ids=[f"n{k[2]}-{'refuted' if 'witness' in e else 'inconclusive'}"
+                              for k, _, e in PINNED_MC])
+def test_pinned_expander_mc_stdout(tmp_path, capsys, kind, options, expected):
+    graph = tmp_path / "g.el"
+    code, _ = run(["construct", "--kind", *kind, "--out", str(graph)], capsys)
+    assert code == 0
+    code, out = run(["expander", "--mc", *options, "--input", str(graph)], capsys)
+    assert (code, out) == (0, expected + "\n")
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is imported inside the functions that use it, so a command
+    # that never reaches them does not pay for its import
+    src = str(Path(hampack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, hampack, hampack.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_run_record_written(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 from math import comb
 
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from oracles import brute_first_non_expanding_set
+from oracles import brute_first_non_expanding_set, reference_refute_mc
 
+from hampack import expanders
 from hampack.core import DiGraph, Graph, mask_of, union_edge_disjoint
 from hampack.construct import (
     complete_graph,
@@ -19,6 +21,7 @@ from hampack.construct import (
 from hampack.errors import CapacityError, ExistenceError, InputError
 from hampack.expanders import (
     RobustParams,
+    _bit_matrix,
     eulerian_orientation,
     is_robust_expander_exact,
     is_robust_outexpander_exact,
@@ -42,6 +45,10 @@ def test_params_validation():
         RobustParams(Fraction(0), Fraction(1, 4))
 
 
+def test_params_read_floats_as_decimals():
+    assert RobustParams(0.1, 0.3) == RobustParams(Fraction(1, 10), Fraction(3, 10))
+
+
 # ---------------------------------------------------------------------------
 # Robust neighbourhoods
 # ---------------------------------------------------------------------------
@@ -60,6 +67,18 @@ def test_rn_full_set():
 
 def test_rn_empty_graph():
     assert robust_neighborhood(Graph(5), range(5), Fraction(1, 10)) == frozenset()
+
+
+def test_rn_float_nu_reads_as_decimal():
+    # the double 0.1 lies just above 1/10, which would make ceil(nu*n) = 2
+    g = complete_graph(10)
+    assert robust_neighborhood(g, [0], 0.1) == robust_neighborhood(g, [0], Fraction(1, 10))
+    assert robust_neighborhood(g, [0], 0.1) == frozenset(range(1, 10))
+
+
+def test_out_rn_float_nu_reads_as_decimal():
+    d = DiGraph(10, [(0, v) for v in range(1, 10)])
+    assert robust_out_neighborhood(d, [0], 0.1) == frozenset(range(1, 10))
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,6 +174,122 @@ def test_mc_never_refutes_exactly_certified(seed):
         assert mc.inconclusive
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 255, 256])
+def test_bit_matrix_matches_per_bit_construction(n):
+    import numpy as np
+
+    rng = random.Random(n)
+    rows = [rng.getrandbits(n) for _ in range(n)]
+    if n:
+        rows[0], rows[-1] = (1 << n) - 1, 0
+    expected = np.zeros((n, n), dtype=np.float32)
+    for u, row in enumerate(rows):
+        for v in range(n):
+            if row >> v & 1:
+                expected[u, v] = 1.0
+    got = _bit_matrix(rows, n)
+    assert got.dtype == np.float32 and got.shape == (n, n)
+    assert np.array_equal(got, expected)
+
+
+def _path(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _triangle_soup(t):
+    triangles = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(t)]
+    return Graph(3 * t, [e for a, b, c in triangles for e in ((a, b), (b, c), (a, c))])
+
+
+BFS_GRAPHS = {"empty": Graph(0), "single": Graph(1), "path9": _path(9),
+              "soup12": _triangle_soup(4), "gnp40": random_graph(40, 0.06, 3)}
+
+
+@pytest.mark.parametrize("gather", [1, 1 << 23])
+@pytest.mark.parametrize("name", list(BFS_GRAPHS))
+def test_bfs_distances_match_per_root_bfs(monkeypatch, name, gather):
+    # gather = 1 advances one root at a time, the default all at once
+    monkeypatch.setattr(expanders, "_GATHER_BYTES", gather)
+    g = BFS_GRAPHS[name]
+    n = g.n
+    dist = expanders._bfs_distances(_bit_matrix(g.adj, n) > 0)
+    for v in range(n):
+        expected = [n] * n
+        expected[v] = 0
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if expected[w] == n:
+                    expected[w] = expected[u] + 1
+                    queue.append(w)
+        assert dist[v].tolist() == expected
+
+
+# id: (graph, nu, tau, samples, seed, the reference's samples).  "row 0"
+# and "row 63" put the witness in the first and in the last row of a
+# 64-row block; the structured witnesses come from the component,
+# cumulative-union and neighbourhood sections.
+MC_ORACLE_CASES = {
+    "path64-first-candidate": (_path(64), Fraction(1, 16), Fraction(1, 4), 100, 0, 1),
+    "two-cliques40-component": (two_cliques(40), Fraction(1, 10), Fraction(2, 5), 100, 3, 1),
+    "triangle-soup30-union": (_triangle_soup(10), Fraction(1, 30), Fraction(1, 4), 10, 0, 19),
+    "gnp25-structured-row-0": (random_graph(25, 0.3, 149), Fraction(5, 32), Fraction(3, 8), 300, 149, 3),
+    "gnp63-structured-row-63": (random_graph(63, 0.2, 7111), Fraction(5, 128), Fraction(5, 32), 1, 7111, 66),
+    "gnp96-sparse-structured": (random_graph(96, 0.1, 4), Fraction(1, 32), Fraction(1, 4), 50, 9, 182),
+    "gnp23-random": (random_graph(23, 0.5, 26), Fraction(9, 64), Fraction(3, 8), 200, 26, 263),
+    "gnp23-random-row-63": (random_graph(23, 0.5, 26), Fraction(9, 64), Fraction(3, 8), 300, 2, 156),
+    "gnp23-random-row-0": (random_graph(23, 0.5, 26), Fraction(9, 64), Fraction(3, 8), 300, 86, 157),
+    "gnp23-random-early": (random_graph(23, 0.4, 284), Fraction(1, 8), Fraction(7, 16), 200, 284, 76),
+    "path64-none": (_path(64), Fraction(1, 64), Fraction(1, 4), 100, 0, 268),
+    "gnp64-none": (random_graph(64, 0.7, 1), Fraction(1, 64), Fraction(1, 4), 200, 5, 444),
+    "gnp96-none": (random_graph(96, 0.7, 2), Fraction(1, 64), Fraction(1, 4), 100, 6, 474),
+}
+
+
+def _verdict_tuple(v):
+    return v.certified, v.witness, v.samples, v.checked_mode
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("case", list(MC_ORACLE_CASES))
+def test_mc_matches_reference_refuter(monkeypatch, case, block):
+    g, nu, tau, samples, seed, expected_samples = MC_ORACLE_CASES[case]
+    params = RobustParams(nu, tau)
+    ref = reference_refute_mc(g, params, samples, seed)
+    assert ref.samples == expected_samples
+    monkeypatch.setattr(expanders, "_BLOCK", block)
+    assert _verdict_tuple(refute_robust_expander_mc(g, params, samples, seed)) == _verdict_tuple(ref)
+
+
+def _seeded_graph(rng, n):
+    kind = rng.choice(["gnp", "components", "path"])
+    if kind == "gnp":
+        p = rng.random()
+        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    if kind == "path":
+        return Graph(n, [(i, i + 1) for i in range(n - 1) if rng.random() < 0.95])
+    edges, start = [], 0
+    while start < n:
+        block = range(start, min(n, start + rng.randint(1, max(1, n // 4))))
+        p = rng.random()
+        edges += [(u, v) for u in block for v in block if u < v and rng.random() < p]
+        start = block.stop
+    perm = rng.sample(range(n), n)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mc_matches_reference_refuter_seeded(seed):
+    rng = random.Random(seed)
+    n = rng.choice([0, 1, 2, 3, 9]) if seed < 5 else rng.randint(23, 96)
+    g = _seeded_graph(rng, n)
+    params = RobustParams(Fraction(rng.randint(1, 16), 128), Fraction(rng.randint(5, 15), 32))
+    samples = rng.choice([1, 63, 64, 65, 200])
+    expected = reference_refute_mc(g, params, samples, seed)
+    assert _verdict_tuple(refute_robust_expander_mc(g, params, samples, seed)) == _verdict_tuple(expected)
+
+
 # ---------------------------------------------------------------------------
 # Parameter derivation
 # ---------------------------------------------------------------------------
@@ -179,6 +314,11 @@ def test_params_always_valid(eps, tau):
     assert 0 < p.nu <= p.tau
     # the guaranteed inequality
     assert eps >= 2 * p.nu / p.tau
+
+
+def test_params_from_floats_read_as_decimals():
+    p = min_degree_implies_expander_params(0.1, 0.2)
+    assert p == RobustParams(Fraction(1, 100), Fraction(1, 5))
 
 
 def test_params_domain_error():
@@ -353,6 +493,14 @@ def test_sparse_factor_k12():
     )
     assert f.r == 4
     assert verdict.certified
+
+
+def test_sparse_factor_float_eps_reads_as_decimal():
+    # eps * n = 0.1 * 20 = 2 exactly; the double 0.1 would give a non-integer
+    f, _ = sparse_expander_factor(
+        complete_graph(20), 0.1, RobustParams(Fraction(1, 20), Fraction(1, 4)), seed=1, attempts=1
+    )
+    assert f.r == 2
 
 
 def test_sparse_factor_parity_precondition():
