@@ -60,6 +60,10 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _emit_factor(factor: factors.Factor, path: str) -> None:
+    _emit(edgelist.format_edges(factor.subgraph.n, sorted(factor.subgraph.edges)), path)
+
+
 def _cert_payload(cert: factors.TutteCertificate) -> dict:
     return {
         "S": sorted(cert.s),
@@ -100,7 +104,7 @@ def cmd_construct(args) -> str:
 def cmd_regeven(g: Graph, args) -> dict:
     r, factor = factors.largest_even_factor(g)
     if args.emit:
-        _emit(edgelist.format_edge_list(factor.subgraph.to_graph()), args.emit)
+        _emit_factor(factor, args.emit)
     return {"n": g.n, "delta": g.min_degree(), "reg_even": r}
 
 
@@ -120,7 +124,7 @@ def cmd_factor(g: Graph, args) -> dict:
     if decision.note:
         payload["note"] = decision.note
     if decision.exists and args.emit:
-        _emit(edgelist.format_edge_list(decision.factor.subgraph.to_graph()), args.emit)
+        _emit_factor(decision.factor, args.emit)
     return payload
 
 

@@ -57,10 +57,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 class Graph:
     """Immutable simple undirected graph with bitset adjacency rows."""
 
@@ -272,7 +268,7 @@ class EdgeSubgraph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise InputError(f"bad edge ({u},{v}) for host n={n}")
-            norm.add(norm_edge(u, v))
+            norm.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(norm)
 

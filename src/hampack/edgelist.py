@@ -16,27 +16,26 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .core import DiGraph, Graph
+from .core import DiGraph, Graph, _check_capacity, iter_bits
 from .errors import ParseError
 
 
-def _read_pairs(text: str, arcs: bool) -> tuple[int, list[tuple[int, int]]]:
-    """The header, comment and record lines both formats share: the
-    vertex count and the records, each checked for range, loops and
-    repeats, with their number checked against the header."""
+def _read_rows(text: str, arcs: bool) -> list[int]:
+    """The header, comment and record lines both formats share, read in
+    one pass into bitset rows: adjacency rows for edges, out-rows for
+    arcs.  Each record is checked for range, loops and repeats (a repeat
+    finds its row bit set), and their number against the header.  A
+    header above the vertex cap raises ``CapacityError`` at once."""
     noun = "arc" if arcs else "edge"
     shape = "'a <u> <v>'" if arcs else "'<u> <v>'"
-    n = None
-    m = None
-    pairs = []
-    seen = set()
+    rows: list[int] | None = None
+    n = m = count = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if parts[0] == "p":
-            if n is not None:
+            if rows is not None:
                 raise ParseError("duplicate header line", lineno)
             if len(parts) != 3:
                 raise ParseError("header must be 'p <n> <m>'", lineno)
@@ -46,15 +45,17 @@ def _read_pairs(text: str, arcs: bool) -> tuple[int, list[tuple[int, int]]]:
                 raise ParseError("non-integer header fields", lineno) from None
             if n < 0 or m < 0:
                 raise ParseError("negative header fields", lineno)
+            _check_capacity(n)
+            rows = [0] * n
             continue
         if arcs:
             if parts[0] != "a":
-                raise ParseError(f"expected {shape}, got {line!r}", lineno)
-            parts = parts[1:]
-        if n is None:
+                raise ParseError(f"expected {shape}, got {raw.strip()!r}", lineno)
+            del parts[0]
+        if rows is None:
             raise ParseError(f"{noun} line before 'p' header", lineno)
         if len(parts) != 2:
-            raise ParseError(f"expected {shape}, got {line!r}", lineno)
+            raise ParseError(f"expected {shape}, got {raw.strip()!r}", lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
@@ -65,25 +66,34 @@ def _read_pairs(text: str, arcs: bool) -> tuple[int, list[tuple[int, int]]]:
             raise ParseError(f"loop at vertex {u}", lineno)
         if not arcs and u >= v:
             raise ParseError(f"endpoints must satisfy u < v, got {u} {v}", lineno)
-        if (u, v) in seen:
+        bit = 1 << v
+        if rows[u] & bit:
             raise ParseError(f"duplicate {noun} {u} {v}", lineno)
-        seen.add((u, v))
-        pairs.append((u, v))
-    if n is None:
+        rows[u] |= bit
+        if not arcs:
+            rows[v] |= 1 << u
+        count += 1
+    if rows is None:
         raise ParseError("missing 'p <n> <m>' header")
-    if m != len(pairs):
-        raise ParseError(f"header declares m={m} but found {len(pairs)} {noun}s")
-    return n, pairs
+    if m != count:
+        raise ParseError(f"header declares m={m} but found {count} {noun}s")
+    return rows
 
 
 def parse_edge_list(text: str) -> Graph:
-    return Graph(*_read_pairs(text, arcs=False))
+    return Graph.from_adj(_read_rows(text, arcs=False))
+
+
+def format_edges(n: int, edges: list[tuple[int, int]]) -> str:
+    """The edge-list text of ``edges`` on the vertices 0..n-1, written in
+    the order given: pass the (u, v) pairs with u < v, sorted."""
+    lines = [f"p {n} {len(edges)}"]
+    lines.extend(f"{u} {v}" for u, v in edges)
+    return "\n".join(lines) + "\n"
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"p {g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return format_edges(g.n, g.edges())
 
 
 def read_edge_list(path: str | Path) -> Graph:
@@ -95,7 +105,8 @@ def write_edge_list(g: Graph, path: str | Path) -> None:
 
 
 def parse_arc_list(text: str) -> DiGraph:
-    return DiGraph(*_read_pairs(text, arcs=True))
+    rows = _read_rows(text, arcs=True)
+    return DiGraph(len(rows), [(u, v) for u, row in enumerate(rows) for v in iter_bits(row)])
 
 
 def format_arc_list(d: DiGraph) -> str:

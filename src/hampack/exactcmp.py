@@ -14,6 +14,12 @@ from numbers import Rational
 Rat = Fraction | int
 
 
+def as_fraction(x: Rat | float) -> Fraction:
+    """x as a Fraction, a float read as the decimal it prints as: 0.1
+    is 1/10, not the binary double just above it."""
+    return Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
+
+
 def _sign(q: Rational) -> int:
     return (q > 0) - (q < 0)
 

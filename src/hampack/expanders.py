@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .core import DiGraph, Graph, mask_of, set_of
 from .errors import CapacityError, InputError, InternalError
+from .exactcmp import as_fraction
 from .orientation import balanced_orientation_arcs
 
 if TYPE_CHECKING:
@@ -39,19 +40,13 @@ EXACT_EXPANDER_MAX_N = 22
 _CHUNK_BITS = 16
 
 
-def _as_fraction(x: Fraction | float) -> Fraction:
-    """x as a Fraction, a float read as the decimal it prints as: 0.1
-    is 1/10, not the binary double just above it."""
-    return Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class RobustParams:
     nu: Fraction
     tau: Fraction
 
     def __post_init__(self):
-        nu, tau = _as_fraction(self.nu), _as_fraction(self.tau)
+        nu, tau = as_fraction(self.nu), as_fraction(self.tau)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "tau", tau)
         if not 0 < nu <= tau < 1:
@@ -102,14 +97,14 @@ def _robust_vertices(in_rows: tuple[int, ...], smask: int, thr: int) -> list[int
 
 def robust_neighborhood(g: Graph, s: Iterable[int], nu: Fraction | float) -> frozenset[int]:
     """All vertices with at least nu*n neighbours inside s (s-members allowed)."""
-    return frozenset(_robust_vertices(g.adj, mask_of(s, g.n), _ceil_frac(_as_fraction(nu) * g.n)))
+    return frozenset(_robust_vertices(g.adj, mask_of(s, g.n), _ceil_frac(as_fraction(nu) * g.n)))
 
 
 def robust_out_neighborhood(
     d: DiGraph, s: Iterable[int], nu: Fraction | float
 ) -> frozenset[int]:
     """All vertices with at least nu*n in-neighbours inside s."""
-    return frozenset(_robust_vertices(d.in_adj, mask_of(s, d.n), _ceil_frac(_as_fraction(nu) * d.n)))
+    return frozenset(_robust_vertices(d.in_adj, mask_of(s, d.n), _ceil_frac(as_fraction(nu) * d.n)))
 
 
 def _assert_witness(
@@ -369,7 +364,7 @@ def min_degree_implies_expander_params(
 ) -> RobustParams:
     """Largest nu with eps >= 2*nu/tau: any graph with min degree at
     least (1/2+eps)n is then a robust (nu,tau)-expander."""
-    eps, tau = _as_fraction(eps), _as_fraction(tau)
+    eps, tau = as_fraction(eps), as_fraction(tau)
     if not 0 < eps < Fraction(1, 2):
         raise InputError(f"need 0 < eps < 1/2, got eps={eps}")
     if not 0 < tau < 1:
@@ -409,7 +404,7 @@ def sparse_expander_factor(
     """
     from .factors import extract_r_factor, r_factor_exists
 
-    eps = _as_fraction(eps)
+    eps = as_fraction(eps)
     r_frac = eps * g.n
     if r_frac.denominator != 1 or r_frac < 2 or r_frac % 2:
         raise InputError(f"eps*n must be an even integer >= 2, got {r_frac}")

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .core import Graph, Partition, iter_bits, mask_of, set_of
 from .errors import InputError, InternalError
-from .exactcmp import cmp_sqrt, cmp_sqrt_sum
+from .exactcmp import as_fraction, cmp_sqrt, cmp_sqrt_sum
 from .expanders import (
     EXACT_EXPANDER_MAX_N,
     ExpanderVerdict,
@@ -157,7 +157,7 @@ def check_eta_extremal_pair(
     g: Graph, eta: Fraction | float, part: Partition
 ) -> ExtremalityReport:
     """Evaluate (E1)-(E4) for an explicit disjoint pair, exactly."""
-    eta = Fraction(eta)
+    eta = as_fraction(eta)
     amask = mask_of(part.a, g.n)
     bmask = mask_of(part.b, g.n)
     if amask & bmask:
@@ -192,7 +192,7 @@ def find_eta_extremal_witness(
     then definitive); seeded local search above that (a negative only
     means no witness was found).
     """
-    eta = Fraction(eta)
+    eta = as_fraction(eta)
     if g.n <= EXACT_WITNESS_MAX_N:
         hit = _exact_witness(g, eta)
         mode = "exact"
@@ -360,7 +360,7 @@ def almost_regular_audit(
 ) -> AlmostRegularReport:
     """Audit the inner-degree regularity promises for a claimed witness
     pair.  Runs unconditionally and reports; nothing is assumed."""
-    eta = Fraction(eta)
+    eta = as_fraction(eta)
     n = g.n
     alpha = alpha_of(g)
     ap = max(alpha, Fraction(0))
@@ -446,7 +446,7 @@ def closeness(
     gives an upper bound."""
     if kind not in CLOSENESS_KINDS:
         raise InputError(f"kind must be one of {CLOSENESS_KINDS}, got {kind!r}")
-    epsilon = Fraction(epsilon)
+    epsilon = as_fraction(epsilon)
     n = g.n
     k = n // 2
     if n == 0:
@@ -622,7 +622,7 @@ def trichotomy_classify(
     (possible at small n, or when only Monte-Carlo expansion evidence is
     available) the result is explicitly unclassified with all three
     sub-results attached."""
-    kappa, nu, tau, epsilon = map(Fraction, (kappa, nu, tau, epsilon))
+    kappa, nu, tau, epsilon = map(as_fraction, (kappa, nu, tau, epsilon))
     if kappa < 0:
         raise InputError(f"kappa must be nonnegative, got {kappa}")
     if Fraction(g.min_degree()) < (Fraction(1, 2) - kappa) * g.n:

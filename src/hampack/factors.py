@@ -27,8 +27,8 @@ The r-factor decision runs a layered pipeline, cheapest first:
    The first violating pair is the first of the full list,
 3. for even r, a constructive fast path (Petersen's argument): in the
    balanced orientation, choose r/2 out-arcs at every tail and r/2
-   in-arcs at every head, a bipartite b-matching (greedy, then BFS
-   augmenting paths) whose arcs form an r-factor.  A miss proves
+   in-arcs at every head, a bipartite b-matching (greedy, then
+   Hopcroft-Karp phases) whose arcs form an r-factor.  A miss proves
    nothing, since another orientation might succeed,
 4. the stub/core expansion to a perfect-matching instance decided by
    the blossom algorithm -- the exact arbiter for everything the fast
@@ -52,7 +52,7 @@ from typing import Iterable, Iterator
 
 from .core import EdgeSubgraph, Graph, iter_bits, mask_of, set_of
 from .errors import CapacityError, ExistenceError, InputError, InternalError
-from .exactcmp import cmp_scaled_sqrt, cmp_sqrt, sqrt_approx
+from .exactcmp import as_fraction, cmp_scaled_sqrt, cmp_sqrt, sqrt_approx
 from .matching import _Matcher, maximum_matching
 from .orientation import balanced_orientation_arcs
 
@@ -84,8 +84,9 @@ class Factor:
     def validate(self, host: Graph) -> None:
         if self.subgraph.n != host.n:
             raise InternalError("factor lives on a different vertex set")
+        adj = host.adj
         for u, v in self.subgraph.edges:
-            if not host.has_edge(u, v):
+            if not adj[u] >> v & 1:
                 raise InternalError(f"factor edge ({u},{v}) absent from host")
         degs = self.subgraph.degrees()
         if any(d != self.r for d in degs):
@@ -289,17 +290,42 @@ def _balanced_subdigraph(
     """Indices of arcs forming a spanning sub-digraph with every in- and
     out-degree equal to ``half``, or None when there is none.
 
-    A bipartite b-matching of tails to heads: the arcs are first taken
-    greedily in order while the tail and the head have room, then each
-    missing unit of a tail is found by one BFS for an augmenting path,
-    which alternates an unchosen arc out of a tail with a chosen arc back
-    into a head.  When the search from tail u fails, let X and Y be the
-    tails and heads it reached: every head in Y is full, fed only from X,
-    and every arc from X to a head outside Y is chosen, so the cut
-    {source} u X u Y has capacity half(n - |X|) + e(X, V - Y) + half|Y|,
-    which is the load of X plus half(n - |X|), below n half.  By
-    max-flow/min-cut no full selection exists.
+    A bipartite b-matching of tails to heads, each of capacity ``half``.
+    The arcs are first taken greedily in order while the tail and the
+    head have room.  The missing units are then found in Hopcroft-Karp
+    phases (Hopcroft and Karp, SIAM J. Comput. 2(4), 1973).  An
+    augmenting path alternates an unchosen arc out of a tail with a
+    chosen arc back into a head, and ends at a head with room.
+
+    - Each phase runs one BFS from every short tail at once, in layers:
+      tails at even distances, heads at odd ones.  It stops at the first
+      head layer that holds a head with room.
+    - An iterative DFS then walks the layers from each short tail,
+      taking paths whose arcs go one layer down, until the tail is full
+      or dead.  A tail is dead once every one of its arcs has been
+      tried; no path of this length runs through it any more.
+    - A head can be fed by several chosen arcs.  So when a child tail
+      dies, the same arc is tried again, with the head's next chosen arc
+      from a live tail.  Each tail and each head keeps one pointer that
+      only moves forward within a phase: an arc chosen in a phase leaves
+      a tail one layer above its head and never feeds that head, so no
+      arc passed over becomes usable again.
+    - A path changes no in- or out-degree inside it, so a phase only
+      fills heads of its last layer, and the paths a phase finds are
+      shortest ones.  The DFS finds one whenever the BFS reached a head
+      with room, so every phase adds at least one unit.
+
+    When the BFS reaches no head with room, let X and Y be the tails and
+    heads it reached from all the short tails.  Every head in Y is full
+    and fed only from X, and every arc from X to a head outside Y is
+    chosen.  So the cut {source} u X u Y has capacity
+    half(n - |X|) + e(X, V - Y) + half|Y|, which is the load of X plus
+    half(n - |X|).  X holds a short tail, so the load of X is below
+    half|X| and the cut below n half.  By max-flow/min-cut no full
+    selection exists.
     """
+    tail = [u for u, _ in arcs]
+    head = [v for _, v in arcs]
     into: list[list[int]] = [[] for _ in range(n)]  # arc ids by head
     by_tail: list[list[int]] = [[] for _ in range(n)]
     chosen = [False] * len(arcs)
@@ -312,43 +338,88 @@ def _balanced_subdigraph(
             chosen[i] = True
             out[u] += 1
             load[v] += 1
-    for u in range(n):
-        while out[u] < half:
-            via = [-1] * n   # head -> the unchosen arc that reached it
-            back = [-1] * n  # tail -> the chosen arc that reached it
-            back[u] = len(arcs)  # marks the root as reached
-            queue = [u]
-            end = -1
-            for x in queue:
+    short = [u for u in range(n) if out[u] < half]
+    while short:
+        # layers: tdist[x] even for a tail, hdist[y] odd for a head, -1 unreached
+        tdist = [-1] * n
+        hdist = [-1] * n
+        for u in short:
+            tdist[u] = 0
+        layer, d, last = short, 0, -1
+        while layer and last < 0:
+            heads = []
+            for x in layer:
                 for i in by_tail[x]:
-                    y = arcs[i][1]
-                    if chosen[i] or via[y] >= 0:
-                        continue
-                    via[y] = i
-                    if load[y] < half:
-                        end = y
-                        break
+                    y = head[i]
+                    if not chosen[i] and hdist[y] < 0:
+                        hdist[y] = d + 1
+                        heads.append(y)
+                        if load[y] < half:
+                            last = d + 1
+            d += 2
+            layer = []
+            if last < 0:
+                for y in heads:
                     for j in into[y]:
-                        w = arcs[j][0]
-                        if chosen[j] and back[w] < 0:
-                            back[w] = j
-                            queue.append(w)
-                if end >= 0:
-                    break
-            if end < 0:
-                return None
-            load[end] += 1
-            out[u] += 1
-            y = end
-            while True:
-                i = via[y]
-                chosen[i] = True
-                x = arcs[i][0]
-                if x == u:
-                    break
-                j = back[x]
-                chosen[j] = False
-                y = arcs[j][1]
+                        w = tail[j]
+                        if chosen[j] and tdist[w] < 0:
+                            tdist[w] = d
+                            layer.append(w)
+        if last < 0:
+            return None
+        ptr = [0] * n   # per tail: its next arc to try
+        hptr = [0] * n  # per head: its next chosen arc to descend by
+        gained = 0
+        for u in short:
+            while out[u] < half and tdist[u] == 0:
+                stack = [u]
+                path: list[tuple[int, int]] = []  # (arc taken, chosen arc given up)
+                while stack:
+                    x = stack[-1]
+                    d = tdist[x] + 1
+                    mine = by_tail[x]
+                    k = ptr[x]
+                    down = -1
+                    while k < len(mine):
+                        i = mine[k]
+                        y = head[i]
+                        if not chosen[i] and hdist[y] == d:
+                            if d == last:
+                                if load[y] < half:
+                                    break
+                            else:
+                                feed = into[y]
+                                h = hptr[y]
+                                while h < len(feed) and not (
+                                    chosen[feed[h]] and tdist[tail[feed[h]]] == d + 1
+                                ):
+                                    h += 1
+                                hptr[y] = h
+                                if h < len(feed):
+                                    down = feed[h]
+                                    break
+                        k += 1
+                    ptr[x] = k
+                    if k == len(mine):  # dead: the parent tries its arc again
+                        tdist[x] = -1
+                        stack.pop()
+                        if path:
+                            path.pop()
+                    elif down >= 0:
+                        path.append((i, down))
+                        stack.append(tail[down])
+                    else:
+                        chosen[i] = True
+                        load[y] += 1
+                        out[u] += 1
+                        gained += 1
+                        for a, b in path:
+                            chosen[a] = True
+                            chosen[b] = False
+                        break
+        if not gained:
+            raise InternalError("a Hopcroft-Karp phase found no augmenting path")
+        short = [u for u in short if out[u] < half]
     return [i for i, c in enumerate(chosen) if c]
 
 
@@ -682,13 +753,13 @@ def petersen_two_factorization(g: Graph) -> list[Factor]:
 # ---------------------------------------------------------------------------
 
 def dense_factor_degree(
-    n: int, alpha: Fraction | int, eps: Fraction | int
+    n: int, alpha: Fraction | int | float, eps: Fraction | int | float
 ) -> tuple[int, Fraction]:
     """Even degree n/4 + (alpha+eps)n/2 + sqrt((alpha+eps)/2)*n, rounded
     down to an even integer; also returns the value as a rational
     approximation (1e-9)."""
-    alpha = Fraction(alpha)
-    eps = Fraction(eps)
+    alpha = as_fraction(alpha)
+    eps = as_fraction(eps)
     if not -eps <= alpha < Fraction(1, 2):
         raise InputError(f"need -eps <= alpha < 1/2, got alpha={alpha}, eps={eps}")
     q = Fraction(n, 4) + (alpha + eps) * n / 2

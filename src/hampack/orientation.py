@@ -14,49 +14,54 @@ from .errors import InternalError
 
 
 def balanced_orientation_arcs(g: Graph) -> list[tuple[int, int]]:
-    """Orient the edges of ``g``; returns one (u, v) arc per edge.
+    """Orient the edges of ``g``; returns one (u, v) arc per edge, in
+    ``g.edges()`` order.
 
     Deterministic: each circuit starts at the lowest vertex with an
-    unused edge and leaves every vertex by its first unused edge in
-    ``g.edges()`` order, the virtual edges last.
+    unused edge and leaves every vertex by its lowest unused neighbour,
+    the virtual edge last.  The unused edges are copies of the bitset
+    rows, so the lowest neighbour is the lowest set bit; a virtual edge
+    sits in its own row, since it may join two adjacent vertices.
     """
     n = g.n
-    records: list[tuple[int, int, bool]] = [(u, v, False) for u, v in g.edges()]
-    odd = [v for v in range(n) if g.degree(v) % 2]
-    for i in range(0, len(odd), 2):
-        records.append((odd[i], odd[i + 1], True))
-
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (edge_id, other)
-    for eid, (u, v, _) in enumerate(records):
-        inc[u].append((eid, v))
-        inc[v].append((eid, u))
-
-    used = [False] * len(records)
-    ptr = [0] * n
-    direction: list[tuple[int, int] | None] = [None] * len(records)
-
+    rows = list(g.adj)
+    virtual = [0] * n
+    odd = [v for v in range(n) if rows[v].bit_count() % 2]
+    for a, b in zip(odd[::2], odd[1::2]):
+        virtual[a] = 1 << b
+        virtual[b] = 1 << a
+    out = [0] * n  # bit w of out[v]: the edge vw was traversed from v
     for start in range(n):
-        if ptr[start] >= len(inc[start]):
+        if not rows[start] | virtual[start]:
             continue
-        stack = [start]
-        while stack:
-            v = stack[-1]
-            while ptr[v] < len(inc[v]) and used[inc[v][ptr[v]][0]]:
-                ptr[v] += 1
-            if ptr[v] == len(inc[v]):
-                stack.pop()
+        v, trail = start, []  # trail: the circuit's open vertices below v
+        while True:
+            row = rows[v]
+            if row:
+                low = row & -row
+                w = low.bit_length() - 1
+                rows[v] = row ^ low
+                rows[w] ^= 1 << v
+                out[v] |= low
+            elif virtual[v]:
+                w = virtual[v].bit_length() - 1
+                virtual[v] = virtual[w] = 0
+            elif trail:
+                v = trail.pop()
                 continue
-            eid, w = inc[v][ptr[v]]
-            used[eid] = True
-            direction[eid] = (v, w)
-            stack.append(w)
-
+            else:
+                break
+            trail.append(v)
+            v = w
     arcs = []
-    for eid, (u, v, virtual) in enumerate(records):
-        if virtual:
-            continue
-        d = direction[eid]
-        if d is None:
-            raise InternalError(f"edge ({u},{v}) left unoriented")
-        arcs.append(d)
+    for u in range(n):
+        fwd = out[u]
+        row = g.adj[u] >> (u + 1) << (u + 1)
+        while row:
+            low = row & -row
+            v = low.bit_length() - 1
+            arcs.append((u, v) if fwd & low else (v, u))
+            row ^= low
+    if len(arcs) != sum(r.bit_count() for r in out):
+        raise InternalError("an edge was left unoriented")
     return arcs

@@ -349,3 +349,95 @@ def reference_refute_mc(g: Graph, params: RobustParams, samples: int, seed: int)
         if violates(cand):
             return ExpanderVerdict(False, cand, "monte_carlo", tried)
     return ExpanderVerdict(False, None, "monte_carlo", tried)
+
+
+def reference_balanced_subdigraph(n: int, arcs, half: int) -> list[int] | None:
+    """The b-matching one augmenting path at a time: the arcs taken
+    greedily in order while tail and head have room, then one BFS from
+    each short tail per missing unit, alternating an unchosen arc out of
+    a tail with a chosen arc back into a head; None when a BFS fails."""
+    into: list[list[int]] = [[] for _ in range(n)]
+    by_tail: list[list[int]] = [[] for _ in range(n)]
+    chosen = [False] * len(arcs)
+    out = [0] * n
+    load = [0] * n
+    for i, (u, v) in enumerate(arcs):
+        by_tail[u].append(i)
+        into[v].append(i)
+        if out[u] < half and load[v] < half:
+            chosen[i] = True
+            out[u] += 1
+            load[v] += 1
+    for u in range(n):
+        while out[u] < half:
+            via = [-1] * n
+            back = [-1] * n
+            back[u] = len(arcs)
+            queue = [u]
+            end = -1
+            for x in queue:
+                for i in by_tail[x]:
+                    y = arcs[i][1]
+                    if chosen[i] or via[y] >= 0:
+                        continue
+                    via[y] = i
+                    if load[y] < half:
+                        end = y
+                        break
+                    for j in into[y]:
+                        w = arcs[j][0]
+                        if chosen[j] and back[w] < 0:
+                            back[w] = j
+                            queue.append(w)
+                if end >= 0:
+                    break
+            if end < 0:
+                return None
+            load[end] += 1
+            out[u] += 1
+            y = end
+            while True:
+                i = via[y]
+                chosen[i] = True
+                x = arcs[i][0]
+                if x == u:
+                    break
+                j = back[x]
+                chosen[j] = False
+                y = arcs[j][1]
+    return [i for i, c in enumerate(chosen) if c]
+
+
+def reference_orientation_arcs(g: Graph) -> list[tuple[int, int]]:
+    """The balanced orientation from edge records: the edges in
+    ``g.edges()`` order, then one virtual edge per pair of consecutive
+    odd-degree vertices; each circuit starts at the lowest vertex with an
+    unused record and leaves every vertex by its first unused record."""
+    n = g.n
+    records = [(u, v, False) for u, v in g.edges()]
+    odd = [v for v in range(n) if g.degree(v) % 2]
+    for i in range(0, len(odd), 2):
+        records.append((odd[i], odd[i + 1], True))
+    inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (u, v, _) in enumerate(records):
+        inc[u].append((eid, v))
+        inc[v].append((eid, u))
+    used = [False] * len(records)
+    ptr = [0] * n
+    direction: list[tuple[int, int] | None] = [None] * len(records)
+    for start in range(n):
+        if ptr[start] >= len(inc[start]):
+            continue
+        stack = [start]
+        while stack:
+            v = stack[-1]
+            while ptr[v] < len(inc[v]) and used[inc[v][ptr[v]][0]]:
+                ptr[v] += 1
+            if ptr[v] == len(inc[v]):
+                stack.pop()
+                continue
+            eid, w = inc[v][ptr[v]]
+            used[eid] = True
+            direction[eid] = (v, w)
+            stack.append(w)
+    return [direction[eid] for eid, (_, _, virtual) in enumerate(records) if not virtual]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -383,6 +384,39 @@ def test_pinned_factor_stdout(tmp_path, capsys, command, name, r, expected):
         host, factor = read_edge_list(graph), read_edge_list(emitted)
         assert factor.n == host.n and factor.degrees() == [degree] * host.n
         assert all(host.has_edge(u, v) for u, v in factor.edges())
+
+
+# orient stdout on seeded inputs, by its sha256: odd degrees, isolated
+# vertices and several components; the n = 9 arc list is spelled out.
+PINNED_ORIENT = [
+    (["gnp", "--n", "9", "--p", "0.4", "--seed", "3"],
+     "b3031516677c7a5ea24b63979c51cb08ca9a37ad343c62dcc90a450c0613fd86"),
+    (["gnp", "--n", "30", "--p", "0.04", "--seed", "1"],  # 10 isolated, 14 components
+     "4199eb106c8beef8133cc394c1aab17c8c2553c6fac0ce44fc40e2ceb1364de5"),
+    (["gnp", "--n", "40", "--p", "0.3", "--seed", "7"],
+     "a0ce7369ee19465d3ed9072d28c2547a46803c77b8a7c1d12cabd4158b9cdc64"),
+    (["gnp", "--n", "64", "--p", "0.5", "--seed", "2"],
+     "a40fe6c1ddfbe507947d93c67f55999dc80653669177cf99d3cc617dfe1b9fdd"),
+    (["gnp", "--n", "64", "--p", "0.05", "--seed", "9"],  # 34 odd degrees, 4 components
+     "60e738b3d781c652018f24941d5d5ac9f86fb9d2542a45ec18db92da6cd9a68d"),
+    (["extremal", "--n", "24", "--delta", "14"],
+     "3863d0fa2f8e7937399d44de67784dd19427c3072a083a64d58b610c34278798"),
+    (["babai", "--m", "2"],
+     "4dfebc92c724fc2f42f4df9795993e793fb531091442e2bc00321b7f63dc5999"),
+    (["complete", "--n", "8"],
+     "f030980fc1b3b409ba906a19b9e952d3a541de9662496df8ab0aac23fea40e9c"),
+]
+
+
+@pytest.mark.parametrize("kind,digest", PINNED_ORIENT, ids=["-".join(k) for k, _ in PINNED_ORIENT])
+def test_pinned_orient_stdout(tmp_path, capsys, kind, digest):
+    graph = tmp_path / "g.el"
+    assert run(["construct", "--kind", *kind, "--out", str(graph)], capsys)[0] == 0
+    code, out = run(["orient", "--input", str(graph)], capsys)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    if kind[2] == "9":
+        assert out == ("p 9 15\na 0 1\na 0 2\na 1 3\na 2 4\na 2 8\na 3 5\na 3 6\na 4 1\n"
+                       "a 4 7\na 5 0\na 5 7\na 6 5\na 7 2\na 8 0\na 8 6\n")
 
 
 PINNED_MC = [

@@ -68,6 +68,65 @@ def test_arc_list_rejects_repeated_arc():
     assert sorted(parse_arc_list("p 2 2\na 0 1\na 1 0\n").arcs()) == [(0, 1), (1, 0)]
 
 
+# Every fault of either format, with its exact message and line number.
+PARSE_FAULTS = [
+    ("edge", "0 1\np 2 1\n", 1, "line 1: edge line before 'p' header"),
+    ("edge", "a 0 1\n", 1, "line 1: edge line before 'p' header"),
+    ("edge", "p 2 x\n", 1, "line 1: non-integer header fields"),
+    ("edge", "p 3\n", 1, "line 1: header must be 'p <n> <m>'"),
+    ("edge", "p 3 1 2\n", 1, "line 1: header must be 'p <n> <m>'"),
+    ("edge", "p -1 0\n", 1, "line 1: negative header fields"),
+    ("edge", "p 3 -1\n", 1, "line 1: negative header fields"),
+    ("edge", "p 3 1\np 3 1\n0 1\n", 2, "line 2: duplicate header line"),
+    ("edge", "p 3 1\np\n", 2, "line 2: duplicate header line"),
+    ("edge", "p 2 1\n1 0\n", 2, "line 2: endpoints must satisfy u < v, got 1 0"),
+    ("edge", "p 3 1\n  1   1  \n", 2, "line 2: endpoints must satisfy u < v, got 1 1"),
+    ("edge", "p 2 1\n0 2\n", 2, "line 2: endpoint out of range 0..1"),
+    ("edge", "p 0 1\n0 1\n", 2, "line 2: endpoint out of range 0..-1"),
+    ("edge", "p 3 1\n-1 1\n", 2, "line 2: endpoint out of range 0..2"),
+    ("edge", "p 3 2\n0 1\n0 1\n", 3, "line 3: duplicate edge 0 1"),
+    ("edge", "p 3 2\n# c\n0 2\n\n0 2\n", 5, "line 5: duplicate edge 0 2"),
+    ("edge", "p 3 2\n0 1\n1 0\n", 3, "line 3: endpoints must satisfy u < v, got 1 0"),
+    ("edge", "p 2 1\n0 1 9\n", 2, "line 2: expected '<u> <v>', got '0 1 9'"),
+    ("edge", "p 3 1\n\t0 1 # trailing\n", 2, "line 2: expected '<u> <v>', got '0 1 # trailing'"),
+    ("edge", "p 3 1\na 0 1\n", 2, "line 2: expected '<u> <v>', got 'a 0 1'"),
+    ("edge", "p 3 1\n0\n", 2, "line 2: expected '<u> <v>', got '0'"),
+    ("edge", "p 3 1\nbogus line\n", 2, "line 2: non-integer endpoint"),
+    ("edge", "p 3 1\n0 x\n", 2, "line 2: non-integer endpoint"),
+    ("edge", "p 3 1\n0 1.0\n", 2, "line 2: non-integer endpoint"),
+    ("edge", "", None, "missing 'p <n> <m>' header"),
+    ("edge", "# only\n\n", None, "missing 'p <n> <m>' header"),
+    ("edge", "p 3 2\n0 1\n", None, "header declares m=2 but found 1 edges"),
+    ("edge", "p 3 0\n0 1\n", None, "header declares m=0 but found 1 edges"),
+    ("edge", "p 3 1\n0 1\n1 2\n", None, "header declares m=1 but found 2 edges"),
+    ("arc", "a 0 1\np 2 1\n", 1, "line 1: arc line before 'p' header"),
+    ("arc", "0 1\n", 1, "line 1: expected 'a <u> <v>', got '0 1'"),
+    ("arc", "p 2 x\n", 1, "line 1: non-integer header fields"),
+    ("arc", "p -1 0\n", 1, "line 1: negative header fields"),
+    ("arc", "p 3 1\np 3 1\n", 2, "line 2: duplicate header line"),
+    ("arc", "p 3 1\n0 1\n", 2, "line 2: expected 'a <u> <v>', got '0 1'"),
+    ("arc", "p 3 1\nb 0 1\n", 2, "line 2: expected 'a <u> <v>', got 'b 0 1'"),
+    ("arc", "p 3 1\na\n", 2, "line 2: expected 'a <u> <v>', got 'a'"),
+    ("arc", "p 3 1\na 0\n", 2, "line 2: expected 'a <u> <v>', got 'a 0'"),
+    ("arc", "p 3 1\na 0 1 2\n", 2, "line 2: expected 'a <u> <v>', got 'a 0 1 2'"),
+    ("arc", "p 3 1\na x 1\n", 2, "line 2: non-integer endpoint"),
+    ("arc", "p 3 1\na 0 3\n", 2, "line 2: endpoint out of range 0..2"),
+    ("arc", "p 3 1\na 0 0\n", 2, "line 2: loop at vertex 0"),
+    ("arc", "p 3 2\na 0 1\na 0 1\n", 3, "line 3: duplicate arc 0 1"),
+    ("arc", "", None, "missing 'p <n> <m>' header"),
+    ("arc", "p 3 2\na 0 1\n", None, "header declares m=2 but found 1 arcs"),
+    ("arc", "p 3 1\n a 2 1 \n a 1 2\n", None, "header declares m=1 but found 2 arcs"),
+]
+
+
+@pytest.mark.parametrize("fmt,text,line,message", PARSE_FAULTS)
+def test_parse_fault_message_and_line(fmt, text, line, message):
+    parse = parse_arc_list if fmt == "arc" else parse_edge_list
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, str(err.value)) == (line, message)
+
+
 @pytest.mark.parametrize("text", ["p -1 0\n", "p 3 -1\n"])
 def test_negative_header_is_a_parse_error_in_both_formats(text):
     with pytest.raises(ParseError):

@@ -289,6 +289,28 @@ def test_closeness_heuristic_score_recomputes_from_a(kind):
     assert rep.score == expected
 
 
+def test_closeness_float_epsilon_reads_as_decimal():
+    # score 3 = 0.03 n^2 exactly; the double 0.03 lies just below 3/100
+    g = random_graph(10, 0.5, 8)
+    rep = closeness(g, "bipartite", 0.03)
+    assert rep.score == 3 and rep.epsilon == Fraction(3, 100) and rep.close
+    assert rep == closeness(g, "bipartite", Fraction(3, 100))
+    result = trichotomy_classify(g, 0.5, 0.1, 0.3, 0.03)
+    assert result.label == "close_bipartite" and result.bipartite.epsilon == Fraction(3, 100)
+
+
+def test_float_eta_reads_as_decimal():
+    # e(A, B) = 9 = (1 - 1/10)|A||B|, so (E3) fails at eta = 1/10; the
+    # double 0.1 lies just above 1/10 and would let it pass
+    g = Graph(7, [(a, b) for a in (0, 1) for b in range(2, 7) if (a, b) != (0, 2)])
+    part = Partition(frozenset({0, 1}), frozenset(range(2, 7)))
+    rep = check_eta_extremal_pair(g, 0.1, part)
+    assert rep.eta == Fraction(1, 10) and rep.quantities["e_ab"] == 9 and not rep.e3
+    assert rep == check_eta_extremal_pair(g, Fraction(1, 10), part)
+    assert find_eta_extremal_witness(g, 0.1).eta == Fraction(1, 10)
+    assert almost_regular_audit(g, part, 0.1) == almost_regular_audit(g, part, Fraction(1, 10))
+
+
 def test_closeness_bad_kind():
     with pytest.raises(InputError):
         closeness(complete_graph(4), "nope", Fraction(1, 10))

@@ -11,6 +11,8 @@ from oracles import (
     brute_balanced_subdigraph_exists,
     brute_has_r_factor,
     first_structured_violation,
+    reference_balanced_subdigraph,
+    reference_orientation_arcs,
 )
 
 from hampack.core import Graph, iter_bits, union_edge_disjoint
@@ -309,6 +311,54 @@ def test_balanced_subdigraph_long_augmenting_path():
     _assert_full_selection(n, arcs, 1, picked)
 
 
+def _seeded_graphs(sizes, densities, seeds):
+    for n in sizes:
+        for p in densities:
+            for seed in seeds:
+                yield random_graph(n, p, 1000 * n + seed)
+
+
+def test_orientation_matches_reference_arcs():
+    # sparse draws give odd degrees, isolated vertices and many components
+    for g in _seeded_graphs(range(65), (0.03, 0.1, 0.3, 0.5, 0.9), range(2)):
+        assert balanced_orientation_arcs(g) == reference_orientation_arcs(g), g
+
+
+def test_balanced_subdigraph_matches_reference_verdict():
+    nones = 0
+    for g in _seeded_graphs(range(0, 65, 4), (0.2, 0.5, 0.8), range(2)):
+        rng = random.Random(g.m)
+        edges = g.edges()
+        for arcs in (balanced_orientation_arcs(g), [e if rng.random() < 0.5 else e[::-1] for e in edges]):
+            for half in range(g.min_degree() // 2 + 2):
+                picked = _balanced_subdigraph(g.n, arcs, half)
+                assert (picked is None) == (reference_balanced_subdigraph(g.n, arcs, half) is None)
+                if picked is None:
+                    nones += 1
+                else:
+                    _assert_full_selection(g.n, arcs, half, picked)
+    assert nones >= 50
+
+
+def test_balanced_subdigraph_retries_the_arc_of_a_dead_tail():
+    # The greedy pass leaves tail 1 one arc short and head 1 with room.
+    # Tail 1's only unchosen arc (1, 2) reaches head 2, which is full and
+    # fed by the chosen arcs (3, 2) and (0, 2), in that order.  Tail 3 has
+    # no unchosen arc, so it dies; the arc (1, 2) must be tried again to
+    # reach tail 0, whose arc (0, 1) ends the path at head 1.
+    arcs = [(0, 3), (1, 0), (3, 2), (0, 2), (0, 1), (2, 1), (2, 3), (3, 0), (1, 2)]
+    picked = _balanced_subdigraph(4, arcs, 2)
+    assert picked == [0, 1, 2, 4, 5, 6, 7, 8]
+    _assert_full_selection(4, arcs, 2, picked)
+
+
+def test_largest_even_factor_at_n512():
+    g = random_graph(512, 0.5, 1)
+    r, factor = largest_even_factor(g)
+    assert r == 222 and factor.r == 222
+    factor.validate(g)
+
+
 # ---------------------------------------------------------------------------
 # Two-factor splitting
 # ---------------------------------------------------------------------------
@@ -359,6 +409,13 @@ def test_dense_factor_degree_monotone_in_alpha():
         dense_factor_degree(48, Fraction(k, 96), Fraction(1, 96))[0] for k in range(0, 40)
     ]
     assert values == sorted(values)
+
+
+def test_dense_factor_degree_float_terms_read_as_decimals():
+    # alpha + eps = 0.15 + 0.35 = 1/2 gives n/4 + n/4 + n/2 = 4 at n = 4;
+    # the doubles sum to just below 1/2, which rounds down to 2
+    assert dense_factor_degree(4, 0.15, 0.35)[0] == 4
+    assert dense_factor_degree(4, 0.15, 0.35) == dense_factor_degree(4, Fraction(3, 20), Fraction(7, 20))
 
 
 def test_dense_factor_degree_domain():
