@@ -10,7 +10,7 @@ from hampack.edgelist import (
     parse_arc_list,
     parse_edge_list,
 )
-from hampack.errors import ParseError
+from hampack.errors import CapacityError, ParseError
 
 
 @settings(max_examples=120, deadline=None)
@@ -125,6 +125,15 @@ def test_parse_fault_message_and_line(fmt, text, line, message):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.line, str(err.value)) == (line, message)
+
+
+@pytest.mark.parametrize("parse", [parse_edge_list, parse_arc_list])
+def test_header_above_the_vertex_cap_is_refused_at_the_header(parse):
+    # no row is built for a header above the cap, however large its n
+    for text in ("p 1025 0\n", "p 1000000000000 1\n0 1\n0 1\n", "p 2000 5\nbogus\n"):
+        with pytest.raises(CapacityError, match="exceeds the supported maximum 1024"):
+            parse(text)
+    assert parse("p 1024 0\n").n == 1024
 
 
 @pytest.mark.parametrize("text", ["p -1 0\n", "p 3 -1\n"])
