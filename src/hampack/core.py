@@ -272,6 +272,16 @@ class EdgeSubgraph:
         self.n = n
         self.edges = frozenset(norm)
 
+    @classmethod
+    def from_host_edges(cls, n: int, edges: Iterable[Edge]) -> "EdgeSubgraph":
+        """Build from edges of a host graph on 0..n-1, in either
+        orientation.  Nothing is range-checked here: the caller audits
+        the result against its host (``factors.Factor.validate``)."""
+        h = cls.__new__(cls)
+        h.n = n
+        h.edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
+        return h
+
     def __len__(self) -> int:
         return len(self.edges)
 

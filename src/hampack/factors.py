@@ -84,9 +84,9 @@ class Factor:
     def validate(self, host: Graph) -> None:
         if self.subgraph.n != host.n:
             raise InternalError("factor lives on a different vertex set")
-        adj = host.adj
+        n, adj = host.n, host.adj
         for u, v in self.subgraph.edges:
-            if not adj[u] >> v & 1:
+            if not (0 <= u < v < n and adj[u] >> v & 1):
                 raise InternalError(f"factor edge ({u},{v}) absent from host")
         degs = self.subgraph.degrees()
         if any(d != self.r for d in degs):
@@ -431,7 +431,7 @@ def _even_factor_via_orientation(g: Graph, r: int) -> Factor | None:
     picked = _balanced_subdigraph(g.n, arcs, r // 2)
     if picked is None:
         return None
-    factor = Factor(EdgeSubgraph(g.n, [arcs[i] for i in picked]), r)
+    factor = Factor(EdgeSubgraph.from_host_edges(g.n, [arcs[i] for i in picked]), r)
     factor.validate(g)
     return factor
 
@@ -442,47 +442,52 @@ def _even_factor_via_orientation(g: Graph, r: int) -> Factor | None:
 
 @dataclass
 class _Gadget:
+    """Tutte's stub/core expansion of G for degree r: G has an r-factor
+    iff the gadget has a perfect matching.
+
+    Vertex v gets d(v) stubs, one per incident host edge, then d(v) - r
+    cores, all numbered consecutively, vertex by vertex.  The two stubs
+    of a host edge are adjacent, and each stub of v is adjacent to each
+    core of v.  The cores of v are twins, so that complete bipartite part
+    is not stored edge by edge: a core's row is v's stub range, and a
+    stub's row is its edge partner (``partner``, read first as the
+    matcher's head) and then v's core range.  The rows are those of the
+    explicit adjacency lists, in the same order, in O(n + m) memory.
+    """
+
     size: int
-    adj: list[list[int]]
+    edges: list[tuple[int, int]]       # the host edges, as g.edges()
     edge_stubs: list[tuple[int, int]]  # per host edge: its two stub ids
-    stubs_of: list[list[int]]          # per host vertex: its stub ids
+    stubs_of: list[range]              # per host vertex: its stub ids
     cores_of: list[range]              # per host vertex: its core ids
+    partner: list[int]                 # per gadget vertex: a stub's partner, -1 at a core
+    rows: list[range]                  # per gadget vertex: its shared stub or core range
 
 
 def _build_gadget(g: Graph, r: int) -> _Gadget:
-    edges = g.edges()
-    n = g.n
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for ei, (u, v) in enumerate(edges):
-        inc[u].append(ei)
-        inc[v].append(ei)
-    # stubs of edge ei = (u, v) with u < v, in numbering order: u's, then v's
-    stubs_on: list[list[int]] = [[] for _ in edges]
-    stubs_of: list[list[int]] = [[] for _ in range(n)]
-    nid = 0
+    stubs_of: list[range] = []
     cores_of: list[range] = []
-    for v in range(n):
-        for ei in inc[v]:
-            stubs_on[ei].append(nid)
-            stubs_of[v].append(nid)
-            nid += 1
-        k = g.degree(v) - r
-        cores_of.append(range(nid, nid + k))
-        nid += k
-    adj: list[list[int]] = [[] for _ in range(nid)]
+    rows: list[range] = []
+    nid = 0
+    for d in g.degrees():
+        stubs = range(nid, nid + d)
+        cores = range(nid + d, nid + 2 * d - r)
+        stubs_of.append(stubs)
+        cores_of.append(cores)
+        rows += [cores] * d
+        rows += [stubs] * (d - r)
+        nid = cores.stop
+    # each vertex's stubs follow its edges in g.edges() order
+    edges = g.edges()
+    nxt = [stubs.start for stubs in stubs_of]
+    partner = [-1] * nid
     edge_stubs = []
-    for a, b in stubs_on:
-        adj[a].append(b)
-        adj[b].append(a)
+    for u, v in edges:
+        a, b = nxt[u], nxt[v]
+        nxt[u], nxt[v] = a + 1, b + 1
+        partner[a], partner[b] = b, a
         edge_stubs.append((a, b))
-    for v in range(n):
-        for s in stubs_of[v]:
-            for c in cores_of[v]:
-                adj[s].append(c)
-                adj[c].append(s)
-    return _Gadget(
-        size=nid, adj=adj, edge_stubs=edge_stubs, stubs_of=stubs_of, cores_of=cores_of
-    )
+    return _Gadget(nid, edges, edge_stubs, stubs_of, cores_of, partner, rows)
 
 
 def _seed_mate(g: Graph, r: int, gadget: _Gadget) -> list[int]:
@@ -495,10 +500,11 @@ def _seed_mate(g: Graph, r: int, gadget: _Gadget) -> list[int]:
     exposed for the blossom search to augment.
     """
     degs = g.degrees()
-    edges = g.edges()
+    edges = gadget.edges
+    keys = [(min(degs[u], degs[v]), max(degs[u], degs[v])) for u, v in edges]
     chosen = [0] * g.n
     mate = [-1] * gadget.size
-    for ei in sorted(range(len(edges)), key=lambda ei: sorted(degs[u] for u in edges[ei])):
+    for ei in sorted(range(len(edges)), key=keys.__getitem__):
         u, v = edges[ei]
         if chosen[u] < r and chosen[v] < r:
             chosen[u] += 1
@@ -515,12 +521,8 @@ def _seed_mate(g: Graph, r: int, gadget: _Gadget) -> list[int]:
 
 
 def _factor_from_matching(g: Graph, r: int, gadget: _Gadget, mate: list[int]) -> Factor:
-    host_edges = g.edges()
-    edges = []
-    for ei, (a, b) in enumerate(gadget.edge_stubs):
-        if mate[a] == b:
-            edges.append(host_edges[ei])
-    factor = Factor(EdgeSubgraph(g.n, edges), r)
+    edges = [e for e, (a, b) in zip(gadget.edges, gadget.edge_stubs) if mate[a] == b]
+    factor = Factor(EdgeSubgraph.from_host_edges(g.n, edges), r)
     factor.validate(g)
     return factor
 
@@ -552,14 +554,20 @@ def _ge_pair(g: Graph, gadget: _Gadget, matcher: _Matcher) -> tuple[int, int]:
       the lone stubs of T on edges into S, and one per component C of
       G - (S u T) with r|C| + e(C,T) odd, so odd(H - B) - |B| is
       Q_r(S,T) - R_r(S,T).
+
+    The rows are read as the gadget shares them: whether v's core range
+    holds an outer vertex is tested once for all of v's stubs, and
+    whether v's stub range does once for all of v's cores.
     """
     outer = matcher.outer_vertices()
-    in_a = [not outer[x] and any(outer[y] for y in gadget.adj[x]) for x in range(gadget.size)]
+    partner = gadget.partner
     smask = tmask = 0
     for v in range(g.n):
-        if all(in_a[s] for s in gadget.stubs_of[v]):
+        stubs, cores = gadget.stubs_of[v], gadget.cores_of[v]
+        outer_core = any(outer[c] for c in cores)
+        if all(not outer[s] and (outer_core or outer[partner[s]]) for s in stubs):
             smask |= 1 << v
-        elif all(in_a[c] for c in gadget.cores_of[v]):
+        elif not cores or (not outer_core and any(outer[s] for s in stubs)):
             tmask |= 1 << v
     return smask, tmask
 
@@ -568,6 +576,17 @@ def _find_certificate(
     g: Graph, r: int, gadget: _Gadget, matcher: _Matcher
 ) -> TutteCertificate:
     return _certificate_from_masks(g, r, *_ge_pair(g, gadget, matcher))
+
+
+def _decide_by_gadget(g: Graph, r: int) -> FactorDecision:
+    """The exact arbiter: a perfect matching of the gadget, or the Tutte
+    pair of its Gallai-Edmonds barrier."""
+    gadget = _build_gadget(g, r)
+    matcher = _Matcher(gadget.size, gadget.rows, _seed_mate(g, r, gadget), gadget.partner)
+    mate = matcher.solve()
+    if -1 not in mate:
+        return FactorDecision(True, r, factor=_factor_from_matching(g, r, gadget, mate))
+    return FactorDecision(False, r, certificate=_find_certificate(g, r, gadget, matcher))
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +608,7 @@ def _decide(g: Graph, r: int) -> FactorDecision:
         cert = _certificate_from_masks(g, r, 0, 1 << vmin)
         return FactorDecision(False, r, certificate=cert)
     if all(d == r for d in degs):
-        factor = Factor(EdgeSubgraph(n, g.edges()), r)
+        factor = Factor(EdgeSubgraph.from_host_edges(n, g.edges()), r)
         factor.validate(g)
         return FactorDecision(True, r, factor=factor)
 
@@ -602,12 +621,7 @@ def _decide(g: Graph, r: int) -> FactorDecision:
         if factor is not None:
             return FactorDecision(True, r, factor=factor)
 
-    gadget = _build_gadget(g, r)
-    matcher = _Matcher(gadget.size, gadget.adj, _seed_mate(g, r, gadget))
-    mate = matcher.solve()
-    if all(m != -1 for m in mate):
-        return FactorDecision(True, r, factor=_factor_from_matching(g, r, gadget, mate))
-    return FactorDecision(False, r, certificate=_find_certificate(g, r, gadget, matcher))
+    return _decide_by_gadget(g, r)
 
 
 def r_factor_exists(g: Graph, r: int) -> FactorDecision:
@@ -740,7 +754,7 @@ def petersen_two_factorization(g: Graph) -> list[Factor]:
         picked = _balanced_subdigraph(n, remaining, 1)
         if picked is None:
             raise InternalError("bipartite peel failed to find a perfect matching")
-        factor = Factor(EdgeSubgraph(n, [remaining[i] for i in picked]), 2)
+        factor = Factor(EdgeSubgraph.from_host_edges(n, [remaining[i] for i in picked]), 2)
         factor.validate(g)
         factors.append(factor)
         taken = set(picked)

@@ -9,6 +9,13 @@ degree-factor pipeline seeds it from an r-capped selection of host
 edges, so only a few gadget vertices start exposed.  Each alternating
 tree resets and scans only the vertices it reached, so an augmentation
 costs the size of its tree, not of the graph.
+
+A vertex v's neighbours are ``adj[v]``, read in order.  ``adj[v]`` may
+be one object shared by many vertices (twins), and with ``heads`` given,
+``heads[v] >= 0`` is one more neighbour read before them.  The stub/core
+gadget uses this to stay linear in the host's size: a core's row is its
+vertex's stubs, and a stub's row is its edge partner, then its vertex's
+cores.
 """
 
 from __future__ import annotations
@@ -19,17 +26,23 @@ from .errors import InternalError
 
 
 def greedy_matching(
-    n: int, adj: list[list[int]], seed: list[int] | None = None
+    n: int,
+    adj: list,
+    seed: list[int] | None = None,
+    heads: list[int] | None = None,
 ) -> list[int]:
     """Maximal matching by scanning low-degree vertices first.
 
     ``seed``, when given, is a valid partial mate array (-1 for exposed
-    vertices); it is copied and extended, never modified.
+    vertices); it is copied and extended, never modified.  Only the
+    vertices exposed at the start are sorted: the others stay matched.
     """
     match = [-1] * n if seed is None else list(seed)
-    for v in sorted(range(n), key=lambda u: len(adj[u])):
+    order = [v for v in range(n) if match[v] == -1]
+    order.sort(key=lambda u: len(_row(adj, heads, u)))
+    for v in order:
         if match[v] == -1:
-            for u in adj[v]:
+            for u in _row(adj, heads, v):
                 if match[u] == -1:
                     match[v] = u
                     match[u] = v
@@ -37,11 +50,25 @@ def greedy_matching(
     return match
 
 
+def _row(adj: list, heads: list[int] | None, v: int):
+    """v's neighbours in scan order: ``heads[v]`` if any, then ``adj[v]``."""
+    if heads is None or heads[v] < 0:
+        return adj[v]
+    return (heads[v], *adj[v])
+
+
 class _Matcher:
-    def __init__(self, n: int, adj: list[list[int]], seed: list[int] | None = None):
+    def __init__(
+        self,
+        n: int,
+        adj: list,
+        seed: list[int] | None = None,
+        heads: list[int] | None = None,
+    ):
         self.n = n
         self.adj = adj
-        self.match = greedy_matching(n, adj, seed)
+        self.heads = heads
+        self.match = greedy_matching(n, adj, seed, heads)
         self.p = [-1] * n
         self.base = list(range(n))
         # used[v] == epoch iff v is an outer (even) vertex of the current tree
@@ -79,7 +106,8 @@ class _Matcher:
         ``augment``).  With ``augment=False`` the tree is only explored,
         which is how the outer-vertex labels are collected afterwards.
         """
-        adj, match, p, base, used = self.adj, self.match, self.p, self.base, self.used
+        adj, heads = self.adj, self.heads
+        match, p, base, used = self.match, self.p, self.base, self.used
         for v in self.tree:
             p[v] = -1
             base[v] = v
@@ -91,7 +119,7 @@ class _Matcher:
         q = deque([root])
         while q:
             v = q.popleft()
-            for to in adj[v]:
+            for to in _row(adj, heads, v):
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):

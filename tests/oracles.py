@@ -14,6 +14,7 @@ from fractions import Fraction
 from hampack.core import Graph, iter_bits
 from hampack.expanders import ExpanderVerdict, RobustParams
 from hampack.factors import tutte_quantities
+from hampack.matching import _Matcher
 
 
 def brute_has_r_factor(g: Graph, r: int) -> bool:
@@ -441,3 +442,72 @@ def reference_orientation_arcs(g: Graph) -> list[tuple[int, int]]:
             direction[eid] = (v, w)
             stack.append(w)
     return [direction[eid] for eid, (_, _, virtual) in enumerate(records) if not virtual]
+
+
+def reference_gadget(g: Graph, r: int):
+    """The stub/core gadget with explicit adjacency lists, as
+    ``(adj, stubs_of, cores_of, edge_stubs)``.  Vertex by vertex, v gets
+    its d(v) stubs in the order of its edges in ``g.edges()``, then its
+    d(v) - r cores.  A stub's list is its edge partner, then v's cores;
+    a core's list is v's stubs: sum d(v)(d(v) - r) edges in all."""
+    edges = g.edges()
+    inc: list[list[int]] = [[] for _ in range(g.n)]
+    for ei, (u, v) in enumerate(edges):
+        inc[u].append(ei)
+        inc[v].append(ei)
+    stubs_on: list[list[int]] = [[] for _ in edges]
+    stubs_of: list[list[int]] = [[] for _ in range(g.n)]
+    cores_of: list[range] = []
+    nid = 0
+    for v in range(g.n):
+        for ei in inc[v]:
+            stubs_on[ei].append(nid)
+            stubs_of[v].append(nid)
+            nid += 1
+        k = g.degree(v) - r
+        cores_of.append(range(nid, nid + k))
+        nid += k
+    adj: list[list[int]] = [[] for _ in range(nid)]
+    for a, b in stubs_on:
+        adj[a].append(b)
+        adj[b].append(a)
+    for v in range(g.n):
+        for s in stubs_of[v]:
+            for c in cores_of[v]:
+                adj[s].append(c)
+                adj[c].append(s)
+    return adj, stubs_of, cores_of, [tuple(pair) for pair in stubs_on]
+
+
+def reference_gadget_decision(g: Graph, r: int):
+    """The explicit gadget run through the library's blossom matcher on
+    plain lists, seeded as the program seeds it.  What this checks is the
+    gadget's shape and how it is read, not the matcher.  Returns
+    ``(factor edges, None)`` when the gadget has a perfect matching, else
+    ``(None, (S, T))`` with the pair read off A(H), the non-outer
+    vertices with an outer neighbour."""
+    adj, stubs_of, cores_of, edge_stubs = reference_gadget(g, r)
+    edges = g.edges()
+    degs = g.degrees()
+    chosen = [0] * g.n
+    seed = [-1] * len(adj)
+    for ei in sorted(range(len(edges)), key=lambda ei: sorted(degs[u] for u in edges[ei])):
+        u, v = edges[ei]
+        if chosen[u] < r and chosen[v] < r:
+            chosen[u] += 1
+            chosen[v] += 1
+            a, b = edge_stubs[ei]
+            seed[a], seed[b] = b, a
+    for v in range(g.n):
+        free = [s for s in stubs_of[v] if seed[s] == -1]
+        for s, c in zip(free, cores_of[v]):
+            seed[s], seed[c] = c, s
+    matcher = _Matcher(len(adj), adj, seed)
+    mate = matcher.solve()
+    if -1 not in mate:
+        return [e for e, (a, b) in zip(edges, edge_stubs) if mate[a] == b], None
+    outer = matcher.outer_vertices()
+    in_a = [not outer[x] and any(outer[y] for y in adj[x]) for x in range(len(adj))]
+    s = {v for v in range(g.n) if all(in_a[x] for x in stubs_of[v])}
+    t = {v for v in range(g.n) if v not in s and all(in_a[x] for x in cores_of[v])}
+    return None, (s, t)

@@ -12,6 +12,8 @@ from oracles import (
     brute_has_r_factor,
     first_structured_violation,
     reference_balanced_subdigraph,
+    reference_gadget,
+    reference_gadget_decision,
     reference_orientation_arcs,
 )
 
@@ -30,6 +32,7 @@ from hampack.errors import CapacityError, ExistenceError, InputError
 from hampack.factors import (
     _balanced_subdigraph,
     _build_gadget,
+    _decide_by_gadget,
     _ge_pair,
     _seed_mate,
     _structured_violation,
@@ -465,8 +468,8 @@ def test_seed_leaves_gallai_edmonds_pair_unchanged():
     negatives = 0
     for g, r in _seed_invariance_inputs():
         gadget = _build_gadget(g, r)
-        plain = _Matcher(gadget.size, gadget.adj)
-        seeded = _Matcher(gadget.size, gadget.adj, _seed_mate(g, r, gadget))
+        plain = _Matcher(gadget.size, gadget.rows, heads=gadget.partner)
+        seeded = _Matcher(gadget.size, gadget.rows, _seed_mate(g, r, gadget), gadget.partner)
         size = matching_size(plain.solve())
         assert matching_size(seeded.solve()) == size
         if 2 * size == gadget.size:
@@ -490,6 +493,59 @@ def test_former_certificate_fault_gets_exact_pair(seed, r):
     cert = decision.certificate
     redo = tutte_quantities(g, r, cert.s, cert.t)
     assert redo.violates and (redo.q_r, redo.r_r) == (cert.q_r, cert.r_r)
+
+
+# ---------------------------------------------------------------------------
+# The implicit-core gadget against the explicit one, past the n <= 14 zone
+# ---------------------------------------------------------------------------
+
+def _rows_as_read(gadget):
+    """Each gadget vertex's neighbours in the matcher's scan order."""
+    return [([p] if p >= 0 else []) + list(row) for p, row in zip(gadget.partner, gadget.rows)]
+
+
+def _agrees_with_explicit_oracle(g, r) -> bool:
+    """Check the gadget's rows, verdict, factor edges and Tutte pair
+    against the explicit gadget run through the matcher; True on a no."""
+    assert _rows_as_read(_build_gadget(g, r)) == reference_gadget(g, r)[0]
+    edges, pair = reference_gadget_decision(g, r)
+    decision = _decide_by_gadget(g, r)
+    assert decision.exists == (edges is not None) == r_factor_exists(g, r).exists
+    if decision.exists:
+        assert decision.factor.subgraph.edges == frozenset(edges)
+    else:
+        assert (decision.certificate.s, decision.certificate.t) == pair
+    return not decision.exists
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(15, 40), st.sampled_from((0.1, 0.15, 0.2, 0.35, 0.5, 0.7)),
+       st.integers(0, 2**32 - 1))
+def test_gadget_matches_explicit_oracle(n, p, seed):
+    # every admissible r: 1 <= r <= delta with rn even
+    g = random_graph(n, p, seed)
+    step = 1 + n % 2
+    for r in range(step, g.min_degree() + 1, step):
+        _agrees_with_explicit_oracle(g, r)
+
+
+def test_gadget_certificates_match_explicit_oracle():
+    negatives = sum(_agrees_with_explicit_oracle(g, r) for g, r in _seed_invariance_inputs())
+    assert negatives > len(_HARD_NEGATIVES)
+
+
+def test_gadget_memory_is_linear_in_the_host():
+    g = random_graph(256, 0.5, 1)
+    n, m, r = g.n, g.m, 3
+    gadget = _build_gadget(g, r)
+    # the rows are 2n shared ranges: each vertex's stubs and its cores
+    shared = {id(row): row for row in gadget.rows}
+    assert len(shared) <= 2 * n and all(type(row) is range for row in shared.values())
+    # neighbour entries stored: one partner slot per gadget vertex, three numbers per range
+    assert gadget.size == len(gadget.partner) == len(gadget.rows) == 4 * m - r * n
+    assert len(gadget.partner) + 3 * len(shared) <= 4 * (n + m)
+    assert len(gadget.edges) == len(gadget.edge_stubs) == m
+    # explicit lists held d(v) + 2 d(v)(d(v) - r) entries per vertex: 8.2 M here
 
 
 # ---------------------------------------------------------------------------
