@@ -25,11 +25,15 @@ The r-factor decision runs a layered pipeline, cheapest first:
      for odd r, Q_r is the number of odd components of G - S, read for
      every prefix off one reverse union-find pass.
    The first violating pair is the first of the full list,
-3. for even r, a constructive fast path (Petersen's argument): in the
+3. a constructive fast path (Petersen's argument).  For even r: in the
    balanced orientation, choose r/2 out-arcs at every tail and r/2
    in-arcs at every head, a bipartite b-matching (greedy, then
-   Hopcroft-Karp phases) whose arcs form an r-factor.  A miss proves
-   nothing, since another orientation might succeed,
+   Hopcroft-Karp phases) whose arcs form an r-factor.  For odd r: the
+   same step with (r - 1)/2 gives an (r - 1)-factor F (none is needed
+   at r = 1), and a perfect matching of G - F, from one maximum
+   matching of the host's n vertices, completes it to an r-factor.  The
+   union is audited once.  A miss proves nothing, since another
+   orientation or another F might succeed,
 4. the stub/core expansion to a perfect-matching instance decided by
    the blossom algorithm -- the exact arbiter for everything the fast
    paths leave open.  The blossom search starts from the gadget matching
@@ -281,7 +285,7 @@ def _structured_violation(g: Graph, r: int) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# Fast constructive path for even r: balanced orientation + b-matching
+# Constructive fast path: balanced orientation + b-matching (+ a matching)
 # ---------------------------------------------------------------------------
 
 def _balanced_subdigraph(
@@ -423,15 +427,36 @@ def _balanced_subdigraph(
     return [i for i, c in enumerate(chosen) if c]
 
 
-def _even_factor_via_orientation(g: Graph, r: int) -> Factor | None:
-    """Try to realize an r-factor (r even) as an in/out balanced
-    sub-digraph of the balanced orientation.  Sound but incomplete:
-    a miss proves nothing."""
+def _even_factor_via_orientation(g: Graph, r: int) -> list[tuple[int, int]] | None:
+    """The arcs of an r-factor (r even) realized as an in/out balanced
+    sub-digraph of the balanced orientation, or None.  Sound but
+    incomplete: a miss proves nothing.  Not audited here; the caller
+    audits the factor it builds from them."""
     arcs = balanced_orientation_arcs(g)
     picked = _balanced_subdigraph(g.n, arcs, r // 2)
     if picked is None:
         return None
-    factor = Factor(EdgeSubgraph.from_host_edges(g.n, [arcs[i] for i in picked]), r)
+    return [arcs[i] for i in picked]
+
+
+def _factor_via_orientation(g: Graph, r: int) -> Factor | None:
+    """The constructive fast path for either parity: the orientation's
+    r-factor for even r; for odd r its (r - 1)-factor F (empty at
+    r = 1) plus a perfect matching of G - F.  None when either step
+    misses."""
+    edges = _even_factor_via_orientation(g, r - r % 2) if r > 1 else []
+    if edges is None:
+        return None
+    if r % 2:
+        rest = list(g.adj)
+        for u, v in edges:
+            rest[u] ^= 1 << v
+            rest[v] ^= 1 << u
+        mate = maximum_matching(g.n, [list(iter_bits(row)) for row in rest])
+        if -1 in mate:
+            return None
+        edges += [(u, v) for u, v in enumerate(mate) if u < v]
+    factor = Factor(EdgeSubgraph.from_host_edges(g.n, edges), r)
     factor.validate(g)
     return factor
 
@@ -616,10 +641,9 @@ def _decide(g: Graph, r: int) -> FactorDecision:
     if hit is not None:
         return FactorDecision(False, r, certificate=_certificate_from_masks(g, r, *hit))
 
-    if r % 2 == 0:
-        factor = _even_factor_via_orientation(g, r)
-        if factor is not None:
-            return FactorDecision(True, r, factor=factor)
+    factor = _factor_via_orientation(g, r)
+    if factor is not None:
+        return FactorDecision(True, r, factor=factor)
 
     return _decide_by_gadget(g, r)
 

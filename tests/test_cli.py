@@ -13,7 +13,8 @@ import hampack
 from hampack import hamilton
 from hampack.cli import COMMANDS, build_parser, main
 from hampack.core import Graph
-from hampack.edgelist import format_edge_list, parse_edge_list, read_edge_list
+from hampack.edgelist import format_edge_list, format_edges, parse_edge_list, read_edge_list
+from hampack.factors import _decide_by_gadget
 from hampack.construct import babai_graph, complete_graph, random_graph
 
 
@@ -419,32 +420,42 @@ def test_pinned_orient_stdout(tmp_path, capsys, kind, digest):
                        "a 4 7\na 5 0\na 5 7\na 6 5\na 7 2\na 8 0\na 8 6\n")
 
 
-# factor --emit on odd r, which the blossom over the stub/core gadget decides:
-# (construct args, r, sha256 of stdout, sha256 of the --emit file)
+# factor --emit on odd r, which the orientation fast path decides: (construct
+# args, r, sha256 of stdout, of the --emit file, and of the factor that the
+# gadget arbiter alone finds, in edge-list text; the last is the --emit digest
+# from before the odd-r fast path, so the arbiter's bytes stay pinned)
 PINNED_FACTOR = [
     (["--n", "40", "--p", "0.5", "--seed", "7"], 1,
      "a83d609244f80fc4fa83e295d663169bb23d53bffa1ed9b0def628aa9d1cd799",
+     "075bc21d6410975a1f6e65856db03fb8ebadfe468f6de1ed60c16284c06cff07",
      "e063e0a60cfcd66e95cf965fb628c98d56d0d8e811c08aa4c5e92d2a45c4cb3d"),
     (["--n", "40", "--p", "0.5", "--seed", "7"], 3,
      "0526e3adf04b00d43645c685256706cd4036308611357dc2c3e81d0358c4efe1",
+     "8d46d4d5b85536ac1def601f9263c3f5bc9a506ff52e36917141068f781f5b0b",
      "3d0f60362b82f6ee0c76e6f76e89d23090b455e137d036c0cb549c57d6983ef5"),
     (["--n", "40", "--p", "0.5", "--seed", "7"], 5,
      "3dc2e102a503fcfc4e597378d37e89b85fe51b6c8c95ffa4fa4ec1a7b00d34f8",
+     "cca19c5af403918a3d86d561c8f59147c9118b3285767237512e14febb93ddb0",
      "e2581ae253cf15b182164cb216c58b492f5b17e0391f55d22241dc68e97a6501"),
     (["--n", "64", "--p", "0.5", "--seed", "1"], 7,
      "3cf1455b7ed080c7669f6ae2a03c726e3557acc03040968f1d24bb6a06c88ca7",
+     "f1df848763defae786128922e9314190486c38fe67395c1a64a7c6cc87f6cda1",
      "ffd9ac8cfeda9011728d304174c6e5de81bf86e199e801f5fb1c7fd0e3071936"),
 ]
 
 
-@pytest.mark.parametrize("kind,r,out_digest,emit_digest", PINNED_FACTOR,
-                         ids=[f"n{k[1]}-seed{k[5]}-r{r}" for k, r, _, _ in PINNED_FACTOR])
-def test_pinned_factor_emit(tmp_path, capsys, kind, r, out_digest, emit_digest):
+@pytest.mark.parametrize("kind,r,out_digest,emit_digest,gadget_digest", PINNED_FACTOR,
+                         ids=[f"n{k[1]}-seed{k[5]}-r{r}" for k, r, *_ in PINNED_FACTOR])
+def test_pinned_factor_emit(tmp_path, capsys, kind, r, out_digest, emit_digest, gadget_digest):
     graph, emit = tmp_path / "g.el", tmp_path / "f.el"
     assert run(["construct", "--kind", "gnp", *kind, "--out", str(graph)], capsys)[0] == 0
     code, out = run(["factor", "--r", str(r), "--input", str(graph), "--emit", str(emit)], capsys)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == out_digest
     assert hashlib.sha256(emit.read_bytes()).hexdigest() == emit_digest
+    g = read_edge_list(graph)
+    arbiter = _decide_by_gadget(g, r).factor.subgraph.edges
+    text = format_edges(g.n, sorted(arbiter))
+    assert hashlib.sha256(text.encode()).hexdigest() == gadget_digest
 
 
 PINNED_MC = [

@@ -29,10 +29,12 @@ from hampack.construct import (
 )
 from hampack.edgelist import read_edge_list
 from hampack.errors import CapacityError, ExistenceError, InputError
+from hampack import factors
 from hampack.factors import (
     _balanced_subdigraph,
     _build_gadget,
     _decide_by_gadget,
+    _factor_via_orientation,
     _ge_pair,
     _seed_mate,
     _structured_violation,
@@ -47,7 +49,7 @@ from hampack.factors import (
     tutte_quantities,
     tutte_verify_exhaustive,
 )
-from hampack.matching import _Matcher, matching_size
+from hampack.matching import _Matcher, matching_size, maximum_matching
 from hampack.orientation import balanced_orientation_arcs
 
 
@@ -546,6 +548,80 @@ def test_gadget_memory_is_linear_in_the_host():
     assert len(gadget.partner) + 3 * len(shared) <= 4 * (n + m)
     assert len(gadget.edges) == len(gadget.edge_stubs) == m
     # explicit lists held d(v) + 2 d(v)(d(v) - r) entries per vertex: 8.2 M here
+
+
+# ---------------------------------------------------------------------------
+# The odd-r fast path against the gadget arbiter
+# ---------------------------------------------------------------------------
+
+def _odd_factor_inputs():
+    """Seeded G(n, p) for even n = 6..64 and several p, with every odd
+    r <= delta, then the sparse r = 1 inputs of the seed-invariance test
+    (the hard negatives among them)."""
+    rng = random.Random(20261019)
+    for n in (6, 8, 10, 12, 16, 24, 32, 40, 48, 64):
+        for p in (0.15, 0.3, 0.5, 0.8):
+            g = random_graph(n, p, rng.getrandbits(32))
+            for r in range(1, g.min_degree() + 1, 2):
+                yield g, r
+    for g, r in _seed_invariance_inputs():
+        if r == 1:
+            yield g, r
+
+
+def test_odd_fast_path_matches_the_gadget_arbiter():
+    hits = negatives = 0
+    for g, r in _odd_factor_inputs():
+        decision = r_factor_exists(g, r)
+        arbiter = _decide_by_gadget(g, r)
+        assert decision.exists == arbiter.exists
+        if g.n <= 10:
+            assert decision.exists == brute_has_r_factor(g, r)
+        if decision.exists:
+            decision.factor.validate(g)
+            assert decision.factor.r == r
+            hits += _factor_via_orientation(g, r) is not None
+            continue
+        negatives += 1
+        # a negative is the structured pair, or else the gadget's barrier pair
+        hit = _structured_violation(g, r)
+        cert = decision.certificate
+        if hit is None:
+            assert (cert.s, cert.t) == (arbiter.certificate.s, arbiter.certificate.t)
+        else:
+            assert (cert.s, cert.t) == (set(iter_bits(hit[0])), set(iter_bits(hit[1])))
+        assert _factor_via_orientation(g, r) is None
+    assert hits > 100 and negatives > len(_HARD_NEGATIVES)
+
+
+def _leave_one_exposed(n, adj):
+    mate = maximum_matching(n, adj)
+    mate[mate[0]] = mate[0] = -1
+    return mate
+
+
+@pytest.mark.parametrize("miss", ["no_subdigraph", "exposed_vertex"])
+def test_odd_fast_path_miss_falls_through_to_the_gadget(monkeypatch, miss):
+    g = random_graph(40, 0.5, 7)
+    if miss == "no_subdigraph":
+        monkeypatch.setattr(factors, "_balanced_subdigraph", lambda n, arcs, half: None)
+        rs = (3, 5, 7)
+    else:
+        monkeypatch.setattr(factors, "maximum_matching", _leave_one_exposed)
+        rs = (1, 3, 5, 7)
+    for r in rs:
+        assert _factor_via_orientation(g, r) is None
+        decision = r_factor_exists(g, r)
+        assert decision.exists
+        decision.factor.validate(g)
+        assert decision.factor == _decide_by_gadget(g, r).factor
+
+
+def test_odd_factor_at_n512():
+    g = random_graph(512, 0.5, 1)
+    decision = r_factor_exists(g, 127)
+    assert decision.exists and decision.factor.r == 127
+    decision.factor.validate(g)
 
 
 # ---------------------------------------------------------------------------
