@@ -13,6 +13,7 @@ violation, 5 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -61,7 +62,10 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _emit_factor(factor: factors.Factor, path: str) -> None:
-    _emit(edgelist.format_edges(factor.subgraph.n, sorted(factor.subgraph.edges)), path)
+    rows = [0] * factor.subgraph.n
+    for u, v in factor.subgraph.edges:
+        rows[u] |= 1 << v
+    _emit(edgelist.format_rows(factor.subgraph.n, rows), path)
 
 
 def _cert_payload(cert: factors.TutteCertificate) -> dict:
@@ -530,10 +534,17 @@ def _add_options(parser, options) -> None:
             parser.add_argument(option[0], **option[1])
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of ``command`` alone.  The
     one-command parser names the full command list in its usage, so its
-    help and error texts are those of the full parser."""
+    help and error texts are those of the full parser.
+
+    Each parser is built once per process and reused, so ``main`` can be
+    called repeatedly in one process at the cost of one build per
+    command.  Reuse carries nothing between calls: ``parse_args`` returns
+    a fresh namespace each time, and argparse reads the terminal width
+    when it formats help and usage, not when it builds the parser."""
     parser = argparse.ArgumentParser(
         prog="hampack",
         description="Even factors, robust expansion and Hamilton cycle packing at desk scale.",

@@ -14,6 +14,7 @@ the unit of exchange for every CLI command.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from pathlib import Path
 
 from .core import DiGraph, Graph, _check_capacity, iter_bits
@@ -84,16 +85,23 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_adj(_read_rows(text, arcs=False))
 
 
-def format_edges(n: int, edges: list[tuple[int, int]]) -> str:
-    """The edge-list text of ``edges`` on the vertices 0..n-1, written in
-    the order given: pass the (u, v) pairs with u < v, sorted."""
-    lines = [f"p {n} {len(edges)}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
+def format_rows(n: int, rows: Sequence[int]) -> str:
+    """The edge-list text of the graph on 0..n-1 whose bitset rows are
+    ``rows``, edges in ascending (u, v) order.  Row u is read above bit u
+    only, so symmetric adjacency rows and upper-triangle rows give the
+    same text."""
+    names = [str(v) for v in range(n)]
+    lines = [""]
+    for u, row in enumerate(rows):
+        head = names[u] + " "
+        bits = bin(row >> (u + 1))[:1:-1]
+        lines.extend([head + names[v] for v, bit in enumerate(bits, u + 1) if bit == "1"])
+    lines[0] = f"p {n} {len(lines) - 1}"
     return "\n".join(lines) + "\n"
 
 
 def format_edge_list(g: Graph) -> str:
-    return format_edges(g.n, g.edges())
+    return format_rows(g.n, g.adj)
 
 
 def read_edge_list(path: str | Path) -> Graph:

@@ -744,9 +744,8 @@ def regeven_bounds(n: int, delta: int) -> RegEvenBounds:
     note = ""
     if s * s == x + 8 and (delta + s) % 4 == 0:
         note = "raw lower value is an even integer; slack 2 applied"
-    upper = Fraction(delta, 2) + sqrt_approx(Fraction(x), 9) / 2 + Fraction(4) / (
-        sqrt_approx(Fraction(x), 9) + 4
-    )
+    root = sqrt_approx(Fraction(x), 9)
+    upper = Fraction(delta, 2) + root / 2 + Fraction(4) / (root + 4)
     return RegEvenBounds(n, delta, max(L, 0), upper, note=note)
 
 

@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +15,7 @@ import hampack
 from hampack import hamilton
 from hampack.cli import COMMANDS, build_parser, main
 from hampack.core import Graph
-from hampack.edgelist import format_edge_list, format_edges, parse_edge_list, read_edge_list
+from hampack.edgelist import format_edge_list, format_rows, parse_edge_list, read_edge_list
 from hampack.factors import _decide_by_gadget
 from hampack.construct import babai_graph, complete_graph, random_graph
 
@@ -454,8 +456,29 @@ def test_pinned_factor_emit(tmp_path, capsys, kind, r, out_digest, emit_digest, 
     assert hashlib.sha256(emit.read_bytes()).hexdigest() == emit_digest
     g = read_edge_list(graph)
     arbiter = _decide_by_gadget(g, r).factor.subgraph.edges
-    text = format_edges(g.n, sorted(arbiter))
+    text = format_rows(g.n, Graph(g.n, arbiter).adj)
     assert hashlib.sha256(text.encode()).hexdigest() == gadget_digest
+
+
+# regeven --emit: (construct args, sha256 of stdout, of the --emit file)
+PINNED_REGEVEN = [
+    (["extremal", "--n", "48", "--delta", "25"],
+     "3b0c6b229c675a9884e2021f36ab7162435627320b82154a0734efe630e3582b",
+     "a1cc5df6fe10083a82608fe78e57dd5e9665a26bf6ae0230623c52a39df1f2ce"),
+    (["gnp", "--n", "64", "--p", "0.88", "--seed", "3"],
+     "f6bdccfa5ff3fea5ce4d78cd199b68534e4e7a344125376cf90cf0b4df682a86",
+     "9606d03bffd494b9370f810c06b0147e41e79b45778d8885b7951708bdf4dbee"),
+]
+
+
+@pytest.mark.parametrize("kind,out_digest,emit_digest", PINNED_REGEVEN,
+                         ids=[k[0] for k, *_ in PINNED_REGEVEN])
+def test_pinned_regeven_emit(tmp_path, capsys, kind, out_digest, emit_digest):
+    graph, emit = tmp_path / "g.el", tmp_path / "f.el"
+    assert run(["construct", "--kind", *kind, "--out", str(graph)], capsys)[0] == 0
+    code, out = run(["regeven", "--input", str(graph), "--emit", str(emit)], capsys)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(emit.read_bytes()).hexdigest() == emit_digest
 
 
 PINNED_MC = [
@@ -560,29 +583,97 @@ def test_one_command_parser_keeps_the_full_usage_line(tmp_path, capsys):
     assert outcome(main, argv, capsys) == full
 
 
+# A valid call of each command, cheap on K5: the graph commands take
+# ``--input`` as well
+GRAPH_ARGS = {
+    "regeven": [], "factor": ["--r", "2"], "tutte": ["--r", "2", "--exhaustive"],
+    "expander": ["--nu", "1/10", "--tau", "2/5"], "orient": [], "extremal": ["--eta", "1/5"],
+    "closeness": ["--kind", "bipartite", "--epsilon", "1/5"],
+    "classify": ["--kappa", "1/10", "--nu", "1/10", "--tau", "2/5", "--epsilon", "1/5"],
+    "ham": [], "pack": ["--target", "2"], "maxpack": [], "decompose": [], "conjecture": [],
+}
+OTHER_ARGS = {"construct": ["--kind", "cycle", "--n", "5"], "bounds": ["--n", "8", "--delta", "4"],
+              "ensemble": ["--experiment", "expansion", "--count", "0"]}
+
+
+def valid_calls(tmp_path) -> dict[str, list[str]]:
+    k5 = tmp_path / "k5.el"
+    k5.write_text(format_edge_list(complete_graph(5)))
+    calls = {c: [c, "--input", str(k5), *extra] for c, extra in GRAPH_ARGS.items()}
+    calls.update({c: [c, *extra] for c, extra in OTHER_ARGS.items()})
+    assert sorted(calls) == sorted(COMMANDS)
+    return calls
+
+
 def test_graph_commands_read_their_input_once(tmp_path, capsys, monkeypatch):
     from hampack import edgelist
 
-    k5 = tmp_path / "k5.el"
-    k5.write_text(format_edge_list(complete_graph(5)))
-    graph_args = {
-        "regeven": [], "factor": ["--r", "2"], "tutte": ["--r", "2", "--exhaustive"],
-        "expander": ["--nu", "1/10", "--tau", "2/5"], "orient": [], "extremal": ["--eta", "1/5"],
-        "closeness": ["--kind", "bipartite", "--epsilon", "1/5"],
-        "classify": ["--kappa", "1/10", "--nu", "1/10", "--tau", "2/5", "--epsilon", "1/5"],
-        "ham": [], "pack": ["--target", "2"], "maxpack": [], "decompose": [], "conjecture": [],
-    }
-    other_args = {"construct": ["--kind", "cycle", "--n", "5"], "bounds": ["--n", "8", "--delta", "4"],
-                  "ensemble": ["--experiment", "expansion", "--count", "0"]}
-    assert sorted([*graph_args, *other_args]) == sorted(COMMANDS)
+    k5 = str(tmp_path / "k5.el")
     calls = []
     read = edgelist.read_edge_list
     monkeypatch.setattr(edgelist, "read_edge_list", lambda path: calls.append(path) or read(path))
-    for command, extra in graph_args.items():
+    for command, argv in valid_calls(tmp_path).items():
         calls.clear()
-        code, _ = run([command, "--input", str(k5)] + extra, capsys)
-        assert code == 0 and calls == [str(k5)], command
-    for command, extra in other_args.items():
-        calls.clear()
-        code, _ = run([command] + extra, capsys)
-        assert code == 0 and calls == [], command
+        code, _ = run(argv, capsys)
+        assert code == 0 and calls == ([k5] if command in GRAPH_ARGS else []), command
+
+
+# ---------------------------------------------------------------------------
+# Parser reuse: ``main`` builds each command's parser once per process
+# ---------------------------------------------------------------------------
+
+def test_each_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    from hampack import cli
+
+    assert build_parser() is build_parser()
+    for command in COMMANDS:
+        assert build_parser(command) is build_parser(command)
+    built = []
+
+    def counting_parser(**kwargs):
+        built.append(kwargs["prog"])
+        return argparse.ArgumentParser(**kwargs)
+
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(**{**vars(argparse),
+                                                             "ArgumentParser": counting_parser}))
+    build_parser.cache_clear()
+    for command, argv in valid_calls(tmp_path).items():
+        built.clear()
+        for _ in range(2):
+            assert run(argv, capsys)[0] == 0, command
+        assert built == ["hampack"], command
+
+
+def test_no_state_crosses_calls(tmp_path, capsys):
+    calls = valid_calls(tmp_path)
+    emit, rec = tmp_path / "f.el", tmp_path / "rec.json"
+    assert run([*calls["factor"], "--emit", str(emit)], capsys)[0] == 0
+    emit.unlink()
+    assert run(calls["factor"], capsys)[0] == 0
+    assert not emit.exists()
+
+    assert run([*calls["bounds"], "--record", str(rec)], capsys)[0] == 0
+    rec.unlink()
+    assert run(calls["bounds"], capsys)[0] == 0
+    assert not rec.exists()
+
+    bad = tmp_path / "bad.el"
+    bad.write_text("p 3 1\n0 0\n")
+    for command, argv in calls.items():
+        valid = outcome(main, argv, capsys)
+        assert outcome(main, [command, "--bogus"], capsys)[0] == 2
+        assert outcome(main, argv, capsys) == valid, command
+        if command in GRAPH_ARGS:
+            assert outcome(main, [command, "--input", str(bad), *argv[3:]], capsys)[0] == 2
+            assert outcome(main, argv, capsys) == valid, command
+
+
+def test_reused_parser_texts_match_a_fresh_build(capsys, monkeypatch):
+    shapes = [[c, *tail] for c in COMMANDS for tail in (["--help"], [], ["--bogus", "1"])]
+    shapes += [["--help"], ["nope"], []]
+    for width in ("80", "200", "40", "120"):
+        monkeypatch.setenv("COLUMNS", width)
+        for argv in shapes:
+            command = argv[0] if argv and argv[0] in COMMANDS else None
+            fresh = outcome(build_parser.__wrapped__(command).parse_args, argv, capsys)
+            assert outcome(main, argv, capsys) == fresh, (width, argv)
