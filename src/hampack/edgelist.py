@@ -7,21 +7,105 @@ Edge lists (undirected)::
     <u> <v>          (m lines, 0-based, u < v, no duplicates)
 
 Arc lists (directed) use the same header followed by ``a <u> <v>`` lines
-(u != v, no repeated arc).  Both formats go through one reader, so they
-reject the same faults with the same ``ParseError``.  These formats are
-the unit of exchange for every CLI command.
+(u != v, no repeated arc).  These formats are the unit of exchange for
+every CLI command.
+
+Canonical text, the text this module and ``construct`` write, is read
+in bulk: the header ``p <n> <m>`` on the first line, then one record per
+line, ``<u> <v>`` or ``a <u> <v>``, with single spaces, every line ended
+by ``\\n``, and every vertex an ASCII decimal without sign or leading
+zero.  The bulk reader takes it in chunks of at most 8 KiB that end at a
+line end, and declines the whole text at anything else, faults included.
+A declined text goes to the line reader.  So any other valid text
+(comments, blank lines, extra spaces, CRLF line ends, ...) reads to the
+same graph, and every fault is reported by the line reader alone, with
+the same ``ParseError`` message and line number in both formats.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from pathlib import Path
 
-from .core import DiGraph, Graph, _check_capacity, iter_bits
+from .core import MAX_VERTICES, DiGraph, Graph, _check_capacity
 from .errors import ParseError
+
+#: The bulk reader's lookup tables: each vertex's canonical token and bit.
+_VERTEX = {str(v): v for v in range(MAX_VERTICES)}
+_BIT = [1 << v for v in range(MAX_VERTICES)]
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+_CHUNK = 1 << 13
+
+
+def _natural(token: str) -> int | None:
+    """The value of an ASCII decimal of at most six digits (as many as a
+    canonical header field has: m <= 1024 * 1023 / 2), else None."""
+    return int(token) if len(token) <= 6 and token.isascii() and token.isdigit() else None
+
+
+def _read_canonical(text: str, arcs: bool) -> list[int] | None:
+    """The rows ``_read_lines`` gives for canonical text (module
+    docstring), or None for any other text.  Each chunk's layout is
+    checked with string calls (what is left after deleting the digits,
+    and the token count), its tokens are looked up in ``_VERTEX`` and
+    checked for range and u < v (u != v for arcs) before any bit is set.
+    The record count and the rows' bit total, which a repeat lowers, are
+    checked at the end.  Declining never raises."""
+    head_end = text.find("\n") + 1
+    header = text[:head_end - 1].split(" ")
+    if not head_end or len(header) != 3 or header[0] != "p" or text[-1] != "\n":
+        return None
+    n, m = _natural(header[1]), _natural(header[2])
+    if n is None or m is None or n > MAX_VERTICES:
+        return None
+    layout, width = ("a  \n", 3) if arcs else (" \n", 2)
+    ordered = operator.ne if arcs else operator.lt
+    rows = [0] * n
+    bit = _BIT
+    count = 0
+    start = head_end
+    while start < len(text):
+        end = text.rfind("\n", start, start + _CHUNK) + 1
+        if end <= start:
+            return None
+        chunk = text[start:end]
+        lines = chunk.count("\n")
+        tokens = chunk.split()
+        if len(tokens) != width * lines or chunk.translate(_NO_DIGITS) != layout * lines:
+            return None
+        if arcs and tokens.count("a") != lines:  # not 'a5 1 2', say
+            return None
+        try:
+            tails = list(map(_VERTEX.__getitem__, tokens[width - 2::width]))
+            heads = list(map(_VERTEX.__getitem__, tokens[width - 1::width]))
+        except KeyError:
+            return None
+        del tokens  # so that no two chunks' tokens are alive at once
+        if max(max(tails), max(heads)) >= n or not all(map(ordered, tails, heads)):
+            return None
+        if arcs:
+            for u, v in zip(tails, heads):
+                rows[u] |= bit[v]
+        else:
+            for u, v in zip(tails, heads):
+                rows[u] |= bit[v]
+                rows[v] |= bit[u]
+        count += lines
+        start = end
+    if count != m or sum(map(int.bit_count, rows)) != (count if arcs else 2 * count):
+        return None
+    return rows
 
 
 def _read_rows(text: str, arcs: bool) -> list[int]:
+    """Bitset rows of either format: canonical text in bulk, any other
+    text, and every fault, through the line reader."""
+    rows = _read_canonical(text, arcs)
+    return _read_lines(text, arcs) if rows is None else rows
+
+
+def _read_lines(text: str, arcs: bool) -> list[int]:
     """The header, comment and record lines both formats share, read in
     one pass into bitset rows: adjacency rows for edges, out-rows for
     arcs.  Each record is checked for range, loops and repeats (a repeat
@@ -105,7 +189,15 @@ def format_edge_list(g: Graph) -> str:
 
 
 def read_edge_list(path: str | Path) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+    """The graph in the edge-list file at ``path``, read as UTF-8; a
+    byte that does not decode is a ``ParseError`` on its line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "_").splitlines())
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line) from None
+    return parse_edge_list(text)
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
@@ -113,12 +205,11 @@ def write_edge_list(g: Graph, path: str | Path) -> None:
 
 
 def parse_arc_list(text: str) -> DiGraph:
-    rows = _read_rows(text, arcs=True)
-    return DiGraph(len(rows), [(u, v) for u, row in enumerate(rows) for v in iter_bits(row)])
+    return DiGraph.from_out_rows(_read_rows(text, arcs=True))
 
 
 def format_arc_list(d: DiGraph) -> str:
-    arcs = sorted(d.arcs())
+    arcs = d.arcs()
     lines = [f"p {d.n} {len(arcs)}"]
     lines.extend(f"a {u} {v}" for u, v in arcs)
     return "\n".join(lines) + "\n"

@@ -228,6 +228,19 @@ def test_parse_error_exit(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("data,message", [
+    (b"p 2 1\n0 1\xff\n", "line 2: invalid UTF-8 byte 0xff"),
+    (b"\xfe", "line 1: invalid UTF-8 byte 0xfe"),
+    # valid UTF-8 and CRLF line ends before the bad byte
+    (b"# caf\xc3\xa9\r\np 2 1\r\n0 \xe9 1\n", "line 3: invalid UTF-8 byte 0xe9"),
+])
+def test_undecodable_input_is_a_parse_error(tmp_path, capsys, data, message):
+    bad = tmp_path / "bad.el"
+    bad.write_bytes(data)
+    assert main(["regeven", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 def test_capacity_error_exit(tmp_path, capsys):
     k13 = tmp_path / "k13.el"
     k13.write_text(format_edge_list(complete_graph(13)))
