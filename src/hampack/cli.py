@@ -61,13 +61,6 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _emit_factor(factor: factors.Factor, path: str) -> None:
-    rows = [0] * factor.subgraph.n
-    for u, v in factor.subgraph.edges:
-        rows[u] |= 1 << v
-    _emit(edgelist.format_rows(factor.subgraph.n, rows), path)
-
-
 def _cert_payload(cert: factors.TutteCertificate) -> dict:
     return {
         "S": sorted(cert.s),
@@ -108,7 +101,7 @@ def cmd_construct(args) -> str:
 def cmd_regeven(g: Graph, args) -> dict:
     r, factor = factors.largest_even_factor(g)
     if args.emit:
-        _emit_factor(factor, args.emit)
+        _emit(edgelist.format_rows(g.n, factor.subgraph.rows), args.emit)
     return {"n": g.n, "delta": g.min_degree(), "reg_even": r}
 
 
@@ -128,7 +121,7 @@ def cmd_factor(g: Graph, args) -> dict:
     if decision.note:
         payload["note"] = decision.note
     if decision.exists and args.emit:
-        _emit_factor(decision.factor, args.emit)
+        _emit(edgelist.format_rows(g.n, decision.factor.subgraph.rows), args.emit)
     return payload
 
 
@@ -164,7 +157,6 @@ def cmd_expander(g: Graph, args) -> dict:
 
 
 def cmd_orient(g: Graph, args) -> str:
-    args.out = args.emit or args.out  # the arc list goes to --emit when given
     return edgelist.format_arc_list(expanders.eulerian_orientation(g))
 
 
@@ -467,10 +459,7 @@ COMMANDS = {
         SEED,
         INPUT,
     ]),
-    "orient": (cmd_orient, "balanced Eulerian orientation as an arc list", [
-        INPUT,
-        _opt("--emit", help="output path for the arc list"),
-    ]),
+    "orient": (cmd_orient, "balanced Eulerian orientation as an arc list", [INPUT]),
     "extremal": (cmd_extremal, "eta-extremality check or witness search", [
         _opt("--eta", type=_fraction, required=True),
         INPUT,

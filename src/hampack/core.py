@@ -87,7 +87,7 @@ class Graph:
         g.n = len(rows)
         _check_capacity(g.n)
         g.adj = tuple(rows)
-        g._m = sum(r.bit_count() for r in rows) // 2
+        g._m = sum(map(int.bit_count, rows)) // 2
         return g
 
     @property
@@ -269,59 +269,69 @@ class DiGraph:
 
 
 class EdgeSubgraph:
-    """A sparse set of edges living on a host vertex set 0..n-1.
-
-    This is the representation for factors, Hamilton cycles and other
-    spanning structures that are sparse relative to their hosts.
+    """A set of edges on the vertex set 0..n-1 of a host graph, held as
+    symmetric bitset rows like ``Graph.adj``.  This is the representation
+    of factors; ``edges`` derives their (u, v) pairs, u < v, when read.
     """
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "rows")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         _check_capacity(n)
-        norm = set()
+        edges = list(edges)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise InputError(f"bad edge ({u},{v}) for host n={n}")
-            norm.add((u, v) if u < v else (v, u))
         self.n = n
-        self.edges = frozenset(norm)
+        self.rows = EdgeSubgraph.from_host_edges(n, edges).rows
 
     @classmethod
-    def from_host_edges(cls, n: int, edges: Iterable[Edge]) -> "EdgeSubgraph":
+    def from_host_edges(cls, n: int, edges: Iterable[Edge],
+                        rows: Iterable[int] | None = None) -> "EdgeSubgraph":
         """Build from edges of a host graph on 0..n-1, in either
-        orientation.  Nothing is range-checked here: the caller audits
-        the result against its host (``factors.Factor.validate``)."""
+        orientation, ORed in both directions into ``rows`` (symmetric
+        rows to start from; empty rows by default).  Nothing is
+        range-checked here: the caller audits the result against its
+        host (``factors.Factor.validate``)."""
+        out = [0] * n if rows is None else list(rows)
+        for u, v in edges:
+            out[u] |= 1 << v
+            out[v] |= 1 << u
         h = cls.__new__(cls)
         h.n = n
-        h.edges = frozenset((u, v) if u < v else (v, u) for u, v in edges)
+        h.rows = tuple(out)
         return h
 
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.to_graph().edges())
+
     def __len__(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return list(map(int.bit_count, self.rows))
 
     def to_graph(self) -> Graph:
-        return Graph(self.n, self.edges)
+        return Graph.from_adj(self.rows)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EdgeSubgraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, EdgeSubgraph) and self.n == other.n and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
-        return f"EdgeSubgraph(n={self.n}, edges={len(self.edges)})"
+        return f"EdgeSubgraph(n={self.n}, edges={len(self)})"
+
+
+def _first_edge(rows: Iterable[int]) -> Edge | None:
+    """The lowest set bit (u, v) of the first nonzero row, or None when
+    every row is 0.  Of symmetric rows that is the least edge u < v."""
+    for u, row in enumerate(rows):
+        if row:
+            return u, (row & -row).bit_length() - 1
+    return None
 
 
 @dataclass(frozen=True)
@@ -392,23 +402,18 @@ def remove_subgraph(g: Graph, h: EdgeSubgraph) -> Graph:
     """Delete the edges of ``h`` from ``g``; the vertex set is unchanged."""
     if h.n != g.n:
         raise InputError(f"host mismatch: graph n={g.n}, subgraph n={h.n}")
-    rows = list(g.adj)
-    for u, v in h.edges:
-        if not rows[u] >> v & 1:
-            raise InputError(f"edge ({u},{v}) not present in the host graph")
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-    return Graph.from_adj(rows)
+    missing = _first_edge(b & ~a for a, b in zip(g.adj, h.rows))
+    if missing is not None:
+        raise InputError(f"edge ({missing[0]},{missing[1]}) not present in the host graph")
+    return Graph.from_adj([a & ~b for a, b in zip(g.adj, h.rows)])
 
 
 def union_edge_disjoint(h1: EdgeSubgraph, h2: EdgeSubgraph) -> EdgeSubgraph:
     """Disjoint union of two edge sets on the same host."""
     if h1.n != h2.n:
         raise InputError(f"host mismatch: {h1.n} vs {h2.n}")
-    shared = h1.edges & h2.edges
-    if shared:
-        raise DisjointnessError(f"edge sets share {len(shared)} edges, e.g. {min(shared)}")
-    out = EdgeSubgraph.__new__(EdgeSubgraph)
-    out.n = h1.n
-    out.edges = h1.edges | h2.edges
-    return out
+    shared = [a & b for a, b in zip(h1.rows, h2.rows)]
+    if any(shared):
+        count = sum(map(int.bit_count, shared)) // 2
+        raise DisjointnessError(f"edge sets share {count} edges, e.g. {_first_edge(shared)}")
+    return EdgeSubgraph.from_host_edges(h1.n, (), [a | b for a, b in zip(h1.rows, h2.rows)])

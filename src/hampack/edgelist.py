@@ -8,7 +8,7 @@ Edge lists (undirected)::
 
 Arc lists (directed) use the same header followed by ``a <u> <v>`` lines
 (u != v, no repeated arc).  These formats are the unit of exchange for
-every CLI command.
+every CLI command.  Header fields and vertices are ASCII decimals.
 
 Canonical text, the text this module and ``construct`` write, is read
 in bulk: the header ``p <n> <m>`` on the first line, then one record per
@@ -42,6 +42,14 @@ def _natural(token: str) -> int | None:
     """The value of an ASCII decimal of at most six digits (as many as a
     canonical header field has: m <= 1024 * 1023 / 2), else None."""
     return int(token) if len(token) <= 6 and token.isascii() and token.isdigit() else None
+
+
+def _integer(token: str) -> int:
+    """int() of an ASCII decimal with an optional leading '-', else ValueError."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(token)
+    return int(token)
 
 
 def _read_canonical(text: str, arcs: bool) -> list[int] | None:
@@ -125,7 +133,7 @@ def _read_lines(text: str, arcs: bool) -> list[int]:
             if len(parts) != 3:
                 raise ParseError("header must be 'p <n> <m>'", lineno)
             try:
-                n, m = int(parts[1]), int(parts[2])
+                n, m = _integer(parts[1]), _integer(parts[2])
             except ValueError:
                 raise ParseError("non-integer header fields", lineno) from None
             if n < 0 or m < 0:
@@ -142,7 +150,7 @@ def _read_lines(text: str, arcs: bool) -> list[int]:
         if len(parts) != 2:
             raise ParseError(f"expected {shape}, got {raw.strip()!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _integer(parts[0]), _integer(parts[1])
         except ValueError:
             raise ParseError("non-integer endpoint", lineno) from None
         if not (0 <= u < n and 0 <= v < n):

@@ -54,7 +54,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Iterator
 
-from .core import EdgeSubgraph, Graph, iter_bits, mask_of, set_of
+from .core import EdgeSubgraph, Graph, _first_edge, iter_bits, mask_of, set_of
 from .errors import CapacityError, ExistenceError, InputError, InternalError
 from .exactcmp import as_fraction, cmp_scaled_sqrt, cmp_sqrt, sqrt_approx
 from .matching import _Matcher, maximum_matching
@@ -80,20 +80,21 @@ class Matching:
 
 @dataclass(frozen=True)
 class Factor:
-    """A spanning r-regular subgraph, stored as its edge set."""
+    """A spanning r-regular subgraph, stored as its bitset rows."""
 
     subgraph: EdgeSubgraph
     r: int
 
     def validate(self, host: Graph) -> None:
-        if self.subgraph.n != host.n:
+        rows = self.subgraph.rows
+        if self.subgraph.n != host.n or len(rows) != host.n:
             raise InternalError("factor lives on a different vertex set")
-        n, adj = host.n, host.adj
-        for u, v in self.subgraph.edges:
-            if not (0 <= u < v < n and adj[u] >> v & 1):
-                raise InternalError(f"factor edge ({u},{v}) absent from host")
+        outside = _first_edge(row & ~a for row, a in zip(rows, host.adj))
+        if outside is not None:
+            u, v = sorted(outside)
+            raise InternalError(f"factor edge ({u},{v}) absent from host")
         degs = self.subgraph.degrees()
-        if any(d != self.r for d in degs):
+        if degs.count(self.r) != len(degs):
             raise InternalError(f"factor degrees {sorted(set(degs))} != {self.r}")
 
 
@@ -444,19 +445,16 @@ def _factor_via_orientation(g: Graph, r: int) -> Factor | None:
     r-factor for even r; for odd r its (r - 1)-factor F (empty at
     r = 1) plus a perfect matching of G - F.  None when either step
     misses."""
-    edges = _even_factor_via_orientation(g, r - r % 2) if r > 1 else []
-    if edges is None:
+    arcs = _even_factor_via_orientation(g, r - r % 2) if r > 1 else []
+    if arcs is None:
         return None
+    sub = EdgeSubgraph.from_host_edges(g.n, arcs)
     if r % 2:
-        rest = list(g.adj)
-        for u, v in edges:
-            rest[u] ^= 1 << v
-            rest[v] ^= 1 << u
-        mate = maximum_matching(g.n, [list(iter_bits(row)) for row in rest])
+        mate = maximum_matching(g.n, [list(iter_bits(a & ~f)) for a, f in zip(g.adj, sub.rows)])
         if -1 in mate:
             return None
-        edges += [(u, v) for u, v in enumerate(mate) if u < v]
-    factor = Factor(EdgeSubgraph.from_host_edges(g.n, edges), r)
+        sub = EdgeSubgraph.from_host_edges(g.n, enumerate(mate), sub.rows)
+    factor = Factor(sub, r)
     factor.validate(g)
     return factor
 
@@ -633,7 +631,7 @@ def _decide(g: Graph, r: int) -> FactorDecision:
         cert = _certificate_from_masks(g, r, 0, 1 << vmin)
         return FactorDecision(False, r, certificate=cert)
     if all(d == r for d in degs):
-        factor = Factor(EdgeSubgraph.from_host_edges(n, g.edges()), r)
+        factor = Factor(EdgeSubgraph.from_host_edges(n, (), g.adj), r)
         factor.validate(g)
         return FactorDecision(True, r, factor=factor)
 

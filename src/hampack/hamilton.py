@@ -162,7 +162,7 @@ def find_hamilton(g: Graph) -> HamCycle | None:
     Above the DP cap a graph that is not 2-connected or has no 2-factor
     has no Hamilton cycle; otherwise the first cycle of the enumeration
     is returned, and a search that spends SEARCH_NODE_BUDGET nodes
-    raises CapacityError.
+    raises CapacityError.  A returned cycle has passed the packing audit.
     """
     if g.n > HAMILTON_MAX_N:
         raise CapacityError(f"Hamilton search capped at n <= {HAMILTON_MAX_N}")
@@ -171,15 +171,17 @@ def find_hamilton(g: Graph) -> HamCycle | None:
     if g.min_degree() < 2:
         return None
     if g.n <= HAMILTON_DP_MAX_N:
-        return _hamilton_dp(g)
-    if g.cut_vertices() or not r_factor_exists(g, 2):
+        cycle = _hamilton_dp(g)
+    elif g.cut_vertices() or not r_factor_exists(g, 2):
         return None
-    budget = _Budget(SEARCH_NODE_BUDGET)
-    cycle = next(_iter_cycles(list(g.adj), g.n, None, budget), None)
-    if budget.exhausted:
-        raise CapacityError(
-            f"Hamilton search spent its budget of {SEARCH_NODE_BUDGET} nodes without an answer"
-        )
+    else:
+        budget = _Budget(SEARCH_NODE_BUDGET)
+        cycle = next(_iter_cycles(list(g.adj), g.n, None, budget), None)
+        if budget.exhausted:
+            raise CapacityError(f"Hamilton search spent its budget of {SEARCH_NODE_BUDGET} "
+                                "nodes without an answer")
+    if cycle is not None:
+        _audit_packing(g, Packing(g, (cycle,)))
     return cycle
 
 
@@ -359,25 +361,20 @@ def decompose_even_regular(g: Graph, budget: int | None = None) -> Packing | Non
 # ---------------------------------------------------------------------------
 
 def verify_packing_detailed(g: Graph, packing: Packing) -> tuple[bool, str | None]:
-    """Re-validate a packing from raw edge sets; shares no state with
-    the search code."""
-    edge_set = set()
-    for u in range(g.n):
-        for v in g.neighbors(u):
-            if u < v:
-                edge_set.add((u, v))
-    seen: set[tuple[int, int]] = set()
+    """Re-validate a packing edge by edge against the host's rows and a
+    row of the edges used so far; shares no state with the search code."""
+    used = [0] * g.n
     for ci, cycle in enumerate(packing.cycles):
         if len(cycle) != g.n or len(set(cycle)) != g.n:
             return False, f"cycle {ci} does not visit every vertex exactly once"
-        for i, u in enumerate(cycle):
-            v = cycle[(i + 1) % len(cycle)]
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
             e = (u, v) if u < v else (v, u)
-            if e not in edge_set:
+            if not g.has_edge(u, v):
                 return False, f"cycle {ci} uses non-edge {e}"
-            if e in seen:
+            if used[u] >> v & 1:
                 return False, f"edge {e} reused by cycle {ci}"
-            seen.add(e)
+            used[u] |= 1 << v
+            used[v] |= 1 << u
     return True, None
 
 

@@ -11,7 +11,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from hampack.core import Graph, iter_bits
+from hampack.core import Graph, _check_capacity, iter_bits
+from hampack.errors import DisjointnessError, InputError
 from hampack.expanders import ExpanderVerdict, RobustParams
 from hampack.factors import tutte_quantities
 from hampack.matching import _Matcher
@@ -511,3 +512,55 @@ def reference_gadget_decision(g: Graph, r: int):
     s = {v for v in range(g.n) if all(in_a[x] for x in stubs_of[v])}
     t = {v for v in range(g.n) if v not in s and all(in_a[x] for x in cores_of[v])}
     return None, (s, t)
+
+
+class ReferenceEdgeSubgraph:
+    """``hampack.core.EdgeSubgraph`` as a frozenset of (u, v) pairs with
+    u < v, the form it had before it held bitset rows."""
+
+    def __init__(self, n: int, edges):
+        _check_capacity(n)
+        norm = set()
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise InputError(f"bad edge ({u},{v}) for host n={n}")
+            norm.add((u, v) if u < v else (v, u))
+        self.n = n
+        self.edges = frozenset(norm)
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    def degrees(self) -> list[int]:
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return deg
+
+    def to_graph(self) -> Graph:
+        return Graph(self.n, self.edges)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ReferenceEdgeSubgraph)
+                and self.n == other.n and self.edges == other.edges)
+
+
+def reference_remove_subgraph(g: Graph, h: ReferenceEdgeSubgraph) -> Graph:
+    """G minus the edges of h; a missing edge is named by the least one."""
+    if h.n != g.n:
+        raise InputError(f"host mismatch: graph n={g.n}, subgraph n={h.n}")
+    missing = h.edges - g.edge_set()
+    if missing:
+        u, v = min(missing)
+        raise InputError(f"edge ({u},{v}) not present in the host graph")
+    return Graph(g.n, g.edge_set() - h.edges)
+
+
+def reference_union_edge_disjoint(h1: ReferenceEdgeSubgraph, h2: ReferenceEdgeSubgraph):
+    if h1.n != h2.n:
+        raise InputError(f"host mismatch: {h1.n} vs {h2.n}")
+    shared = h1.edges & h2.edges
+    if shared:
+        raise DisjointnessError(f"edge sets share {len(shared)} edges, e.g. {min(shared)}")
+    return ReferenceEdgeSubgraph(h1.n, h1.edges | h2.edges)

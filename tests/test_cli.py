@@ -126,6 +126,9 @@ def test_orient_cli(tmp_path, capsys):
 
     d = parse_arc_list(out)
     assert all(d.out_degree(v) == 2 for v in range(5))
+    arcs = tmp_path / "k5.arcs"
+    assert run(["orient", "--input", str(k5), "--out", str(arcs)], capsys) == (0, "")
+    assert arcs.read_text() == out
 
 
 def test_extremal_and_closeness_cli(tmp_path, capsys):
@@ -209,6 +212,21 @@ def test_ham_exhausted_budget_exits_3(tmp_path, capsys, monkeypatch):
     assert "1000 nodes" in captured.err
 
 
+@pytest.mark.parametrize("n,finder", [(6, "_hamilton_dp"), (21, "_iter_cycles")])
+def test_ham_cycle_over_a_non_edge_exits_5(tmp_path, capsys, monkeypatch, n, finder):
+    # K_n less the edge 01, and a finder that answers with the cycle 0..n-1
+    def bad(*args):
+        return tuple(range(n)) if finder == "_hamilton_dp" else iter([tuple(range(n))])
+
+    monkeypatch.setattr(hamilton, finder, bad)
+    path = tmp_path / "g.el"
+    path.write_text(format_edge_list(Graph(n, [e for e in complete_graph(n).edges() if e != (0, 1)])))
+    code = main(["ham", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == "internal error: emitted packing failed its audit: cycle 0 uses non-edge (0, 1)\n"
+
+
 def test_ham_cut_vertex_is_false(tmp_path, capsys):
     # two K_11 sharing vertex 10: a 2-factor and a cut vertex
     path = tmp_path / "g.el"
@@ -239,6 +257,15 @@ def test_undecodable_input_is_a_parse_error(tmp_path, capsys, data, message):
     bad.write_bytes(data)
     assert main(["regeven", "--input", str(bad)]) == 2
     assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["p 11 1\n0 1_0\n", "p 2 1\n+0 1\n", "p 2 1\n0 \u0661\n",
+                                  "p 1_1 0\n", "p +2 0\n", "p \u0662 0\n"])
+def test_non_ascii_decimal_token_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.el"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["regeven", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line ")
 
 
 def test_capacity_error_exit(tmp_path, capsys):
@@ -560,7 +587,7 @@ def test_run_record_written(tmp_path, capsys):
 BAD_VALUE = {
     "construct": ["--kind", "nope"], "regeven": ["--input"], "bounds": ["--n", "x"],
     "factor": ["--r", "x"], "tutte": ["--s", "1,x"], "expander": ["--nu", "1/0"],
-    "orient": ["--emit"], "extremal": ["--eta", "x"], "closeness": ["--epsilon", "x"],
+    "orient": ["--input"], "extremal": ["--eta", "x"], "closeness": ["--epsilon", "x"],
     "classify": ["--kappa", "x"], "ham": ["--input"], "pack": ["--target", "x"],
     "maxpack": ["--out"], "decompose": ["--budget", "x"], "conjecture": ["--record"],
     "ensemble": ["--experiment", "nope"],

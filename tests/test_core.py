@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from oracles import petersen
+from oracles import (
+    ReferenceEdgeSubgraph,
+    petersen,
+    reference_remove_subgraph,
+    reference_union_edge_disjoint,
+)
 
 from hampack.core import (
     EdgeSubgraph,
@@ -18,7 +23,7 @@ from hampack.core import (
     union_edge_disjoint,
 )
 from hampack.construct import complete_graph, random_graph
-from hampack.errors import CapacityError, DisjointnessError, InputError
+from hampack.errors import CapacityError, DisjointnessError, HampackError, InputError
 
 
 def test_degree_complete_graph():
@@ -171,6 +176,74 @@ def test_remove_then_union_reconstructs(g, data):
         EdgeSubgraph(g.n, left.edges()), h
     )
     assert rebuilt.edges == g.edge_set()
+
+
+# ---------------------------------------------------------------------------
+# The bitset-row EdgeSubgraph against its frozenset reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def edge_lists(draw, n: int, pool=()):
+    """Edges on 0..n-1, each given 1-3 times in either orientation, some
+    of them taken from ``pool``; now and then one bad edge (a loop, or an
+    endpoint outside 0..n-1) at a drawn position."""
+    vertex = st.integers(0, n - 1)
+    fresh = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    base = fresh + (draw(st.lists(st.sampled_from(sorted(pool)), max_size=4)) if pool else [])
+    edges = [(u, v) if keep else (v, u)
+             for u, v in base for keep in draw(st.lists(st.booleans(), min_size=1, max_size=3))]
+    edges = draw(st.permutations(edges))
+    if draw(st.integers(0, 9)) == 0:
+        bad = draw(st.sampled_from([(1, 1), (0, n), (n, 0), (-1, 0), (0, -1)]))
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return edges
+
+
+def outcome_of(fn, *args):
+    """fn's result, or its error as (type, message)."""
+    try:
+        return fn(*args)
+    except HampackError as exc:
+        return type(exc), str(exc)
+
+
+def subgraph_view(h):
+    if isinstance(h, tuple):
+        return h
+    return h.n, h.edges, len(h), h.degrees(), h.to_graph()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_edge_subgraph_rows_agree_with_the_frozenset_reference(data):
+    n = data.draw(st.integers(1, 40))
+    edges = data.draw(edge_lists(n))
+    h, ref = outcome_of(EdgeSubgraph, n, edges), outcome_of(ReferenceEdgeSubgraph, n, edges)
+    assert subgraph_view(h) == subgraph_view(ref)
+    if isinstance(h, tuple):
+        return
+    again = data.draw(st.permutations([(v, u) for u, v in edges]))
+    assert EdgeSubgraph(n, again) == h and hash(EdgeSubgraph(n, again)) == hash(h)
+    assert repr(h) == f"EdgeSubgraph(n={n}, edges={len(ref)})"
+
+    # the host holds most of h's edges, so that removal both fails and succeeds
+    n_host = n if data.draw(st.integers(0, 9)) else n + 1
+    kept = [e for e in sorted(ref.edges) if data.draw(st.integers(0, 5))]
+    extra = data.draw(edge_lists(n_host))
+    extra = [e for e in extra if 0 <= min(e) and max(e) < n_host and e[0] != e[1]]
+    host = Graph(n_host, ReferenceEdgeSubgraph(n_host, kept + extra).edges)
+    assert outcome_of(remove_subgraph, host, h) == outcome_of(reference_remove_subgraph, host, ref)
+
+    # a second edge set on n or n + 1 vertices, sharing a few edges now and then
+    n_other = n if data.draw(st.integers(0, 9)) else n + 1
+    other = data.draw(edge_lists(n_other, pool=ref.edges if n_other == n else ()))
+    h2, ref2 = outcome_of(EdgeSubgraph, n_other, other), outcome_of(ReferenceEdgeSubgraph, n_other, other)
+    assert subgraph_view(h2) == subgraph_view(ref2)
+    if isinstance(h2, tuple):
+        return
+    assert (h == h2) == (ref == ref2)
+    union = outcome_of(union_edge_disjoint, h, h2)
+    assert subgraph_view(union) == subgraph_view(outcome_of(reference_union_edge_disjoint, ref, ref2))
 
 
 def test_partition_disjointness():

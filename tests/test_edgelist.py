@@ -101,6 +101,14 @@ PARSE_FAULTS = [
     ("edge", "p 3 1\nbogus line\n", 2, "line 2: non-integer endpoint"),
     ("edge", "p 3 1\n0 x\n", 2, "line 2: non-integer endpoint"),
     ("edge", "p 3 1\n0 1.0\n", 2, "line 2: non-integer endpoint"),
+    ("edge", "p 11 1\n0 1_0\n", 2, "line 2: non-integer endpoint"),
+    ("edge", "p 3 1\n+0 1\n", 2, "line 2: non-integer endpoint"),
+    ("edge", "p 3 1\n0 \u0661\n", 2, "line 2: non-integer endpoint"),
+    ("edge", "p 3 1\n0 -\n", 2, "line 2: non-integer endpoint"),
+    ("edge", "p 3 1\n0 --1\n", 2, "line 2: non-integer endpoint"),
+    ("edge", "p 1_1 0\n", 1, "line 1: non-integer header fields"),
+    ("edge", "p +3 0\n", 1, "line 1: non-integer header fields"),
+    ("edge", "p 3 \u0660\n", 1, "line 1: non-integer header fields"),
     ("edge", "", None, "missing 'p <n> <m>' header"),
     ("edge", "# only\n\n", None, "missing 'p <n> <m>' header"),
     ("edge", "p 3 2\n0 1\n", None, "header declares m=2 but found 1 edges"),
@@ -117,6 +125,12 @@ PARSE_FAULTS = [
     ("arc", "p 3 1\na 0\n", 2, "line 2: expected 'a <u> <v>', got 'a 0'"),
     ("arc", "p 3 1\na 0 1 2\n", 2, "line 2: expected 'a <u> <v>', got 'a 0 1 2'"),
     ("arc", "p 3 1\na x 1\n", 2, "line 2: non-integer endpoint"),
+    ("arc", "p 11 1\na 1_0 0\n", 2, "line 2: non-integer endpoint"),
+    ("arc", "p 3 1\na 0 +1\n", 2, "line 2: non-integer endpoint"),
+    ("arc", "p 3 1\na \u0661 0\n", 2, "line 2: non-integer endpoint"),
+    ("arc", "p +3 0\n", 1, "line 1: non-integer header fields"),
+    ("arc", "p 3 1_0\n", 1, "line 1: non-integer header fields"),
+    ("arc", "p \u0663 0\n", 1, "line 1: non-integer header fields"),
     ("arc", "p 3 1\na 0 3\n", 2, "line 2: endpoint out of range 0..2"),
     ("arc", "p 3 1\na 0 0\n", 2, "line 2: loop at vertex 0"),
     ("arc", "p 3 2\na 0 1\na 0 1\n", 3, "line 3: duplicate arc 0 1"),

@@ -17,7 +17,7 @@ from oracles import (
     reference_orientation_arcs,
 )
 
-from hampack.core import Graph, iter_bits, union_edge_disjoint
+from hampack.core import EdgeSubgraph, Graph, iter_bits, union_edge_disjoint
 from hampack.construct import (
     babai_graph,
     circulant_regular,
@@ -28,7 +28,7 @@ from hampack.construct import (
     random_graph,
 )
 from hampack.edgelist import read_edge_list
-from hampack.errors import CapacityError, ExistenceError, InputError
+from hampack.errors import CapacityError, ExistenceError, InputError, InternalError
 from hampack import factors
 from hampack.factors import (
     _balanced_subdigraph,
@@ -217,6 +217,45 @@ def test_largest_even_factor_returns_witness():
     r, factor = largest_even_factor(babai_graph(2))
     assert r == 2
     factor.validate(babai_graph(2))
+
+
+# Faults injected into C6's own rows as a 2-factor: the (row, bit) pairs
+# flipped, and the audit's message
+FACTOR_FAULTS = {
+    "non-edge": ([(0, 3), (3, 0)], "factor edge (0,3) absent from host"),
+    "bit >= n": ([(2, 6)], "factor edge (2,6) absent from host"),
+    "loop": ([(4, 4)], "factor edge (4,4) absent from host"),
+    "one-sided bit": ([(3, 0)], "factor edge (0,3) absent from host"),
+    "degree off by one": ([(0, 1), (1, 0)], "factor degrees [1, 2] != 2"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FACTOR_FAULTS))
+def test_factor_audit_rejects_injected_faults(fault):
+    flips, message = FACTOR_FAULTS[fault]
+    host = cycle_graph(6)
+    factors.Factor(EdgeSubgraph.from_host_edges(6, (), host.adj), 2).validate(host)
+    rows = list(host.adj)
+    for u, v in flips:
+        rows[u] ^= 1 << v
+    with pytest.raises(InternalError) as err:
+        factors.Factor(EdgeSubgraph.from_host_edges(6, (), rows), 2).validate(host)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n,size", [(7, 7), (6, 5), (6, 7), (5, 6)])
+def test_factor_audit_rejects_a_wrong_vertex_count(n, size):
+    host = cycle_graph(6)
+    sub = EdgeSubgraph.from_host_edges(n, (), (list(host.adj) + [0])[:size])
+    with pytest.raises(InternalError, match="^factor lives on a different vertex set$"):
+        factors.Factor(sub, 2).validate(host)
+
+
+def test_factor_audit_rejects_a_wrong_degree_on_a_complete_host():
+    host = complete_graph(5)
+    rows = list(EdgeSubgraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]).rows)
+    with pytest.raises(InternalError, match=r"factor degrees \[2, 3\] != 2"):
+        factors.Factor(EdgeSubgraph.from_host_edges(5, (), rows), 2).validate(host)
 
 
 @settings(max_examples=80, deadline=None)

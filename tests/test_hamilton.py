@@ -210,6 +210,25 @@ def test_early_stop_matches_full_exhaustion(seed):
     assert packing.cycles == tuple(full)
 
 
+@pytest.mark.parametrize("n,finder", [(6, "_hamilton_dp"), (21, "_iter_cycles")])
+def test_find_hamilton_audits_the_cycle_it_returns(monkeypatch, n, finder):
+    g = Graph(n, [e for e in complete_graph(n).edges() if e != (0, 1)])
+    assert verify_packing(g, Packing(g, (find_hamilton(g),)))
+    cycle = tuple(range(n))  # over the non-edge 01
+    monkeypatch.setattr(hamilton, finder,
+                        lambda *args: cycle if finder == "_hamilton_dp" else iter([cycle]))
+    with pytest.raises(InternalError, match=r"cycle 0 uses non-edge \(0, 1\)"):
+        find_hamilton(g)
+
+
+def test_packing_audit_names_an_out_of_range_vertex_as_a_non_edge():
+    g = complete_graph(4)
+    assert verify_packing_detailed(g, Packing(g, ((0, 1, 2, 4),))) == (
+        False, "cycle 0 uses non-edge (2, 4)")
+    assert verify_packing_detailed(g, Packing(g, ((0, 1, 2, -1),))) == (
+        False, "cycle 0 uses non-edge (-1, 2)")
+
+
 def test_audit_rejects_packing_above_reg_even():
     g = complete_graph(5)
     packing = decompose_even_regular(g)
