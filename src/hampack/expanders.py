@@ -18,7 +18,9 @@ refute.  It tries structured candidates (the components and their
 complements, cumulative unions of components, neighbourhoods,
 degree-sorted prefixes and suffixes, BFS balls), then seeded random
 subsets, as 0/1 rows: one rows @ adj product scores a block of 64, and
-the first violating row is the witness.
+the first violating row is the witness.  The random subsets are the
+ones random.Random(seed).randint(kmin, kmax) and .sample(range(n), k)
+draw, replayed on the generator's getrandbits (_random_rows).
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from math import ceil, log
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .core import DiGraph, Graph, mask_of, set_of
 from .errors import CapacityError, InputError, InternalError
@@ -309,13 +312,63 @@ def _structured_subsets(g: Graph, kmin: int, kmax: int, adj: np.ndarray) -> Iter
         yield fresh(balls[np.stack([whole >= kmin, whole >= kmax], axis=1)])
 
 
+def _random_rows(
+    getrandbits: Callable[[int], int], n: int, kmin: int, kmax: int, count: int
+) -> np.ndarray:
+    """count seeded random candidates as 0/1 rows, each the set that
+    random.Random's randint(kmin, kmax) and then sample(range(n), k)
+    would draw from the same getrandbits, leaving the generator in the
+    same state.  The draws replay CPython's own algorithm: _randbelow(m)
+    redraws m.bit_length() bits until they fall below m, randint adds
+    kmin to _randbelow(kmax - kmin + 1), and sample takes a partial
+    Fisher-Yates pool when n <= its setsize, else redraws a member until
+    it is new to the selected set."""
+    import numpy as np
+
+    width = kmax - kmin + 1
+    wbits, nbits = width.bit_length(), n.bit_length()
+    bits = [m.bit_length() for m in range(n + 1)]
+    flat: list[int] = []  # row * n + member
+    for row in range(count):
+        base = row * n
+        k = getrandbits(wbits)
+        while k >= width:
+            k = getrandbits(wbits)
+        k += kmin
+        setsize = 21  # sample's size of a small set, plus a table for k > 5
+        if k > 5:
+            setsize += 4 ** ceil(log(k * 3, 4))
+        if n <= setsize:
+            pool = list(range(base, base + n))  # flat indices of this row
+            for m in range(n, n - k, -1):
+                b = bits[m]
+                j = getrandbits(b)
+                while j >= m:
+                    j = getrandbits(b)
+                flat.append(pool[j])
+                pool[j] = pool[m - 1]
+        else:
+            selected: set[int] = set()
+            for _ in range(k):
+                j = getrandbits(nbits)
+                while j >= n or j in selected:
+                    j = getrandbits(nbits)
+                selected.add(j)
+            flat.extend(base + j for j in selected)
+    block = np.zeros(count * n, dtype=bool)
+    block[flat] = True
+    return block.reshape(count, n)
+
+
 def refute_robust_expander_mc(
     g: Graph, params: RobustParams, samples: int, seed: int
 ) -> ExpanderVerdict:
     """Search for a refuting subset: structured candidates first, then
-    seeded random subsets.  Candidates are 0/1 rows scored _BLOCK at a
-    time: rows @ adj counts every vertex's neighbours in each set, and
-    the first violating row is the witness.  ``samples`` in the verdict
+    ``samples`` seeded random subsets, the same ones that
+    random.Random(seed) draws as randint(kmin, kmax) sizes and
+    sample(range(n), k) members.  Candidates are 0/1 rows scored _BLOCK
+    at a time: rows @ adj counts every vertex's neighbours in each set,
+    and the first violating row is the witness.  ``samples`` in the verdict
     counts the candidates up to and including the witness.  Never
     certifies; no witness means the run is inconclusive."""
     if samples < 1:
@@ -333,13 +386,9 @@ def refute_robust_expander_mc(
         for section in _structured_subsets(g, kmin, kmax, adj):
             for start in range(0, len(section), _BLOCK):
                 yield section[start : start + _BLOCK]
-        rng = random.Random(seed)
+        getrandbits = random.Random(seed).getrandbits
         for start in range(0, samples, _BLOCK):
-            block = np.zeros((min(_BLOCK, samples - start), n), dtype=bool)
-            for row in block:
-                k = rng.randint(kmin, min(kmax, n))
-                row[rng.sample(range(n), k)] = True
-            yield block
+            yield _random_rows(getrandbits, n, kmin, kmax, min(_BLOCK, samples - start))
 
     tried = 0
     for block in blocks():

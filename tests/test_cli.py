@@ -559,6 +559,34 @@ def test_pinned_expander_mc_stdout(tmp_path, capsys, kind, options, expected):
     assert (code, out) == (0, expected + "\n")
 
 
+# expander --mc stdout by its sha256: (input, options, digest).  The input is
+# construct args, or None for the circulant C96(1..16), which only a random
+# candidate refutes: a 13-set drawn by random.sample's selected-set branch.
+PINNED_MC_DIGEST = [
+    (["gnp", "--n", "18", "--p", "0.55", "--seed", "21"],  # the README example
+     ["--nu", "1/10", "--tau", "2/5", "--samples", "2000", "--seed", "7"],
+     "217ebf2b72a4c521f1388f0ac75801ab1b0d410cd1d923544121de47ced7545b"),
+    (["gnp", "--n", "256", "--p", "0.7", "--seed", "1"],
+     ["--nu", "1/64", "--tau", "1/4", "--samples", "1000", "--seed", "0"],
+     "db9d95c55ba9112ae37d976fbd0450ddff23674253ef61b0c121de13ce2ddb58"),
+    (None, ["--nu", "1/16", "--tau", "1/8", "--samples", "200", "--seed", "0"],
+     "2842eeb0380979ae9cbabca9b37185b4c40b94efcbe52b2913a4d9849464a578"),
+]
+
+
+@pytest.mark.parametrize("kind,options,digest", PINNED_MC_DIGEST,
+                         ids=["readme-n18", "gnp256", "circulant96-random"])
+def test_pinned_expander_mc_digest(tmp_path, capsys, kind, options, digest):
+    graph = tmp_path / "g.el"
+    if kind is None:
+        graph.write_text(format_edge_list(
+            Graph(96, [(u, (u + i) % 96) for u in range(96) for i in range(1, 17)])))
+    else:
+        assert run(["construct", "--kind", *kind, "--out", str(graph)], capsys)[0] == 0
+    code, out = run(["expander", "--mc", *options, "--input", str(graph)], capsys)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_import_leaves_numpy_unloaded():
     # numpy is imported inside the functions that use it, so a command
     # that never reaches them does not pay for its import

@@ -1,7 +1,7 @@
 import random
 from collections import deque
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, log
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +22,7 @@ from hampack.errors import CapacityError, ExistenceError, InputError
 from hampack.expanders import (
     RobustParams,
     _bit_matrix,
+    _random_rows,
     eulerian_orientation,
     is_robust_expander_exact,
     is_robust_outexpander_exact,
@@ -201,6 +202,10 @@ def _triangle_soup(t):
     return Graph(3 * t, [e for a, b, c in triangles for e in ((a, b), (b, c), (a, c))])
 
 
+def _circulant(n, d):
+    return Graph(n, [(u, (u + i) % n) for u in range(n) for i in range(1, d + 1)])
+
+
 BFS_GRAPHS = {"empty": Graph(0), "single": Graph(1), "path9": _path(9),
               "soup12": _triangle_soup(4), "gnp40": random_graph(40, 0.06, 3)}
 
@@ -244,6 +249,11 @@ MC_ORACLE_CASES = {
     "path64-none": (_path(64), Fraction(1, 64), Fraction(1, 4), 100, 0, 268),
     "gnp64-none": (random_graph(64, 0.7, 1), Fraction(1, 64), Fraction(1, 4), 200, 5, 444),
     "gnp96-none": (random_graph(96, 0.7, 2), Fraction(1, 64), Fraction(1, 4), 100, 6, 474),
+    # every structured candidate is an interval of the circulant and
+    # expands; the witness is random row 105, a 13-set.  sample draws it,
+    # and every earlier row of size <= 21, by its selected-set branch
+    "circulant96-random-set-branch": (_circulant(96, 16), Fraction(1, 16), Fraction(1, 8), 200, 0, 463),
+    "gnp128-none-set-branch": (random_graph(128, 0.7, 5), Fraction(1, 64), Fraction(1, 8), 150, 12, 670),
 }
 
 
@@ -260,6 +270,28 @@ def test_mc_matches_reference_refuter(monkeypatch, case, block):
     assert ref.samples == expected_samples
     monkeypatch.setattr(expanders, "_BLOCK", block)
     assert _verdict_tuple(refute_robust_expander_mc(g, params, samples, seed)) == _verdict_tuple(ref)
+
+
+def _sample_setsize(k):
+    # random.sample shuffles a pool list when n <= this, else redraws
+    # into a selected set
+    return 21 + (4 ** ceil(log(3 * k, 4)) if k > 5 else 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 21, 22, 23, 85, 86, 96, 256, 300, 1024])
+def test_random_rows_replay_randint_and_sample(n):
+    branches = set()
+    windows = {(0, n), (1, min(n, 5)), (min(n, 6), min(n, 21)), (n // 4, n - n // 4), (n, n)}
+    for seed, (kmin, kmax) in enumerate(sorted(windows)):
+        ours, ref = random.Random(seed), random.Random(seed)
+        rows = _random_rows(ours.getrandbits, n, kmin, kmax, 50)
+        assert rows.shape == (50, n)
+        for row in rows:
+            k = ref.randint(kmin, kmax)
+            assert set(row.nonzero()[0].tolist()) == set(ref.sample(range(n), k))
+            branches.add("set" if n > _sample_setsize(k) else "pool")
+        assert ours.getstate() == ref.getstate()
+    assert branches == ({"pool", "set"} if n > 21 else {"pool"})
 
 
 def _seeded_graph(rng, n):
