@@ -252,9 +252,9 @@ def cmd_maxpack(g: Graph, args) -> dict:
 
 
 def cmd_decompose(g: Graph, args) -> dict:
-    packing = hamilton.decompose_even_regular(g, budget=args.budget)
+    packing, exact = hamilton._decomposition(g, args.budget)
     if packing is None:
-        return {"decomposed": False}
+        return {"decomposed": False, "exact": exact}
     return {**_packing_payload(g, packing, packing.exhaustive), "decomposed": True}
 
 

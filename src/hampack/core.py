@@ -57,6 +57,20 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _reach(adj, v: int, within: int) -> int:
+    """Bitmask of v and the vertices of ``within`` reachable from v
+    inside it, over the bitset rows ``adj``: one BFS by whole frontiers."""
+    seen = 1 << v
+    frontier = seen
+    while frontier:
+        nxt = 0
+        for u in iter_bits(frontier):
+            nxt |= adj[u]
+        frontier = nxt & ~seen & within
+        seen |= frontier
+    return seen
+
+
 class Graph:
     """Immutable simple undirected graph with bitset adjacency rows."""
 
@@ -129,21 +143,9 @@ class Graph:
             return True
         return self.component_of(0) == (1 << self.n) - 1
 
-    def _reach(self, v: int, within: int) -> int:
-        """Bitmask of the vertices of ``within`` reachable from v inside it."""
-        seen = 1 << v
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= self.adj[u]
-            frontier = nxt & ~seen & within
-            seen |= frontier
-        return seen
-
     def component_of(self, v: int) -> int:
         """Bitmask of the connected component containing v."""
-        return self._reach(v, (1 << self.n) - 1)
+        return _reach(self.adj, v, (1 << self.n) - 1)
 
     def components(self, within: int | None = None) -> list[int]:
         """Connected-component bitmasks of the subgraph induced on ``within``."""
@@ -152,7 +154,7 @@ class Graph:
         comps = []
         todo = within
         while todo:
-            seen = self._reach((todo & -todo).bit_length() - 1, within)
+            seen = _reach(self.adj, (todo & -todo).bit_length() - 1, within)
             comps.append(seen)
             todo &= ~seen
         return comps

@@ -37,8 +37,10 @@ The r-factor decision runs a layered pipeline, cheapest first:
 4. the stub/core expansion to a perfect-matching instance decided by
    the blossom algorithm -- the exact arbiter for everything the fast
    paths leave open.  The blossom search starts from the gadget matching
-   of a greedy r-capped host edge selection, so it only augments at the
-   vertices that selection left short of degree r.
+   of the fast path's own near-factor: the orientation's maximum
+   selection, plus for odd r a maximum matching of the rest.  Every
+   degree of it is at most r, so the search only augments at the few
+   vertices it left short of degree r.
 
 Every negative answer from the public entry point carries a pair (S, T)
 violating Q_r(S,T) <= R_r(S,T): from the gates, from the structured
@@ -289,11 +291,10 @@ def _structured_violation(g: Graph, r: int) -> tuple[int, int] | None:
 # Constructive fast path: balanced orientation + b-matching (+ a matching)
 # ---------------------------------------------------------------------------
 
-def _balanced_subdigraph(
-    n: int, arcs: list[tuple[int, int]], half: int
-) -> list[int] | None:
-    """Indices of arcs forming a spanning sub-digraph with every in- and
-    out-degree equal to ``half``, or None when there is none.
+def _balanced_subdigraph(n: int, arcs: list[tuple[int, int]], half: int) -> list[int]:
+    """Indices of a maximum selection of arcs with every in- and
+    out-degree at most ``half``.  It has ``n * half`` arcs, every in- and
+    out-degree equal to ``half``, whenever such a sub-digraph exists.
 
     A bipartite b-matching of tails to heads, each of capacity ``half``.
     The arcs are first taken greedily in order while the tail and the
@@ -325,9 +326,9 @@ def _balanced_subdigraph(
     and fed only from X, and every arc from X to a head outside Y is
     chosen.  So the cut {source} u X u Y has capacity
     half(n - |X|) + e(X, V - Y) + half|Y|, which is the load of X plus
-    half(n - |X|).  X holds a short tail, so the load of X is below
-    half|X| and the cut below n half.  By max-flow/min-cut no full
-    selection exists.
+    half(n - |X|): the size of the selection, since every tail outside X
+    is full.  By max-flow/min-cut no selection is larger.  X holds a
+    short tail, so the selection is below n half.
     """
     tail = [u for u, _ in arcs]
     head = [v for _, v in arcs]
@@ -371,7 +372,7 @@ def _balanced_subdigraph(
                             tdist[w] = d
                             layer.append(w)
         if last < 0:
-            return None
+            break
         ptr = [0] * n   # per tail: its next arc to try
         hptr = [0] * n  # per head: its next chosen arc to descend by
         gained = 0
@@ -428,32 +429,43 @@ def _balanced_subdigraph(
     return [i for i, c in enumerate(chosen) if c]
 
 
+def _orientation_selection(g: Graph, half: int) -> list[tuple[int, int]]:
+    """A maximum selection of arcs of the balanced orientation with every
+    in- and out-degree at most ``half``."""
+    arcs = balanced_orientation_arcs(g) if half else []
+    return [arcs[i] for i in _balanced_subdigraph(g.n, arcs, half)]
+
+
 def _even_factor_via_orientation(g: Graph, r: int) -> list[tuple[int, int]] | None:
     """The arcs of an r-factor (r even) realized as an in/out balanced
     sub-digraph of the balanced orientation, or None.  Sound but
     incomplete: a miss proves nothing.  Not audited here; the caller
     audits the factor it builds from them."""
-    arcs = balanced_orientation_arcs(g)
-    picked = _balanced_subdigraph(g.n, arcs, r // 2)
-    if picked is None:
-        return None
-    return [arcs[i] for i in picked]
+    arcs = _orientation_selection(g, r // 2)
+    return arcs if len(arcs) == g.n * (r // 2) else None
+
+
+def _near_factor(g: Graph, r: int, arcs: list[tuple[int, int]]) -> EdgeSubgraph:
+    """The fast path's subgraph for either parity: the edges of ``arcs``,
+    the orientation's maximum selection F for r - r mod 2, and for odd r
+    a maximum matching of G - F.  Every degree is at most r."""
+    sub = EdgeSubgraph.from_host_edges(g.n, arcs)
+    if r % 2:
+        mate = maximum_matching(g.n, [list(iter_bits(a & ~f)) for a, f in zip(g.adj, sub.rows)])
+        sub = EdgeSubgraph.from_host_edges(g.n, [(v, u) for v, u in enumerate(mate) if u > v], sub.rows)
+    return sub
 
 
 def _factor_via_orientation(g: Graph, r: int) -> Factor | None:
-    """The constructive fast path for either parity: the orientation's
-    r-factor for even r; for odd r its (r - 1)-factor F (empty at
-    r = 1) plus a perfect matching of G - F.  None when either step
+    """The constructive fast path: the near-factor when the orientation's
+    selection is full and every degree is r; None when either step
     misses."""
     arcs = _even_factor_via_orientation(g, r - r % 2) if r > 1 else []
     if arcs is None:
         return None
-    sub = EdgeSubgraph.from_host_edges(g.n, arcs)
-    if r % 2:
-        mate = maximum_matching(g.n, [list(iter_bits(a & ~f)) for a, f in zip(g.adj, sub.rows)])
-        if -1 in mate:
-            return None
-        sub = EdgeSubgraph.from_host_edges(g.n, enumerate(mate), sub.rows)
+    sub = _near_factor(g, r, arcs)
+    if sub.degrees().count(r) != g.n:
+        return None
     factor = Factor(sub, r)
     factor.validate(g)
     return factor
@@ -514,25 +526,13 @@ def _build_gadget(g: Graph, r: int) -> _Gadget:
 
 
 def _seed_mate(g: Graph, r: int, gadget: _Gadget) -> list[int]:
-    """Gadget matching of a greedy r-capped host edge selection.
-
-    Host edges are taken lowest endpoint degrees first while both
-    endpoints have fewer than r chosen edges; a chosen edge matches its
-    two stubs to each other, and each vertex's other stubs fill its
-    d(v) - r cores.  Vertex v keeps r minus its chosen degree stubs
-    exposed for the blossom search to augment.
-    """
-    degs = g.degrees()
-    edges = gadget.edges
-    keys = [(min(degs[u], degs[v]), max(degs[u], degs[v])) for u, v in edges]
-    chosen = [0] * g.n
+    """Gadget matching of the fast path's near-factor: each of its edges
+    matches its two stubs to each other, each vertex's other stubs fill its
+    d(v) - r cores, and r minus its near-factor degree stubs stay exposed."""
+    rows = _near_factor(g, r, _orientation_selection(g, r // 2)).rows
     mate = [-1] * gadget.size
-    for ei in sorted(range(len(edges)), key=keys.__getitem__):
-        u, v = edges[ei]
-        if chosen[u] < r and chosen[v] < r:
-            chosen[u] += 1
-            chosen[v] += 1
-            a, b = gadget.edge_stubs[ei]
+    for (u, v), (a, b) in zip(gadget.edges, gadget.edge_stubs):
+        if rows[u] >> v & 1:
             mate[a] = b
             mate[b] = a
     for v in range(g.n):
@@ -773,7 +773,7 @@ def petersen_two_factorization(g: Graph) -> list[Factor]:
     factors = []
     for _ in range(k):
         picked = _balanced_subdigraph(n, remaining, 1)
-        if picked is None:
+        if len(picked) < n:
             raise InternalError("bipartite peel failed to find a perfect matching")
         factor = Factor(EdgeSubgraph.from_host_edges(n, [remaining[i] for i in picked]), 2)
         factor.validate(g)

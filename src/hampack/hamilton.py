@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Graph, iter_bits
+from .core import Graph, _reach
 from .errors import CapacityError, InputError, InternalError
 from .factors import RegEvenBounds, r_factor_exists, reg_even_of_graph, regeven_bounds
 
@@ -71,6 +71,8 @@ class _Budget:
     __slots__ = ("remaining", "exhausted")
 
     def __init__(self, nodes: int | None):
+        if nodes is not None and nodes < 0:
+            raise InputError(f"budget must be >= 0, got {nodes}")
         self.remaining = nodes
         self.exhausted = False
 
@@ -141,19 +143,8 @@ def _feasible(adj: list[int] | tuple[int, ...], n: int, used: int, cur: int) -> 
         w = wb.bit_length() - 1
         if (adj[w] & (unvisited | open_ends)).bit_count() < 2:
             return False
-    # reachability of all unvisited vertices from the path head
-    seen = 1 << cur
-    frontier = adj[cur] & unvisited
-    seen |= frontier
-    while frontier:
-        nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= adj[u]
-        frontier = nxt & unvisited & ~seen
-        seen |= frontier
-    if unvisited & ~seen:
-        return False
-    return bool(adj[0] & unvisited)
+    # the cycle can close, and every unvisited vertex is reachable from the path head
+    return bool(adj[0] & unvisited) and not unvisited & ~_reach(adj, cur, unvisited)
 
 
 def find_hamilton(g: Graph) -> HamCycle | None:
@@ -289,9 +280,9 @@ def pack_hamilton(g: Graph, target: int, budget: int | None = 500_000) -> Packin
         raise InputError(f"target must be >= 0, got {target}")
     if g.n > HAMILTON_MAX_N:
         raise CapacityError(f"packing search capped at n <= {HAMILTON_MAX_N}")
+    b = _Budget(budget)
     if target == 0:
         return Packing(g, (), exhaustive=True)
-    b = _Budget(budget)
     best, achieved = _search_packing(g, target, b)
     packing = Packing(g, tuple(best), exhaustive=not b.exhausted)
     _audit_packing(g, packing)
@@ -330,30 +321,33 @@ def decompose_even_regular(g: Graph, budget: int | None = None) -> Packing | Non
     that a budget (default SEARCH_NODE_BUDGET nodes) makes the search
     best-effort.
     """
-    degs = g.degrees()
-    if not degs:
-        return Packing(g, (), exhaustive=True)
-    if len(set(degs)) != 1:
-        raise InputError("graph is not regular")
-    r = degs[0]
-    if r % 2:
-        raise InputError(f"graph is {r}-regular; even degree required")
-    if r == 0:
-        return Packing(g, (), exhaustive=True)
-    if g.n > HAMILTON_MAX_N:
-        raise CapacityError(f"decomposition search capped at n <= {HAMILTON_MAX_N}")
+    return _decomposition(g, budget)[0]
+
+
+def _decomposition(g: Graph, budget: int | None) -> tuple[Packing | None, bool]:
+    """``decompose_even_regular``, and whether its search ran uncut."""
     if budget is None:
         budget = None if g.n <= EXACT_PACKING_MAX_N else SEARCH_NODE_BUDGET
     b = _Budget(budget)
+    degs = g.degrees()
+    if len(set(degs)) > 1:
+        raise InputError("graph is not regular")
+    r = degs[0] if degs else 0
+    if r % 2:
+        raise InputError(f"graph is {r}-regular; even degree required")
+    if r == 0:
+        return Packing(g, (), exhaustive=True), True
+    if g.n > HAMILTON_MAX_N:
+        raise CapacityError(f"decomposition search capped at n <= {HAMILTON_MAX_N}")
     best, achieved = _search_packing(g, r // 2, b)
     if not achieved:
-        return None
+        return None, not b.exhausted
     packing = Packing(g, tuple(best), exhaustive=not b.exhausted)
     _audit_packing(g, packing)
     covered = sum(len(c) for c in packing.cycles)
     if covered != g.m:
         raise InternalError("decomposition does not cover the edge set")
-    return packing
+    return packing, packing.exhaustive
 
 
 # ---------------------------------------------------------------------------

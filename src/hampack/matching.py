@@ -5,8 +5,8 @@ Called by ``factors.max_matching`` and by the exact r-factor arbiter on
 the stub/core expansion; the bipartite selections in ``factors`` use
 their own b-matching.  The search starts from a greedy maximal matching,
 which may extend a partial seed matching handed in by the caller: the
-degree-factor pipeline seeds it from an r-capped selection of host
-edges, so only a few gadget vertices start exposed.  Each alternating
+degree-factor pipeline seeds it from the fast path's near-factor, so
+only a few gadget vertices start exposed.  Each alternating
 tree resets and scans only the vertices it reached, so an augmentation
 costs the size of its tree, not of the graph.
 

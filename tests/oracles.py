@@ -118,20 +118,20 @@ def brute_first_non_expanding_set(n: int, arcs, nu, tau) -> frozenset[int] | Non
     return None
 
 
-def brute_balanced_subdigraph_exists(n: int, arcs, half: int) -> bool:
-    """Whether some arcs give every vertex in- and out-degree ``half``,
-    by the min-cut formula of the tails-to-heads flow: for every set X
-    of tails, half (n - |X|) + sum over heads y of min(half, e(X, y))
-    must reach n half."""
+def brute_balanced_min_cut(n: int, arcs, half: int) -> int:
+    """The most arcs that keep every in- and out-degree at most ``half``,
+    by the min-cut formula of the tails-to-heads flow: the least, over
+    every set X of tails, of half (n - |X|) + sum over heads y of
+    min(half, e(X, y)).  A sub-digraph with every degree ``half``
+    exists iff this is n half."""
+    best = n * half
     for xmask in range(1 << n):
         into = [0] * n
         for u, v in arcs:
             if xmask >> u & 1:
                 into[v] += 1
-        cut = half * (n - xmask.bit_count()) + sum(min(half, c) for c in into)
-        if cut < n * half:
-            return False
-    return True
+        best = min(best, half * (n - xmask.bit_count()) + sum(min(half, c) for c in into))
+    return best
 
 
 def all_graphs(n: int):
@@ -480,25 +480,22 @@ def reference_gadget(g: Graph, r: int):
     return adj, stubs_of, cores_of, [tuple(pair) for pair in stubs_on]
 
 
-def reference_gadget_decision(g: Graph, r: int):
+def reference_gadget_decision(g: Graph, r: int, seed_edges):
     """The explicit gadget run through the library's blossom matcher on
-    plain lists, seeded as the program seeds it.  What this checks is the
-    gadget's shape and how it is read, not the matcher.  Returns
-    ``(factor edges, None)`` when the gadget has a perfect matching, else
-    ``(None, (S, T))`` with the pair read off A(H), the non-outer
-    vertices with an outer neighbour."""
+    plain lists, seeded as the program seeds it: the two stubs of each
+    edge in ``seed_edges`` (indices into ``g.edges()``, the program's
+    seed) are matched to each other, and each vertex's other stubs fill
+    its cores.  What this checks is the gadget's shape and how it is
+    read, not the matcher or the seed.  Returns ``(factor edges, None)``
+    when the gadget has a perfect matching, else ``(None, (S, T))`` with
+    the pair read off A(H), the non-outer vertices with an outer
+    neighbour."""
     adj, stubs_of, cores_of, edge_stubs = reference_gadget(g, r)
     edges = g.edges()
-    degs = g.degrees()
-    chosen = [0] * g.n
     seed = [-1] * len(adj)
-    for ei in sorted(range(len(edges)), key=lambda ei: sorted(degs[u] for u in edges[ei])):
-        u, v = edges[ei]
-        if chosen[u] < r and chosen[v] < r:
-            chosen[u] += 1
-            chosen[v] += 1
-            a, b = edge_stubs[ei]
-            seed[a], seed[b] = b, a
+    for ei in seed_edges:
+        a, b = edge_stubs[ei]
+        seed[a], seed[b] = b, a
     for v in range(g.n):
         free = [s for s in stubs_of[v] if seed[s] == -1]
         for s, c in zip(free, cores_of[v]):

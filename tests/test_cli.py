@@ -17,7 +17,7 @@ from hampack.cli import COMMANDS, build_parser, main
 from hampack.core import Graph
 from hampack.edgelist import format_edge_list, format_rows, parse_edge_list, read_edge_list
 from hampack.factors import _decide_by_gadget
-from hampack.construct import babai_graph, complete_graph, random_graph
+from hampack.construct import babai_graph, complete_graph, random_graph, two_cliques
 
 
 def run(args, capsys):
@@ -189,6 +189,31 @@ def test_ham_pack_maxpack_decompose_conjecture(tmp_path, capsys):
     code, out = run(["conjecture", "--input", str(k7)], capsys)
     payload = json.loads(out)
     assert code == 0 and payload["graph_law_ok"] and payload["class_law_ok"]
+
+
+def test_decompose_says_whether_its_search_was_cut(tmp_path, capsys):
+    k9, cliques = tmp_path / "k9.el", tmp_path / "cliques.el"
+    k9.write_text(format_edge_list(complete_graph(9)))
+    cliques.write_text(format_edge_list(two_cliques(10)))
+    # K9 decomposes, but not within 10 search nodes
+    code, out = run(["decompose", "--input", str(k9), "--budget", "10"], capsys)
+    assert (code, out) == (0, '{"decomposed": false, "exact": false}\n')
+    code, out = run(["decompose", "--input", str(k9)], capsys)
+    assert code == 0 and json.loads(out)["decomposed"] is True
+    # two disjoint K5: 4-regular and disconnected, refuted by the uncut search
+    code, out = run(["decompose", "--input", str(cliques)], capsys)
+    assert (code, out) == (0, '{"decomposed": false, "exact": true}\n')
+
+
+@pytest.mark.parametrize("command", [["pack", "--target", "2"], ["decompose"]])
+@pytest.mark.parametrize("budget", ["-1", "-500000"])
+def test_negative_budget_is_an_input_error(tmp_path, capsys, command, budget):
+    k9 = tmp_path / "k9.el"
+    k9.write_text(format_edge_list(complete_graph(9)))
+    code = main([command[0], "--input", str(k9), *command[1:], "--budget", budget])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert f"budget must be >= 0, got {budget}" in captured.err
 
 
 @pytest.mark.parametrize("a", [10, 20])
@@ -463,32 +488,27 @@ def test_pinned_orient_stdout(tmp_path, capsys, kind, digest):
 
 
 # factor --emit on odd r, which the orientation fast path decides: (construct
-# args, r, sha256 of stdout, of the --emit file, and of the factor that the
-# gadget arbiter alone finds, in edge-list text; the last is the --emit digest
-# from before the odd-r fast path, so the arbiter's bytes stay pinned)
+# args, r, sha256 of stdout, and of the --emit file).  The gadget arbiter,
+# seeded from the fast path's near-factor, must find the same factor.
 PINNED_FACTOR = [
     (["--n", "40", "--p", "0.5", "--seed", "7"], 1,
      "a83d609244f80fc4fa83e295d663169bb23d53bffa1ed9b0def628aa9d1cd799",
-     "075bc21d6410975a1f6e65856db03fb8ebadfe468f6de1ed60c16284c06cff07",
-     "e063e0a60cfcd66e95cf965fb628c98d56d0d8e811c08aa4c5e92d2a45c4cb3d"),
+     "075bc21d6410975a1f6e65856db03fb8ebadfe468f6de1ed60c16284c06cff07"),
     (["--n", "40", "--p", "0.5", "--seed", "7"], 3,
      "0526e3adf04b00d43645c685256706cd4036308611357dc2c3e81d0358c4efe1",
-     "8d46d4d5b85536ac1def601f9263c3f5bc9a506ff52e36917141068f781f5b0b",
-     "3d0f60362b82f6ee0c76e6f76e89d23090b455e137d036c0cb549c57d6983ef5"),
+     "8d46d4d5b85536ac1def601f9263c3f5bc9a506ff52e36917141068f781f5b0b"),
     (["--n", "40", "--p", "0.5", "--seed", "7"], 5,
      "3dc2e102a503fcfc4e597378d37e89b85fe51b6c8c95ffa4fa4ec1a7b00d34f8",
-     "cca19c5af403918a3d86d561c8f59147c9118b3285767237512e14febb93ddb0",
-     "e2581ae253cf15b182164cb216c58b492f5b17e0391f55d22241dc68e97a6501"),
+     "cca19c5af403918a3d86d561c8f59147c9118b3285767237512e14febb93ddb0"),
     (["--n", "64", "--p", "0.5", "--seed", "1"], 7,
      "3cf1455b7ed080c7669f6ae2a03c726e3557acc03040968f1d24bb6a06c88ca7",
-     "f1df848763defae786128922e9314190486c38fe67395c1a64a7c6cc87f6cda1",
-     "ffd9ac8cfeda9011728d304174c6e5de81bf86e199e801f5fb1c7fd0e3071936"),
+     "f1df848763defae786128922e9314190486c38fe67395c1a64a7c6cc87f6cda1"),
 ]
 
 
-@pytest.mark.parametrize("kind,r,out_digest,emit_digest,gadget_digest", PINNED_FACTOR,
+@pytest.mark.parametrize("kind,r,out_digest,emit_digest", PINNED_FACTOR,
                          ids=[f"n{k[1]}-seed{k[5]}-r{r}" for k, r, *_ in PINNED_FACTOR])
-def test_pinned_factor_emit(tmp_path, capsys, kind, r, out_digest, emit_digest, gadget_digest):
+def test_pinned_factor_emit(tmp_path, capsys, kind, r, out_digest, emit_digest):
     graph, emit = tmp_path / "g.el", tmp_path / "f.el"
     assert run(["construct", "--kind", "gnp", *kind, "--out", str(graph)], capsys)[0] == 0
     code, out = run(["factor", "--r", str(r), "--input", str(graph), "--emit", str(emit)], capsys)
@@ -497,14 +517,14 @@ def test_pinned_factor_emit(tmp_path, capsys, kind, r, out_digest, emit_digest, 
     g = read_edge_list(graph)
     arbiter = _decide_by_gadget(g, r).factor.subgraph.edges
     text = format_rows(g.n, Graph(g.n, arbiter).adj)
-    assert hashlib.sha256(text.encode()).hexdigest() == gadget_digest
+    assert hashlib.sha256(text.encode()).hexdigest() == emit_digest
 
 
 # regeven --emit: (construct args, sha256 of stdout, of the --emit file)
 PINNED_REGEVEN = [
     (["extremal", "--n", "48", "--delta", "25"],
      "3b0c6b229c675a9884e2021f36ab7162435627320b82154a0734efe630e3582b",
-     "a1cc5df6fe10083a82608fe78e57dd5e9665a26bf6ae0230623c52a39df1f2ce"),
+     "0d905d9ca22acbd0e371fb8e15224edeab82dec97bd21b8b65b8d05fa8bc5f8c"),
     (["gnp", "--n", "64", "--p", "0.88", "--seed", "3"],
      "f6bdccfa5ff3fea5ce4d78cd199b68534e4e7a344125376cf90cf0b4df682a86",
      "9606d03bffd494b9370f810c06b0147e41e79b45778d8885b7951708bdf4dbee"),

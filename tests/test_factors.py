@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from oracles import (
-    brute_balanced_subdigraph_exists,
+    brute_balanced_min_cut,
     brute_has_r_factor,
     first_structured_violation,
     reference_balanced_subdigraph,
@@ -318,13 +318,20 @@ def test_bounds_grid_invariants():
 # The b-matching of the even fast path and of the 2-factor peel
 # ---------------------------------------------------------------------------
 
-def _assert_full_selection(n, arcs, half, picked):
+def _assert_selection(n, arcs, half, picked):
+    """Distinct arc ids with every in- and out-degree at most ``half``."""
     assert picked == sorted(set(picked))
     out, into = [0] * n, [0] * n
     for i in picked:
         u, v = arcs[i]
         out[u] += 1
         into[v] += 1
+    assert max(out + into, default=0) <= half
+    return out, into
+
+
+def _assert_full_selection(n, arcs, half, picked):
+    out, into = _assert_selection(n, arcs, half, picked)
     assert out == [half] * n and into == [half] * n
 
 
@@ -340,9 +347,11 @@ def test_balanced_subdigraph_matches_min_cut_oracle(g, data):
         arcs = [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
     for half in range(max(g.degrees(), default=0) + 2):
         picked = _balanced_subdigraph(g.n, arcs, half)
-        assert (picked is not None) == brute_balanced_subdigraph_exists(g.n, arcs, half)
-        if picked is not None:
-            _assert_full_selection(g.n, arcs, half, picked)
+        _assert_selection(g.n, arcs, half, picked)
+        cut = brute_balanced_min_cut(g.n, arcs, half)
+        assert (len(picked) == g.n * half) == (cut == g.n * half)
+        if g.n <= 8:
+            assert len(picked) == cut  # the selection is maximum
 
 
 def test_balanced_subdigraph_long_augmenting_path():
@@ -351,7 +360,6 @@ def test_balanced_subdigraph_long_augmenting_path():
     n = 1000
     arcs = [(i, i + 1) for i in range(n - 1)] + [(i, i - 1) for i in range(1, n)]
     picked = _balanced_subdigraph(n, arcs, 1)
-    assert picked is not None
     _assert_full_selection(n, arcs, 1, picked)
 
 
@@ -376,8 +384,9 @@ def test_balanced_subdigraph_matches_reference_verdict():
         for arcs in (balanced_orientation_arcs(g), [e if rng.random() < 0.5 else e[::-1] for e in edges]):
             for half in range(g.min_degree() // 2 + 2):
                 picked = _balanced_subdigraph(g.n, arcs, half)
-                assert (picked is None) == (reference_balanced_subdigraph(g.n, arcs, half) is None)
-                if picked is None:
+                short = len(picked) < g.n * half
+                assert short == (reference_balanced_subdigraph(g.n, arcs, half) is None)
+                if short:
                     nones += 1
                 else:
                     _assert_full_selection(g.n, arcs, half, picked)
@@ -545,11 +554,18 @@ def _rows_as_read(gadget):
     return [([p] if p >= 0 else []) + list(row) for p, row in zip(gadget.partner, gadget.rows)]
 
 
+def _program_seed_edges(g, r):
+    """The host edges whose two stubs ``_seed_mate`` matches to each other."""
+    gadget = _build_gadget(g, r)
+    mate = _seed_mate(g, r, gadget)
+    return [ei for ei, (a, b) in enumerate(gadget.edge_stubs) if mate[a] == b]
+
+
 def _agrees_with_explicit_oracle(g, r) -> bool:
     """Check the gadget's rows, verdict, factor edges and Tutte pair
     against the explicit gadget run through the matcher; True on a no."""
     assert _rows_as_read(_build_gadget(g, r)) == reference_gadget(g, r)[0]
-    edges, pair = reference_gadget_decision(g, r)
+    edges, pair = reference_gadget_decision(g, r, _program_seed_edges(g, r))
     decision = _decide_by_gadget(g, r)
     assert decision.exists == (edges is not None) == r_factor_exists(g, r).exists
     if decision.exists:
@@ -587,6 +603,30 @@ def test_gadget_memory_is_linear_in_the_host():
     assert len(gadget.partner) + 3 * len(shared) <= 4 * (n + m)
     assert len(gadget.edges) == len(gadget.edge_stubs) == m
     # explicit lists held d(v) + 2 d(v)(d(v) - r) entries per vertex: 8.2 M here
+
+
+# ---------------------------------------------------------------------------
+# The paper's extremal family, where the fast path misses at reg_even by a
+# few units and the gadget starts from its near-factor
+# ---------------------------------------------------------------------------
+
+EXTREMAL_REG_EVEN = {(64, 33): 22, (64, 34): 24, (96, 49): 30, (96, 50): 34,
+                     (128, 65): 40, (128, 66): 44}
+
+
+@pytest.mark.parametrize("n,delta", sorted(EXTREMAL_REG_EVEN))
+def test_extremal_family_through_the_seeded_gadget(n, delta):
+    g = extremal_graph(n, delta)[0]
+    r, factor = largest_even_factor(g)
+    assert r == EXTREMAL_REG_EVEN[n, delta] and factor.r == r
+    factor.validate(g)
+    assert not _agrees_with_explicit_oracle(g, r)
+    # every larger r has a structured pair; the gadget alone finds its barrier pair
+    assert _agrees_with_explicit_oracle(g, r + 2)
+
+
+def test_reg_even_of_the_extremal_graph_at_n256():
+    assert reg_even_of_graph(extremal_graph(256, 129)[0]) == 74
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +683,7 @@ def _leave_one_exposed(n, adj):
 def test_odd_fast_path_miss_falls_through_to_the_gadget(monkeypatch, miss):
     g = random_graph(40, 0.5, 7)
     if miss == "no_subdigraph":
-        monkeypatch.setattr(factors, "_balanced_subdigraph", lambda n, arcs, half: None)
+        monkeypatch.setattr(factors, "_balanced_subdigraph", lambda n, arcs, half: [])
         rs = (3, 5, 7)
     else:
         monkeypatch.setattr(factors, "maximum_matching", _leave_one_exposed)

@@ -372,6 +372,13 @@ def test_max_packing_matches_cycle_list_oracle(seed):
     assert verify_packing(g, packing)
 
 
+def test_negative_budget_is_refused():
+    g = complete_graph(9)
+    for call in (lambda: pack_hamilton(g, 0, budget=-1), lambda: decompose_even_regular(g, budget=-1)):
+        with pytest.raises(InputError, match="budget must be >= 0"):
+            call()
+
+
 def test_pack_budget_exhaustion_is_flagged():
     g = complete_graph(9)
     p = pack_hamilton(g, 4, budget=5)
