@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Graphs travel as edge-list text (``p <n> <m>`` header, one ``<u> <v>``
-line per edge); orientations as arc lists.  Results are JSON with
-sorted keys and ascending vertex lists, so identical invocations (same
-seeds included) produce byte-identical output.  ``ensemble`` emits CSV
-with one row per seeded instance plus a min/max/mean summary row.
+line per edge); orientations are written as arc lists, never read.
+Results are JSON with sorted keys and ascending vertex lists, so
+identical invocations (same seeds included) produce byte-identical
+output.  ``ensemble`` emits CSV with one row per seeded instance plus a
+min/max/mean summary row.
 
 Exit codes: 0 success, 2 parse error, 3 capacity error, 4 precondition
 violation, 5 internal invariant failure.
@@ -34,6 +35,9 @@ EXIT_PARSE = 2
 EXIT_CAPACITY = 3
 EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
+
+#: The most processes ``ensemble --workers`` starts.
+MAX_WORKERS = 32
 
 
 def _fraction(text: str) -> Fraction:
@@ -127,6 +131,8 @@ def cmd_factor(g: Graph, args) -> dict:
 
 def cmd_tutte(g: Graph, args) -> dict:
     if args.exhaustive:
+        if args.s is not None or args.t is not None:
+            raise InputError("tutte --exhaustive checks every pair: drop --s and --t")
         return {"r": args.r, "holds_for_all_pairs": factors.tutte_verify_exhaustive(g, args.r)}
     if args.s is None or args.t is None:
         raise InputError("tutte requires either --exhaustive or both --s and --t")
@@ -361,6 +367,10 @@ def _run_row(experiment: str, params: dict, index: int, row_seed: int) -> dict:
 
 
 def cmd_ensemble(args) -> str:
+    if args.count < 0:
+        raise InputError(f"--count must be >= 0, got {args.count}")
+    if not 1 <= args.workers <= MAX_WORKERS:
+        raise InputError(f"--workers must be in 1..{MAX_WORKERS}, got {args.workers}")
     _, header = _EXPERIMENTS[args.experiment]
     default_window = {"expansion": (8, 18), "conjecture": (6, 10)}[args.experiment]
     n_min = args.n_min if args.n_min is not None else default_window[0]
@@ -416,8 +426,7 @@ COMMON = [
          "kept out of the main output so identical seeded runs stay byte-identical"),
 ]
 
-# name -> (handler, help, options in help order); a list of options is a
-# mutually exclusive group.
+# name -> (handler, help, options in help order)
 COMMANDS = {
     "construct": (cmd_construct, "emit a generated graph as an edge list", [
         _opt("--kind", required=True,
@@ -451,10 +460,8 @@ COMMANDS = {
     "expander": (cmd_expander, "certify or refute robust expansion", [
         _opt("--nu", type=_fraction, required=True),
         _opt("--tau", type=_fraction, required=True),
-        [
-            _opt("--exact", action="store_true", help="exhaustive subset check (the default)"),
-            _opt("--mc", action="store_true", help="seeded Monte-Carlo refuter"),
-        ],
+        _opt("--mc", action="store_true",
+             help="seeded Monte-Carlo refuter (default: exhaustive subset check)"),
         _opt("--samples", type=int, default=1000),
         SEED,
         INPUT,
@@ -463,12 +470,6 @@ COMMANDS = {
     "extremal": (cmd_extremal, "eta-extremality check or witness search", [
         _opt("--eta", type=_fraction, required=True),
         INPUT,
-        [
-            _opt("--exact", action="store_true",
-                 help="the default: exact search for n <= 14, local search above"),
-            _opt("--heuristic", action="store_true",
-                 help="also the default: exact search for n <= 14, local search above"),
-        ],
         SEED,
         _opt("--restarts", type=int, default=20, help="starts of the local search above n = 14"),
         _opt("--a", type=_vertex_list, help="explicit class A to check"),
@@ -515,14 +516,6 @@ COMMANDS = {
 }
 
 
-def _add_options(parser, options) -> None:
-    for option in options:
-        if isinstance(option, list):
-            _add_options(parser.add_mutually_exclusive_group(), option)
-        else:
-            parser.add_argument(option[0], **option[1])
-
-
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of ``command`` alone.  The
@@ -544,7 +537,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         fn, help_text, options = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        _add_options(p, COMMON + options)
+        for flag, kwargs in COMMON + options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 

@@ -239,21 +239,6 @@ class DiGraph:
         self.out_adj = tuple(out_rows)
         self.in_adj = tuple(in_rows)
 
-    @classmethod
-    def from_out_rows(cls, rows: list[int]) -> "DiGraph":
-        """Build from prevalidated loop-free bitset out-rows."""
-        d = cls.__new__(cls)
-        d.n = len(rows)
-        _check_capacity(d.n)
-        in_rows = [0] * d.n
-        for u, row in enumerate(rows):
-            bit = 1 << u
-            for v in iter_bits(row):
-                in_rows[v] |= bit
-        d.out_adj = tuple(rows)
-        d.in_adj = tuple(in_rows)
-        return d
-
     def out_degree(self, v: int) -> int:
         return self.out_adj[v].bit_count()
 

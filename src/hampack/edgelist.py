@@ -1,25 +1,25 @@
 """Plain-text graph exchange formats.
 
-Edge lists (undirected)::
+Edge lists (undirected), the one format read::
 
     # optional comments
     p <n> <m>
     <u> <v>          (m lines, 0-based, u < v, no duplicates)
 
-Arc lists (directed) use the same header followed by ``a <u> <v>`` lines
-(u != v, no repeated arc).  These formats are the unit of exchange for
-every CLI command.  Header fields and vertices are ASCII decimals.
+Every CLI command that takes a graph reads this format.  Header fields
+and vertices are ASCII decimals.  Arc lists (directed: the same header
+followed by ``a <u> <v>`` lines) are written only, by ``orient``.
 
-Canonical text, the text this module and ``construct`` write, is read
-in bulk: the header ``p <n> <m>`` on the first line, then one record per
-line, ``<u> <v>`` or ``a <u> <v>``, with single spaces, every line ended
-by ``\\n``, and every vertex an ASCII decimal without sign or leading
-zero.  The bulk reader takes it in chunks of at most 8 KiB that end at a
-line end, and declines the whole text at anything else, faults included.
-A declined text goes to the line reader.  So any other valid text
+Canonical text, the edge-list text this module and ``construct`` write,
+is read in bulk: the header ``p <n> <m>`` on the first line, then one
+``<u> <v>`` record per line, with single spaces, every line ended by
+``\\n``, and every vertex an ASCII decimal without sign or leading zero.
+The bulk reader takes it in chunks of at most 8 KiB that end at a line
+end, and declines the whole text at anything else, faults included.  A
+declined text goes to the line reader.  So any other valid text
 (comments, blank lines, extra spaces, CRLF line ends, ...) reads to the
 same graph, and every fault is reported by the line reader alone, with
-the same ``ParseError`` message and line number in both formats.
+its ``ParseError`` message and line number.
 """
 
 from __future__ import annotations
@@ -52,14 +52,14 @@ def _integer(token: str) -> int:
     return int(token)
 
 
-def _read_canonical(text: str, arcs: bool) -> list[int] | None:
+def _read_canonical(text: str) -> list[int] | None:
     """The rows ``_read_lines`` gives for canonical text (module
     docstring), or None for any other text.  Each chunk's layout is
     checked with string calls (what is left after deleting the digits,
     and the token count), its tokens are looked up in ``_VERTEX`` and
-    checked for range and u < v (u != v for arcs) before any bit is set.
-    The record count and the rows' bit total, which a repeat lowers, are
-    checked at the end.  Declining never raises."""
+    checked for range and u < v before any bit is set.  The edge count
+    and the rows' bit total, which a repeat lowers, are checked at the
+    end.  Declining never raises."""
     head_end = text.find("\n") + 1
     header = text[:head_end - 1].split(" ")
     if not head_end or len(header) != 3 or header[0] != "p" or text[-1] != "\n":
@@ -67,8 +67,6 @@ def _read_canonical(text: str, arcs: bool) -> list[int] | None:
     n, m = _natural(header[1]), _natural(header[2])
     if n is None or m is None or n > MAX_VERTICES:
         return None
-    layout, width = ("a  \n", 3) if arcs else (" \n", 2)
-    ordered = operator.ne if arcs else operator.lt
     rows = [0] * n
     bit = _BIT
     count = 0
@@ -80,47 +78,39 @@ def _read_canonical(text: str, arcs: bool) -> list[int] | None:
         chunk = text[start:end]
         lines = chunk.count("\n")
         tokens = chunk.split()
-        if len(tokens) != width * lines or chunk.translate(_NO_DIGITS) != layout * lines:
-            return None
-        if arcs and tokens.count("a") != lines:  # not 'a5 1 2', say
+        if len(tokens) != 2 * lines or chunk.translate(_NO_DIGITS) != " \n" * lines:
             return None
         try:
-            tails = list(map(_VERTEX.__getitem__, tokens[width - 2::width]))
-            heads = list(map(_VERTEX.__getitem__, tokens[width - 1::width]))
+            tails = list(map(_VERTEX.__getitem__, tokens[0::2]))
+            heads = list(map(_VERTEX.__getitem__, tokens[1::2]))
         except KeyError:
             return None
         del tokens  # so that no two chunks' tokens are alive at once
-        if max(max(tails), max(heads)) >= n or not all(map(ordered, tails, heads)):
+        if max(heads) >= n or not all(map(operator.lt, tails, heads)):
             return None
-        if arcs:
-            for u, v in zip(tails, heads):
-                rows[u] |= bit[v]
-        else:
-            for u, v in zip(tails, heads):
-                rows[u] |= bit[v]
-                rows[v] |= bit[u]
+        for u, v in zip(tails, heads):
+            rows[u] |= bit[v]
+            rows[v] |= bit[u]
         count += lines
         start = end
-    if count != m or sum(map(int.bit_count, rows)) != (count if arcs else 2 * count):
+    if count != m or sum(map(int.bit_count, rows)) != 2 * count:
         return None
     return rows
 
 
-def _read_rows(text: str, arcs: bool) -> list[int]:
-    """Bitset rows of either format: canonical text in bulk, any other
-    text, and every fault, through the line reader."""
-    rows = _read_canonical(text, arcs)
-    return _read_lines(text, arcs) if rows is None else rows
+def _read_rows(text: str) -> list[int]:
+    """Bitset adjacency rows: canonical text in bulk, any other text,
+    and every fault, through the line reader."""
+    rows = _read_canonical(text)
+    return _read_lines(text) if rows is None else rows
 
 
-def _read_lines(text: str, arcs: bool) -> list[int]:
-    """The header, comment and record lines both formats share, read in
-    one pass into bitset rows: adjacency rows for edges, out-rows for
-    arcs.  Each record is checked for range, loops and repeats (a repeat
-    finds its row bit set), and their number against the header.  A
-    header above the vertex cap raises ``CapacityError`` at once."""
-    noun = "arc" if arcs else "edge"
-    shape = "'a <u> <v>'" if arcs else "'<u> <v>'"
+def _read_lines(text: str) -> list[int]:
+    """The header, comment and edge lines, read in one pass into bitset
+    adjacency rows.  Each edge is checked for range, order and repeats
+    (a repeat finds its row bit set), and their number against the
+    header.  A header above the vertex cap raises ``CapacityError`` at
+    once."""
     rows: list[int] | None = None
     n = m = count = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -141,40 +131,33 @@ def _read_lines(text: str, arcs: bool) -> list[int]:
             _check_capacity(n)
             rows = [0] * n
             continue
-        if arcs:
-            if parts[0] != "a":
-                raise ParseError(f"expected {shape}, got {raw.strip()!r}", lineno)
-            del parts[0]
         if rows is None:
-            raise ParseError(f"{noun} line before 'p' header", lineno)
+            raise ParseError("edge line before 'p' header", lineno)
         if len(parts) != 2:
-            raise ParseError(f"expected {shape}, got {raw.strip()!r}", lineno)
+            raise ParseError(f"expected '<u> <v>', got {raw.strip()!r}", lineno)
         try:
             u, v = _integer(parts[0]), _integer(parts[1])
         except ValueError:
             raise ParseError("non-integer endpoint", lineno) from None
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"endpoint out of range 0..{n - 1}", lineno)
-        if arcs and u == v:
-            raise ParseError(f"loop at vertex {u}", lineno)
-        if not arcs and u >= v:
+        if u >= v:
             raise ParseError(f"endpoints must satisfy u < v, got {u} {v}", lineno)
         bit = 1 << v
         if rows[u] & bit:
-            raise ParseError(f"duplicate {noun} {u} {v}", lineno)
+            raise ParseError(f"duplicate edge {u} {v}", lineno)
         rows[u] |= bit
-        if not arcs:
-            rows[v] |= 1 << u
+        rows[v] |= 1 << u
         count += 1
     if rows is None:
         raise ParseError("missing 'p <n> <m>' header")
     if m != count:
-        raise ParseError(f"header declares m={m} but found {count} {noun}s")
+        raise ParseError(f"header declares m={m} but found {count} edges")
     return rows
 
 
 def parse_edge_list(text: str) -> Graph:
-    return Graph.from_adj(_read_rows(text, arcs=False))
+    return Graph.from_adj(_read_rows(text))
 
 
 def format_rows(n: int, rows: Sequence[int]) -> str:
@@ -210,10 +193,6 @@ def read_edge_list(path: str | Path) -> Graph:
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
     Path(path).write_text(format_edge_list(g))
-
-
-def parse_arc_list(text: str) -> DiGraph:
-    return DiGraph.from_out_rows(_read_rows(text, arcs=True))
 
 
 def format_arc_list(d: DiGraph) -> str:

@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from hampack.core import Graph, _check_capacity, iter_bits
+from hampack.core import Graph, _check_capacity, iter_bits, mask_of
 from hampack.errors import DisjointnessError, InputError
 from hampack.expanders import ExpanderVerdict, RobustParams
 from hampack.factors import tutte_quantities
@@ -100,6 +100,66 @@ def brute_min_closeness(g: Graph, kind: str) -> tuple[frozenset[int], int]:
 def brute_min_closeness_score(g: Graph, kind: str) -> int:
     """Unpruned minimum of e(A) or e(A, complement) over |A| = n//2."""
     return brute_min_closeness(g, kind)[1]
+
+
+def reference_closeness_score(g: Graph, kind: str, amask: int) -> int:
+    if kind == "bipartite":
+        total = 0
+        for v in iter_bits(amask):
+            total += (g.adj[v] & amask).bit_count()
+        return total // 2
+    total = 0
+    for v in iter_bits(amask):
+        total += (g.adj[v] & ~amask).bit_count()
+    return total
+
+
+def reference_closeness_heuristic(
+    g: Graph, kind: str, k: int, seed: int, restarts: int
+) -> tuple[int, int]:
+    """The closeness swap search that rescores the whole set for every
+    candidate swap: the same starts, shuffles and first strict
+    improvement as ``extremality._closeness_heuristic``, without its
+    kept counts."""
+    n = g.n
+    rng = random.Random(seed)
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    starts = [order[:k], order[::-1][:k]]
+    components = sorted(g.components(), key=lambda c: -c.bit_count())
+    greedy: list[int] = []
+    for comp in components:
+        for v in iter_bits(comp):
+            if len(greedy) < k:
+                greedy.append(v)
+    starts.append(greedy)
+    for _ in range(max(0, restarts - len(starts))):
+        starts.append(rng.sample(range(n), k))
+    best_mask = -1
+    best_score: int | None = None
+    for start in starts:
+        amask = mask_of(start[:k], n)
+        score = reference_closeness_score(g, kind, amask)
+        improved = True
+        while improved:
+            improved = False
+            ins = list(iter_bits(((1 << n) - 1) & ~amask))
+            outs = list(iter_bits(amask))
+            rng.shuffle(ins)
+            rng.shuffle(outs)
+            for u in outs:
+                for w in ins:
+                    cand = (amask & ~(1 << u)) | (1 << w)
+                    sc = reference_closeness_score(g, kind, cand)
+                    if sc < score:
+                        amask, score = cand, sc
+                        improved = True
+                        break
+                if improved:
+                    break
+        if best_score is None or score < best_score:
+            best_mask, best_score = amask, score
+    assert best_score is not None
+    return best_mask, best_score
 
 
 def brute_first_non_expanding_set(n: int, arcs, nu, tau) -> frozenset[int] | None:

@@ -1,7 +1,9 @@
 import argparse
 import hashlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +15,9 @@ from oracles import cliques_sharing_a_vertex, generalized_petersen
 
 import hampack
 from hampack import hamilton
-from hampack.cli import COMMANDS, build_parser, main
-from hampack.core import Graph
+from hampack.cli import COMMANDS, MAX_WORKERS, build_parser, main
+from hampack.core import DiGraph, Graph
+from hampack.expanders import eulerian_orientation
 from hampack.edgelist import format_edge_list, format_rows, parse_edge_list, read_edge_list
 from hampack.factors import _decide_by_gadget
 from hampack.construct import babai_graph, complete_graph, random_graph, two_cliques
@@ -89,6 +92,16 @@ def test_tutte_quantities_cli(tmp_path, capsys):
     assert code == 0 and json.loads(out)["holds_for_all_pairs"] is True
 
 
+@pytest.mark.parametrize("pair", [["--s", "0", "--t", "1"], ["--s", "0"], ["--t", ""]])
+def test_tutte_exhaustive_refuses_a_pair(tmp_path, capsys, pair):
+    c6 = tmp_path / "c6.el"
+    c6.write_text("p 6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
+    code = main(["tutte", "--r", "2", "--input", str(c6), "--exhaustive", *pair])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "tutte --exhaustive checks every pair: drop --s and --t" in captured.err
+
+
 def test_expander_cli(tmp_path, capsys):
     tc = tmp_path / "tc.el"
     code, _ = run(["construct", "--kind", "two-cliques", "--n", "12", "--out", str(tc)], capsys)
@@ -102,19 +115,20 @@ def test_expander_cli(tmp_path, capsys):
     assert code == 0 and payload["witness"] == [0, 1, 2, 3, 4, 5]
 
 
-@pytest.mark.parametrize("command,flags", [
-    (["expander", "--nu", "1/10", "--tau", "2/5"], ["--exact", "--mc"]),
-    (["extremal", "--eta", "1/5"], ["--exact", "--heuristic"]),
+@pytest.mark.parametrize("command", [
+    ["expander", "--nu", "1/10", "--tau", "2/5", "--exact"],
+    ["extremal", "--eta", "1/5", "--exact"],
+    ["extremal", "--eta", "1/5", "--heuristic"],
 ])
-def test_conflicting_mode_flags_exit_2(tmp_path, capsys, command, flags):
+def test_mode_flags_that_select_nothing_are_unrecognized(tmp_path, capsys, command):
+    # expander is exact unless --mc is given; extremal picks its search from n
     tc = tmp_path / "tc.el"
-    run(["construct", "--kind", "two-cliques", "--n", "8", "--out", str(tc)], capsys)
-    code, out = run(command + flags[:1] + ["--input", str(tc)], capsys)
-    assert code == 0 and json.loads(out)
+    tc.write_text(format_edge_list(two_cliques(8)))
+    assert run(command[:-1] + ["--input", str(tc)], capsys)[0] == 0
     with pytest.raises(SystemExit) as exc:
-        main(command + flags + ["--input", str(tc)])
+        main(command + ["--input", str(tc)])
     assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert f"unrecognized arguments: {command[-1]}" in capsys.readouterr().err
 
 
 def test_orient_cli(tmp_path, capsys):
@@ -122,9 +136,11 @@ def test_orient_cli(tmp_path, capsys):
     k5.write_text(format_edge_list(complete_graph(5)))
     code, out = run(["orient", "--input", str(k5)], capsys)
     assert code == 0
-    from hampack.edgelist import parse_arc_list
-
-    d = parse_arc_list(out)
+    header, *lines = out.splitlines()
+    assert header == f"p 5 {len(lines)}" and all(line.startswith("a ") for line in lines)
+    d = DiGraph(5, [tuple(map(int, line.split()[1:])) for line in lines])
+    expected = eulerian_orientation(complete_graph(5))
+    assert (d.out_adj, d.in_adj) == (expected.out_adj, expected.in_adj)
     assert all(d.out_degree(v) == 2 for v in range(5))
     arcs = tmp_path / "k5.arcs"
     assert run(["orient", "--input", str(k5), "--out", str(arcs)], capsys) == (0, "")
@@ -356,6 +372,26 @@ def test_ensemble_zero_rows_is_header_only(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines == ["index,seed,n,m,delta,certified,error"]
+
+
+@pytest.mark.parametrize("options,message", [
+    (["--count", "-3"], "--count must be >= 0, got -3"),
+    (["--count", "1000000", "--workers", "0"], f"--workers must be in 1..{MAX_WORKERS}, got 0"),
+    (["--count", "1000000", "--workers", "-4"], f"--workers must be in 1..{MAX_WORKERS}, got -4"),
+    (["--count", "1000000", "--workers", str(MAX_WORKERS + 1)],
+     f"--workers must be in 1..{MAX_WORKERS}, got {MAX_WORKERS + 1}"),
+])
+def test_ensemble_refuses_counts_it_cannot_honour(capsys, monkeypatch, options, message):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    code = main(["ensemble", "--experiment", "expansion", *options])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert message in captured.err
 
 
 def test_ensemble_worker_pool_matches_sequential(tmp_path, capsys):
@@ -640,6 +676,22 @@ BAD_VALUE = {
     "maxpack": ["--out"], "decompose": ["--budget", "x"], "conjecture": ["--record"],
     "ensemble": ["--experiment", "nope"],
 }
+
+
+def test_every_option_is_read():
+    # a dest is read as args.<dest> by its handler, or by main and
+    # _write_record (input, out and record)
+    from hampack import cli
+
+    shared = inspect.getsource(cli.main) + inspect.getsource(cli._write_record)
+    unread = []
+    for name, (handler, _, options) in COMMANDS.items():
+        source = inspect.getsource(handler) + shared
+        for flag, _ in cli.COMMON + options:
+            dest = flag.removeprefix("--").replace("-", "_")
+            if not re.search(rf"\bargs\.{dest}\b", source):
+                unread.append(f"{name} {flag}")
+    assert unread == []
 
 
 def outcome(parse, argv, capsys):

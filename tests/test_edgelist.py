@@ -10,13 +10,8 @@ from conftest import graphs
 
 from hampack import edgelist
 from hampack.construct import random_graph
-from hampack.core import DiGraph, Graph
-from hampack.edgelist import (
-    format_arc_list,
-    format_edge_list,
-    parse_arc_list,
-    parse_edge_list,
-)
+from hampack.core import Graph
+from hampack.edgelist import format_edge_list, parse_edge_list
 from hampack.errors import CapacityError, ParseError
 
 
@@ -55,100 +50,60 @@ def test_parse_error_carries_line_number():
     assert "line 2" in str(err.value)
 
 
-def test_arc_round_trip():
-    d = DiGraph(4, [(0, 1), (1, 2), (3, 0), (2, 0)])
-    back = parse_arc_list(format_arc_list(d))
-    assert (back.n, back.out_adj, back.in_adj) == (d.n, d.out_adj, d.in_adj)
-
-
-def test_arc_parse_errors():
-    with pytest.raises(ParseError):
-        parse_arc_list("p 3 1\n0 1\n")  # missing 'a' prefix
-    with pytest.raises(ParseError):
-        parse_arc_list("p 3 1\na 0 0\n")
-
-
-def test_arc_list_rejects_repeated_arc():
-    # the header declares two arcs; a repeat must not count as one
-    with pytest.raises(ParseError, match="line 3"):
-        parse_arc_list("p 3 2\na 0 1\na 0 1\n")
-    assert sorted(parse_arc_list("p 2 2\na 0 1\na 1 0\n").arcs()) == [(0, 1), (1, 0)]
-
-
-# Every fault of either format, with its exact message and line number.
+# Every fault, with its exact message and line number.  The test ids keep
+# the format name ("edge-...") under which earlier runs recorded them.
 PARSE_FAULTS = [
-    ("edge", "0 1\np 2 1\n", 1, "line 1: edge line before 'p' header"),
-    ("edge", "a 0 1\n", 1, "line 1: edge line before 'p' header"),
-    ("edge", "p 2 x\n", 1, "line 1: non-integer header fields"),
-    ("edge", "p 3\n", 1, "line 1: header must be 'p <n> <m>'"),
-    ("edge", "p 3 1 2\n", 1, "line 1: header must be 'p <n> <m>'"),
-    ("edge", "p -1 0\n", 1, "line 1: negative header fields"),
-    ("edge", "p 3 -1\n", 1, "line 1: negative header fields"),
-    ("edge", "p 3 1\np 3 1\n0 1\n", 2, "line 2: duplicate header line"),
-    ("edge", "p 3 1\np\n", 2, "line 2: duplicate header line"),
-    ("edge", "p 2 1\n1 0\n", 2, "line 2: endpoints must satisfy u < v, got 1 0"),
-    ("edge", "p 3 1\n  1   1  \n", 2, "line 2: endpoints must satisfy u < v, got 1 1"),
-    ("edge", "p 2 1\n0 2\n", 2, "line 2: endpoint out of range 0..1"),
-    ("edge", "p 0 1\n0 1\n", 2, "line 2: endpoint out of range 0..-1"),
-    ("edge", "p 3 1\n-1 1\n", 2, "line 2: endpoint out of range 0..2"),
-    ("edge", "p 3 2\n0 1\n0 1\n", 3, "line 3: duplicate edge 0 1"),
-    ("edge", "p 3 2\n# c\n0 2\n\n0 2\n", 5, "line 5: duplicate edge 0 2"),
-    ("edge", "p 3 2\n0 1\n1 0\n", 3, "line 3: endpoints must satisfy u < v, got 1 0"),
-    ("edge", "p 2 1\n0 1 9\n", 2, "line 2: expected '<u> <v>', got '0 1 9'"),
-    ("edge", "p 3 1\n\t0 1 # trailing\n", 2, "line 2: expected '<u> <v>', got '0 1 # trailing'"),
-    ("edge", "p 3 1\na 0 1\n", 2, "line 2: expected '<u> <v>', got 'a 0 1'"),
-    ("edge", "p 3 1\n0\n", 2, "line 2: expected '<u> <v>', got '0'"),
-    ("edge", "p 3 1\nbogus line\n", 2, "line 2: non-integer endpoint"),
-    ("edge", "p 3 1\n0 x\n", 2, "line 2: non-integer endpoint"),
-    ("edge", "p 3 1\n0 1.0\n", 2, "line 2: non-integer endpoint"),
-    ("edge", "p 11 1\n0 1_0\n", 2, "line 2: non-integer endpoint"),
-    ("edge", "p 3 1\n+0 1\n", 2, "line 2: non-integer endpoint"),
-    ("edge", "p 3 1\n0 \u0661\n", 2, "line 2: non-integer endpoint"),
-    ("edge", "p 3 1\n0 -\n", 2, "line 2: non-integer endpoint"),
-    ("edge", "p 3 1\n0 --1\n", 2, "line 2: non-integer endpoint"),
-    ("edge", "p 1_1 0\n", 1, "line 1: non-integer header fields"),
-    ("edge", "p +3 0\n", 1, "line 1: non-integer header fields"),
-    ("edge", "p 3 \u0660\n", 1, "line 1: non-integer header fields"),
-    ("edge", "", None, "missing 'p <n> <m>' header"),
-    ("edge", "# only\n\n", None, "missing 'p <n> <m>' header"),
-    ("edge", "p 3 2\n0 1\n", None, "header declares m=2 but found 1 edges"),
-    ("edge", "p 3 0\n0 1\n", None, "header declares m=0 but found 1 edges"),
-    ("edge", "p 3 1\n0 1\n1 2\n", None, "header declares m=1 but found 2 edges"),
-    ("arc", "a 0 1\np 2 1\n", 1, "line 1: arc line before 'p' header"),
-    ("arc", "0 1\n", 1, "line 1: expected 'a <u> <v>', got '0 1'"),
-    ("arc", "p 2 x\n", 1, "line 1: non-integer header fields"),
-    ("arc", "p -1 0\n", 1, "line 1: negative header fields"),
-    ("arc", "p 3 1\np 3 1\n", 2, "line 2: duplicate header line"),
-    ("arc", "p 3 1\n0 1\n", 2, "line 2: expected 'a <u> <v>', got '0 1'"),
-    ("arc", "p 3 1\nb 0 1\n", 2, "line 2: expected 'a <u> <v>', got 'b 0 1'"),
-    ("arc", "p 3 1\na\n", 2, "line 2: expected 'a <u> <v>', got 'a'"),
-    ("arc", "p 3 1\na 0\n", 2, "line 2: expected 'a <u> <v>', got 'a 0'"),
-    ("arc", "p 3 1\na 0 1 2\n", 2, "line 2: expected 'a <u> <v>', got 'a 0 1 2'"),
-    ("arc", "p 3 1\na x 1\n", 2, "line 2: non-integer endpoint"),
-    ("arc", "p 11 1\na 1_0 0\n", 2, "line 2: non-integer endpoint"),
-    ("arc", "p 3 1\na 0 +1\n", 2, "line 2: non-integer endpoint"),
-    ("arc", "p 3 1\na \u0661 0\n", 2, "line 2: non-integer endpoint"),
-    ("arc", "p +3 0\n", 1, "line 1: non-integer header fields"),
-    ("arc", "p 3 1_0\n", 1, "line 1: non-integer header fields"),
-    ("arc", "p \u0663 0\n", 1, "line 1: non-integer header fields"),
-    ("arc", "p 3 1\na 0 3\n", 2, "line 2: endpoint out of range 0..2"),
-    ("arc", "p 3 1\na 0 0\n", 2, "line 2: loop at vertex 0"),
-    ("arc", "p 3 2\na 0 1\na 0 1\n", 3, "line 3: duplicate arc 0 1"),
-    ("arc", "", None, "missing 'p <n> <m>' header"),
-    ("arc", "p 3 2\na 0 1\n", None, "header declares m=2 but found 1 arcs"),
-    ("arc", "p 3 1\n a 2 1 \n a 1 2\n", None, "header declares m=1 but found 2 arcs"),
+    ("0 1\np 2 1\n", 1, "line 1: edge line before 'p' header"),
+    ("a 0 1\n", 1, "line 1: edge line before 'p' header"),
+    ("p 2 x\n", 1, "line 1: non-integer header fields"),
+    ("p 3\n", 1, "line 1: header must be 'p <n> <m>'"),
+    ("p 3 1 2\n", 1, "line 1: header must be 'p <n> <m>'"),
+    ("p -1 0\n", 1, "line 1: negative header fields"),
+    ("p 3 -1\n", 1, "line 1: negative header fields"),
+    ("p 3 1\np 3 1\n0 1\n", 2, "line 2: duplicate header line"),
+    ("p 3 1\np\n", 2, "line 2: duplicate header line"),
+    ("p 2 1\n1 0\n", 2, "line 2: endpoints must satisfy u < v, got 1 0"),
+    ("p 3 1\n  1   1  \n", 2, "line 2: endpoints must satisfy u < v, got 1 1"),
+    ("p 2 1\n0 2\n", 2, "line 2: endpoint out of range 0..1"),
+    ("p 0 1\n0 1\n", 2, "line 2: endpoint out of range 0..-1"),
+    ("p 3 1\n-1 1\n", 2, "line 2: endpoint out of range 0..2"),
+    ("p 3 2\n0 1\n0 1\n", 3, "line 3: duplicate edge 0 1"),
+    ("p 3 2\n# c\n0 2\n\n0 2\n", 5, "line 5: duplicate edge 0 2"),
+    ("p 3 2\n0 1\n1 0\n", 3, "line 3: endpoints must satisfy u < v, got 1 0"),
+    ("p 2 1\n0 1 9\n", 2, "line 2: expected '<u> <v>', got '0 1 9'"),
+    ("p 3 1\n\t0 1 # trailing\n", 2, "line 2: expected '<u> <v>', got '0 1 # trailing'"),
+    ("p 3 1\na 0 1\n", 2, "line 2: expected '<u> <v>', got 'a 0 1'"),
+    ("p 3 1\n0\n", 2, "line 2: expected '<u> <v>', got '0'"),
+    ("p 3 1\nbogus line\n", 2, "line 2: non-integer endpoint"),
+    ("p 3 1\n0 x\n", 2, "line 2: non-integer endpoint"),
+    ("p 3 1\n0 1.0\n", 2, "line 2: non-integer endpoint"),
+    ("p 11 1\n0 1_0\n", 2, "line 2: non-integer endpoint"),
+    ("p 3 1\n+0 1\n", 2, "line 2: non-integer endpoint"),
+    ("p 3 1\n0 \u0661\n", 2, "line 2: non-integer endpoint"),
+    ("p 3 1\n0 -\n", 2, "line 2: non-integer endpoint"),
+    ("p 3 1\n0 --1\n", 2, "line 2: non-integer endpoint"),
+    ("p 1_1 0\n", 1, "line 1: non-integer header fields"),
+    ("p +3 0\n", 1, "line 1: non-integer header fields"),
+    ("p 3 \u0660\n", 1, "line 1: non-integer header fields"),
+    ("p 3 1_0\n", 1, "line 1: non-integer header fields"),
+    ("p \u0663 0\n", 1, "line 1: non-integer header fields"),
+    ("", None, "missing 'p <n> <m>' header"),
+    ("# only\n\n", None, "missing 'p <n> <m>' header"),
+    ("p 3 2\n0 1\n", None, "header declares m=2 but found 1 edges"),
+    ("p 3 0\n0 1\n", None, "header declares m=0 but found 1 edges"),
+    ("p 3 1\n0 1\n1 2\n", None, "header declares m=1 but found 2 edges"),
 ]
 
 
-@pytest.mark.parametrize("fmt,text,line,message", PARSE_FAULTS)
-def test_parse_fault_message_and_line(fmt, text, line, message):
-    parse = parse_arc_list if fmt == "arc" else parse_edge_list
+@pytest.mark.parametrize("text,line,message", PARSE_FAULTS,
+                         ids=["edge-" + "-".join(map(str, fault)) for fault in PARSE_FAULTS])
+def test_parse_fault_message_and_line(text, line, message):
     with pytest.raises(ParseError) as err:
-        parse(text)
+        parse_edge_list(text)
     assert (err.value.line, str(err.value)) == (line, message)
 
 
-@pytest.mark.parametrize("parse", [parse_edge_list, parse_arc_list])
+@pytest.mark.parametrize("parse", [parse_edge_list])
 def test_header_above_the_vertex_cap_is_refused_at_the_header(parse):
     # no row is built for a header above the cap, however large its n
     for text in ("p 1025 0\n", "p 1000000000000 1\n0 1\n0 1\n", "p 2000 5\nbogus\n"):
@@ -158,37 +113,29 @@ def test_header_above_the_vertex_cap_is_refused_at_the_header(parse):
 
 
 @pytest.mark.parametrize("text", ["p -1 0\n", "p 3 -1\n"])
-def test_negative_header_is_a_parse_error_in_both_formats(text):
+def test_negative_header_is_a_parse_error(text):
     with pytest.raises(ParseError):
         parse_edge_list(text)
-    with pytest.raises(ParseError):
-        parse_arc_list(text)
 
 
 # ---------------------------------------------------------------------------
 # The bulk reader against the line reader
 # ---------------------------------------------------------------------------
 
-def random_digraph(n, p, rng):
-    return DiGraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
-
-
 @functools.cache
-def canonical(n, p, seed_, arcs):
-    if arcs:
-        return format_arc_list(random_digraph(n, p, random.Random(seed_)))
+def canonical(n, p, seed_):
     return format_edge_list(random_graph(n, p, seed_))
 
 
-def outcome(read, text, arcs):
+def outcome(read, text):
     try:
-        return "rows", read(text, arcs)
+        return "rows", read(text)
     except (ParseError, CapacityError) as exc:
         return type(exc), str(exc)
 
 
-def assert_same_as_line_reader(text, arcs):
-    assert outcome(edgelist._read_rows, text, arcs) == outcome(edgelist._read_lines, text, arcs)
+def assert_same_as_line_reader(text):
+    assert outcome(edgelist._read_rows, text) == outcome(edgelist._read_lines, text)
 
 
 def _line_edit(edit):
@@ -280,7 +227,7 @@ MUTATIONS = {
     "repeated record": _repeat,
     "repeated record, counted": _repeat_counted,
     "swapped endpoints": _line_edit(lambda line: " ".join(line.split(" ")[::-1])),
-    "loop": _line_edit(lambda line: "a 1 1" if line.startswith("a ") else "1 1"),
+    "loop": _line_edit(lambda line: "1 1"),
     "out of range": _token_edit(lambda t, rng: str(1000 + rng.randrange(50)) if t.isdigit() else t),
     "at n": _at_n,
     "m zero": _edit_header(lambda n, m: (n, "0")),
@@ -306,30 +253,30 @@ def mutated(text, names, rng):
 BASES = [(0, 0.0), (1, 0.0), (2, 1.0), (7, 0.5), (40, 0.6), (90, 0.5)]  # the last one spans chunks
 
 
-@pytest.mark.parametrize("arcs", [False, True], ids=["edge", "arc"])
-@pytest.mark.parametrize("name", sorted(MUTATIONS))
-def test_bulk_reader_matches_line_reader_under_seeded_mutations(name, arcs):
-    rng = random.Random(f"{name}/{arcs}")
+def edge_id(name):
+    """The test id of a mutation or fault: its name and, as in the ids
+    that earlier runs recorded, the format."""
+    return f"{name}-edge"
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS), ids=edge_id)
+def test_bulk_reader_matches_line_reader_under_seeded_mutations(name):
+    rng = random.Random(name)
     for n, p in BASES:
-        text = canonical(n, p, 17 + n, arcs)
-        assert_same_as_line_reader(text, arcs)
+        text = canonical(n, p, 17 + n)
+        assert_same_as_line_reader(text)
         for _ in range(6):
             others = rng.sample(sorted(MUTATIONS), rng.randrange(2))
-            assert_same_as_line_reader(mutated(text, [name, *others], rng), arcs)
+            assert_same_as_line_reader(mutated(text, [name, *others], rng))
 
 
 @seed(20261019)
 @settings(max_examples=300, deadline=None)
-@given(graphs(max_n=12), st.booleans(), st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3),
+@given(graphs(max_n=12), st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3),
        st.integers(0, 2**32))
-def test_bulk_reader_matches_line_reader_under_drawn_mutations(g, arcs, names, draw_seed):
+def test_bulk_reader_matches_line_reader_under_drawn_mutations(g, names, draw_seed):
     rng = random.Random(draw_seed)
-    if arcs:
-        text = format_arc_list(DiGraph(g.n, [(v, u) if rng.random() < 0.5 else (u, v)
-                                             for u, v in g.edges()]))
-    else:
-        text = format_edge_list(g)
-    assert_same_as_line_reader(mutated(text, names, rng), arcs)
+    assert_same_as_line_reader(mutated(format_edge_list(g), names, rng))
 
 
 def chunk_starts(text):
@@ -355,14 +302,13 @@ BOUNDARY_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("arcs", [False, True], ids=["edge", "arc"])
-@pytest.mark.parametrize("fault", sorted(BOUNDARY_FAULTS))
-def test_faults_just_after_a_chunk_boundary(fault, arcs):
+@pytest.mark.parametrize("fault", sorted(BOUNDARY_FAULTS), ids=edge_id)
+def test_faults_just_after_a_chunk_boundary(fault):
     n = 160
-    text = canonical(n, 0.5, 5, arcs)
+    text = canonical(n, 0.5, 5)
     starts = chunk_starts(text)
     assert len(starts) > 5
-    assert_same_as_line_reader(text, arcs)
+    assert_same_as_line_reader(text)
     for boundary in starts[1:3] + starts[-1:]:
         for at in (boundary, text.rfind("\n", 0, boundary - 1) + 1):  # first line of a chunk, last before it
             end = text.index("\n", at)
@@ -370,27 +316,20 @@ def test_faults_just_after_a_chunk_boundary(fault, arcs):
             bad = text[:at] + BOUNDARY_FAULTS[fault](text[at:end], earlier, n) + text[end:]
             if at == boundary:
                 assert boundary in chunk_starts(bad)
-            assert_same_as_line_reader(bad, arcs)
+            assert_same_as_line_reader(bad)
 
 
 def test_bulk_reader_reads_every_canonical_text(monkeypatch):
-    def refuse(text, arcs):
+    def refuse(text):
         raise AssertionError("the line reader was called on canonical text")
 
     graphs_ = [Graph(0), Graph(1), random_graph(2, 1.0, 1), random_graph(17, 0.5, 2),
                random_graph(256, 0.7, 1), random_graph(1024, 0.01, 3),
                Graph(1024, [(0, 1023), (1022, 1023)])]
-    digraphs = [DiGraph(1), DiGraph(1024, [(1023, 0), (0, 1023)]),
-                random_digraph(200, 0.3, random.Random(4))]
     expected = [(g, parse_edge_list(format_edge_list(g))) for g in graphs_]
-    expected_arcs = [(d, parse_arc_list(format_arc_list(d))) for d in digraphs]
     monkeypatch.setattr(edgelist, "_read_lines", refuse)
     for g, back in expected:
         assert parse_edge_list(format_edge_list(g)) == back == g
-    for d, back in expected_arcs:
-        again = parse_arc_list(format_arc_list(d))
-        assert (again.n, again.out_adj, again.in_adj) == (d.n, d.out_adj, d.in_adj)
-        assert (back.out_adj, back.in_adj) == (d.out_adj, d.in_adj)
 
 
 def traced_peak(read, text):
@@ -406,5 +345,5 @@ def test_bulk_reader_memory_stays_within_the_line_readers():
     # a whole-text token list or a backtracking regex would pass 1.1x
     text = format_edge_list(random_graph(256, 0.7, 1))
     bulk = traced_peak(parse_edge_list, text)
-    lines = traced_peak(lambda t: Graph.from_adj(edgelist._read_lines(t, False)), text)
+    lines = traced_peak(lambda t: Graph.from_adj(edgelist._read_lines(t)), text)
     assert bulk <= 1.1 * lines, (bulk, lines)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_min_closeness, brute_min_closeness_score, rescan_greedy_sparsify
+from oracles import (
+    brute_min_closeness,
+    brute_min_closeness_score,
+    reference_closeness_heuristic,
+    rescan_greedy_sparsify,
+)
 
 from hampack.core import Graph, Partition, edges_between, edges_inside
 from hampack.construct import (
@@ -18,6 +23,7 @@ from hampack.construct import (
     two_cliques,
 )
 from hampack.errors import InputError
+from hampack import extremality
 from hampack.extremality import (
     almost_regular_audit,
     alpha_of,
@@ -287,6 +293,16 @@ def test_closeness_heuristic_score_recomputes_from_a(kind):
     rest = set(range(30)) - rep.a
     expected = edges_inside(g, rep.a) if kind == "bipartite" else edges_between(g, rep.a, rest)
     assert rep.score == expected
+
+
+@pytest.mark.parametrize("kind", ["bipartite", "two_cliques"])
+@pytest.mark.parametrize("n, p", [(25, 0.5), (33, 0.9), (47, 0.5), (64, 0.9)])
+@pytest.mark.parametrize("seed_", [0, 7])
+def test_closeness_heuristic_matches_the_rescoring_oracle(n, p, kind, seed_):
+    # the kept counts change how a swap is scored, never which swap is taken
+    g = random_graph(n, p, n + seed_)
+    got = extremality._closeness_heuristic(g, kind, n // 2, seed_, 6)
+    assert got == reference_closeness_heuristic(g, kind, n // 2, seed_, 6)
 
 
 def test_closeness_float_epsilon_reads_as_decimal():
