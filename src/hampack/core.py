@@ -239,6 +239,18 @@ class DiGraph:
         self.out_adj = tuple(out_rows)
         self.in_adj = tuple(in_rows)
 
+    @classmethod
+    def from_rows(cls, out_rows: Iterable[int], in_rows: Iterable[int]) -> "DiGraph":
+        """Build from out- and in-neighbour bitset rows that transpose
+        each other (bit v of out_rows[u] iff bit u of in_rows[v]); not
+        checked here."""
+        d = cls.__new__(cls)
+        d.out_adj = tuple(out_rows)
+        d.in_adj = tuple(in_rows)
+        d.n = len(d.out_adj)
+        _check_capacity(d.n)
+        return d
+
     def out_degree(self, v: int) -> int:
         return self.out_adj[v].bit_count()
 

@@ -424,7 +424,8 @@ def min_degree_implies_expander_params(
 def eulerian_orientation(g: Graph) -> DiGraph:
     """Orient edges with |outdeg - indeg| <= 1 everywhere and exact
     balance at even-degree vertices."""
-    d = DiGraph(g.n, balanced_orientation_arcs(g))
+    out = balanced_orientation_arcs(g)
+    d = DiGraph.from_rows(out, [a & ~o for a, o in zip(g.adj, out)])
     for v in range(g.n):
         if abs(d.out_degree(v) - d.in_degree(v)) > 1:
             raise InternalError(f"orientation unbalanced at vertex {v}")

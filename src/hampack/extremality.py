@@ -193,6 +193,8 @@ def find_eta_extremal_witness(
     means no witness was found).
     """
     eta = as_fraction(eta)
+    if restarts < 1:
+        raise InputError(f"restarts must be >= 1, got {restarts}")
     if g.n <= EXACT_WITNESS_MAX_N:
         hit = _exact_witness(g, eta)
         mode = "exact"
@@ -296,7 +298,7 @@ def _heuristic_witness(
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     target_a = max(lo_a, min(hi_a, round((0.5 - sqrt_term) * n)))
     starts = [order[:target_a]]
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(restarts - 1):
         starts.append(rng.sample(range(n), target_a))
 
     for start in starts:

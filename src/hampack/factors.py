@@ -28,12 +28,16 @@ The r-factor decision runs a layered pipeline, cheapest first:
 3. a constructive fast path (Petersen's argument).  For even r: in the
    balanced orientation, choose r/2 out-arcs at every tail and r/2
    in-arcs at every head, a bipartite b-matching (greedy, then
-   Hopcroft-Karp phases) whose arcs form an r-factor.  For odd r: the
-   same step with (r - 1)/2 gives an (r - 1)-factor F (none is needed
-   at r = 1), and a perfect matching of G - F, from one maximum
-   matching of the host's n vertices, completes it to an r-factor.  The
-   union is audited once.  A miss proves nothing, since another
-   orientation or another F might succeed,
+   Hopcroft-Karp phases) whose arcs form an r-factor.  The orientation
+   comes as out-neighbour bitset rows, the b-matching reads and returns
+   bitset rows, and the selected rows are the factor's rows: no arc
+   list is built on the way.  For odd r: the same step with (r - 1)/2
+   gives an (r - 1)-factor F (none is needed at r = 1), and a perfect
+   matching of G - F, from one maximum matching of the host's n
+   vertices, completes it to an r-factor.  The union is audited once.
+   A miss proves nothing, since another orientation or another F might
+   succeed; the miss's near-factor goes on to step 4, so each decision
+   orients once,
 4. the stub/core expansion to a perfect-matching instance decided by
    the blossom algorithm -- the exact arbiter for everything the fast
    paths leave open.  The blossom search starts from the gadget matching
@@ -54,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import EdgeSubgraph, Graph, _first_edge, iter_bits, mask_of, set_of
 from .errors import CapacityError, ExistenceError, InputError, InternalError
@@ -291,31 +295,45 @@ def _structured_violation(g: Graph, r: int) -> tuple[int, int] | None:
 # Constructive fast path: balanced orientation + b-matching (+ a matching)
 # ---------------------------------------------------------------------------
 
-def _balanced_subdigraph(n: int, arcs: list[tuple[int, int]], half: int) -> list[int]:
-    """Indices of a maximum selection of arcs with every in- and
-    out-degree at most ``half``.  It has ``n * half`` arcs, every in- and
-    out-degree equal to ``half``, whenever such a sub-digraph exists.
+def _balanced_subdigraph(adj: Sequence[int], out: Sequence[int], half: int) -> list[int]:
+    """The symmetric rows of a maximum selection of arcs with every in-
+    and out-degree at most ``half``, from an orientation given by the
+    rows ``adj`` of its graph and its out-rows ``out`` (the in-rows are
+    ``adj[v] & ~out[v]``).  The selection has ``n * half`` arcs, every in-
+    and out-degree equal to ``half``, whenever such a sub-digraph exists.
 
     A bipartite b-matching of tails to heads, each of capacity ``half``.
-    The arcs are first taken greedily in order while the tail and the
-    head have room.  The missing units are then found in Hopcroft-Karp
-    phases (Hopcroft and Karp, SIAM J. Comput. 2(4), 1973).  An
-    augmenting path alternates an unchosen arc out of a tail with a
-    chosen arc back into a head, and ends at a head with room.
+    The arcs are first taken greedily in edge order, (u, v) with u < v
+    ascending, while the tail and the head have room.  That pass splits
+    by the lower end u.  A forward arc u -> v depends only on u's
+    out-count and v's load, and each v > u meets u once; a backward arc
+    v -> u depends only on u's load and v's out-count.  So for each u in
+    turn the greedy takes the lowest half - out(u) heads above u that
+    still have room, then the lowest half - load(u) tails above u that
+    still have room, a few bit operations per arc it takes.  The missing
+    units are then found in Hopcroft-Karp phases (Hopcroft and Karp,
+    SIAM J. Comput. 2(4), 1973).  An augmenting path alternates an
+    unchosen arc out of a tail with a chosen arc back into a head, and
+    ends at a head with room.  The rows ``chosen`` (heads of the chosen
+    arcs out of each tail) and ``fed`` (tails of the chosen arcs into
+    each head) hold the selection.
 
     - Each phase runs one BFS from every short tail at once, in layers:
-      tails at even distances, heads at odd ones.  It stops at the first
-      head layer that holds a head with room.
+      tails at even distances, heads at odd ones.  A layer is a bitset,
+      the union of its predecessors' free or chosen rows.  The BFS stops
+      at the first head layer that holds a head with room.
     - An iterative DFS then walks the layers from each short tail,
       taking paths whose arcs go one layer down, until the tail is full
       or dead.  A tail is dead once every one of its arcs has been
       tried; no path of this length runs through it any more.
     - A head can be fed by several chosen arcs.  So when a child tail
       dies, the same arc is tried again, with the head's next chosen arc
-      from a live tail.  Each tail and each head keeps one pointer that
-      only moves forward within a phase: an arc chosen in a phase leaves
-      a tail one layer above its head and never feeds that head, so no
-      arc passed over becomes usable again.
+      from a live tail.  Each tail keeps a threshold on its next head,
+      and each head one on its next tail, that only moves up within a
+      phase: a tail's arcs are tried in ascending head order and a
+      head's chosen arcs in ascending tail order.  An arc chosen in a
+      phase leaves a tail one layer above its head and never feeds that
+      head, so no arc passed over becomes usable again.
     - A path changes no in- or out-degree inside it, so a phase only
       fills heads of its last layer, and the paths a phase finds are
       shortest ones.  The DFS finds one whenever the BFS reached a head
@@ -330,143 +348,158 @@ def _balanced_subdigraph(n: int, arcs: list[tuple[int, int]], half: int) -> list
     is full.  By max-flow/min-cut no selection is larger.  X holds a
     short tail, so the selection is below n half.
     """
-    tail = [u for u, _ in arcs]
-    head = [v for _, v in arcs]
-    into: list[list[int]] = [[] for _ in range(n)]  # arc ids by head
-    by_tail: list[list[int]] = [[] for _ in range(n)]
-    chosen = [False] * len(arcs)
-    out = [0] * n
+    n = len(adj)
+    chosen = [0] * n
+    fed = [0] * n
+    outs = [0] * n
     load = [0] * n
-    for i, (u, v) in enumerate(arcs):
-        by_tail[u].append(i)
-        into[v].append(i)
-        if out[u] < half and load[v] < half:
-            chosen[i] = True
-            out[u] += 1
+    room_t = room_h = (1 << n) - 1 if half else 0  # tails / heads below half
+    for u in range(n):
+        above = -(2 << u)
+        k = half - outs[u]
+        free = out[u] & above & room_h
+        while k and free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            chosen[u] |= low
+            fed[v] |= 1 << u
             load[v] += 1
-    short = [u for u in range(n) if out[u] < half]
+            if load[v] == half:
+                room_h ^= low
+            k -= 1
+        outs[u] = half - k
+        k = half - load[u]
+        free = adj[u] & ~out[u] & above & room_t
+        while k and free:
+            low = free & -free
+            free ^= low
+            w = low.bit_length() - 1
+            chosen[w] |= 1 << u
+            fed[u] |= low
+            outs[w] += 1
+            if outs[w] == half:
+                room_t ^= low
+            k -= 1
+        load[u] = half - k
+    # the greedy never reads a head's bit again after its own u, so it
+    # left the bits of heads filled by their backward arcs set
+    room_h = sum(1 << v for v in range(n) if load[v] < half)
+    short = [u for u in range(n) if outs[u] < half]
     while short:
-        # layers: tdist[x] even for a tail, hdist[y] odd for a head, -1 unreached
-        tdist = [-1] * n
-        hdist = [-1] * n
-        for u in short:
-            tdist[u] = 0
-        layer, d, last = short, 0, -1
-        while layer and last < 0:
-            heads = []
+        # live[i]: the live tails at distance 2i; heads[i]: the heads at distance 2i + 1
+        live = [sum(1 << u for u in short)]
+        heads: list[int] = []
+        seen_t, seen_h = live[0], 0
+        layer = short
+        while layer:
+            reach = 0
             for x in layer:
-                for i in by_tail[x]:
-                    y = head[i]
-                    if not chosen[i] and hdist[y] < 0:
-                        hdist[y] = d + 1
-                        heads.append(y)
-                        if load[y] < half:
-                            last = d + 1
-            d += 2
-            layer = []
-            if last < 0:
-                for y in heads:
-                    for j in into[y]:
-                        w = tail[j]
-                        if chosen[j] and tdist[w] < 0:
-                            tdist[w] = d
-                            layer.append(w)
-        if last < 0:
+                reach |= out[x] & ~chosen[x]
+            new = reach & ~seen_h
+            seen_h |= new
+            heads.append(new)
+            if new & room_h:
+                break
+            nxt = 0
+            for y in iter_bits(new):
+                nxt |= fed[y]
+            nxt &= ~seen_t
+            seen_t |= nxt
+            live.append(nxt)
+            layer = list(iter_bits(nxt))
+        else:
             break
-        ptr = [0] * n   # per tail: its next arc to try
-        hptr = [0] * n  # per head: its next chosen arc to descend by
+        last = len(heads) - 1
+        ptr = [0] * n   # per tail: the lowest head still to try
+        hptr = [0] * n  # per head: the lowest feeding tail still to try
         gained = 0
         for u in short:
-            while out[u] < half and tdist[u] == 0:
+            while outs[u] < half and live[0] >> u & 1:
                 stack = [u]
-                path: list[tuple[int, int]] = []  # (arc taken, chosen arc given up)
+                path: list[tuple[int, int, int]] = []  # (tail, head, tail giving the head up)
                 while stack:
-                    x = stack[-1]
-                    d = tdist[x] + 1
-                    mine = by_tail[x]
-                    k = ptr[x]
-                    down = -1
-                    while k < len(mine):
-                        i = mine[k]
-                        y = head[i]
-                        if not chosen[i] and hdist[y] == d:
-                            if d == last:
-                                if load[y] < half:
-                                    break
-                            else:
-                                feed = into[y]
-                                h = hptr[y]
-                                while h < len(feed) and not (
-                                    chosen[feed[h]] and tdist[tail[feed[h]]] == d + 1
-                                ):
-                                    h += 1
-                                hptr[y] = h
-                                if h < len(feed):
-                                    down = feed[h]
-                                    break
-                        k += 1
-                    ptr[x] = k
-                    if k == len(mine):  # dead: the parent tries its arc again
-                        tdist[x] = -1
+                    i = len(stack) - 1
+                    x = stack[i]
+                    free = (out[x] & ~chosen[x] & heads[i]) >> ptr[x] << ptr[x]
+                    w = -1
+                    if i == last:
+                        free &= room_h
+                    while free:
+                        y = (free & -free).bit_length() - 1
+                        if i == last:
+                            break
+                        h = hptr[y]
+                        feed = (fed[y] & live[i + 1]) >> h << h
+                        if feed:
+                            w = (feed & -feed).bit_length() - 1
+                            hptr[y] = w
+                            break
+                        hptr[y] = n
+                        free ^= 1 << y
+                    if not free:  # dead: the parent tries its arc again
+                        ptr[x] = n
+                        live[i] ^= 1 << x
                         stack.pop()
                         if path:
                             path.pop()
-                    elif down >= 0:
-                        path.append((i, down))
-                        stack.append(tail[down])
-                    else:
-                        chosen[i] = True
-                        load[y] += 1
-                        out[u] += 1
-                        gained += 1
-                        for a, b in path:
-                            chosen[a] = True
-                            chosen[b] = False
-                        break
+                        continue
+                    ptr[x] = y
+                    if w >= 0:
+                        path.append((x, y, w))
+                        stack.append(w)
+                        continue
+                    chosen[x] |= 1 << y
+                    fed[y] |= 1 << x
+                    load[y] += 1
+                    if load[y] == half:
+                        room_h ^= 1 << y
+                    outs[u] += 1
+                    gained += 1
+                    for a, b, c in path:
+                        chosen[a] |= 1 << b
+                        chosen[c] ^= 1 << b
+                        fed[b] ^= 1 << a | 1 << c
+                    break
         if not gained:
             raise InternalError("a Hopcroft-Karp phase found no augmenting path")
-        short = [u for u in short if out[u] < half]
-    return [i for i, c in enumerate(chosen) if c]
+        short = [u for u in short if outs[u] < half]
+    return [c | f for c, f in zip(chosen, fed)]
 
 
-def _orientation_selection(g: Graph, half: int) -> list[tuple[int, int]]:
-    """A maximum selection of arcs of the balanced orientation with every
-    in- and out-degree at most ``half``."""
-    arcs = balanced_orientation_arcs(g) if half else []
-    return [arcs[i] for i in _balanced_subdigraph(g.n, arcs, half)]
+def _even_factor_via_orientation(g: Graph, r: int, selection: list[int]) -> list[int] | None:
+    """Set ``selection`` to the rows of a maximum selection of arcs of
+    the balanced orientation with every in- and out-degree at most r/2
+    (r even); return it when it is an r-factor, None on a miss.  Sound
+    but incomplete: a miss proves nothing, and its selection, left in
+    ``selection``, seeds the gadget.  Not audited here; the caller
+    audits the factor it builds from it."""
+    selection[:] = _balanced_subdigraph(g.adj, balanced_orientation_arcs(g), r // 2)
+    return selection if sum(map(int.bit_count, selection)) == g.n * r else None
 
 
-def _even_factor_via_orientation(g: Graph, r: int) -> list[tuple[int, int]] | None:
-    """The arcs of an r-factor (r even) realized as an in/out balanced
-    sub-digraph of the balanced orientation, or None.  Sound but
-    incomplete: a miss proves nothing.  Not audited here; the caller
-    audits the factor it builds from them."""
-    arcs = _orientation_selection(g, r // 2)
-    return arcs if len(arcs) == g.n * (r // 2) else None
-
-
-def _near_factor(g: Graph, r: int, arcs: list[tuple[int, int]]) -> EdgeSubgraph:
-    """The fast path's subgraph for either parity: the edges of ``arcs``,
-    the orientation's maximum selection F for r - r mod 2, and for odd r
-    a maximum matching of G - F.  Every degree is at most r."""
-    sub = EdgeSubgraph.from_host_edges(g.n, arcs)
+def _near_factor(g: Graph, r: int) -> EdgeSubgraph:
+    """The fast path's subgraph for either parity: the orientation's
+    maximum selection F for r - r mod 2 (none at r = 1), and for odd r a
+    maximum matching of G - F.  Every degree is at most r."""
+    rows = [0] * g.n
+    if r > 1:
+        _even_factor_via_orientation(g, r - r % 2, rows)
     if r % 2:
-        mate = maximum_matching(g.n, [list(iter_bits(a & ~f)) for a, f in zip(g.adj, sub.rows)])
-        sub = EdgeSubgraph.from_host_edges(g.n, [(v, u) for v, u in enumerate(mate) if u > v], sub.rows)
-    return sub
+        mate = maximum_matching(g.n, [list(iter_bits(a & ~f)) for a, f in zip(g.adj, rows)])
+        rows = [f | 1 << u if u >= 0 else f for f, u in zip(rows, mate)]
+    return EdgeSubgraph.from_host_edges(g.n, (), rows)
 
 
-def _factor_via_orientation(g: Graph, r: int) -> Factor | None:
-    """The constructive fast path: the near-factor when the orientation's
-    selection is full and every degree is r; None when either step
-    misses."""
-    arcs = _even_factor_via_orientation(g, r - r % 2) if r > 1 else []
-    if arcs is None:
+def _factor_via_orientation(g: Graph, r: int, near: EdgeSubgraph | None = None) -> Factor | None:
+    """The constructive fast path: the near-factor ``near`` (computed
+    here when not given), audited, when every degree is r; None on a
+    miss."""
+    if near is None:
+        near = _near_factor(g, r)
+    if near.degrees().count(r) != g.n:
         return None
-    sub = _near_factor(g, r, arcs)
-    if sub.degrees().count(r) != g.n:
-        return None
-    factor = Factor(sub, r)
+    factor = Factor(near, r)
     factor.validate(g)
     return factor
 
@@ -525,11 +558,12 @@ def _build_gadget(g: Graph, r: int) -> _Gadget:
     return _Gadget(nid, edges, edge_stubs, stubs_of, cores_of, partner, rows)
 
 
-def _seed_mate(g: Graph, r: int, gadget: _Gadget) -> list[int]:
-    """Gadget matching of the fast path's near-factor: each of its edges
-    matches its two stubs to each other, each vertex's other stubs fill its
-    d(v) - r cores, and r minus its near-factor degree stubs stay exposed."""
-    rows = _near_factor(g, r, _orientation_selection(g, r // 2)).rows
+def _seed_mate(g: Graph, r: int, gadget: _Gadget, near: EdgeSubgraph | None = None) -> list[int]:
+    """Gadget matching of the fast path's near-factor ``near`` (computed
+    here when not given): each of its edges matches its two stubs to each
+    other, each vertex's other stubs fill its d(v) - r cores, and r minus
+    its near-factor degree stubs stay exposed."""
+    rows = (_near_factor(g, r) if near is None else near).rows
     mate = [-1] * gadget.size
     for (u, v), (a, b) in zip(gadget.edges, gadget.edge_stubs):
         if rows[u] >> v & 1:
@@ -601,11 +635,12 @@ def _find_certificate(
     return _certificate_from_masks(g, r, *_ge_pair(g, gadget, matcher))
 
 
-def _decide_by_gadget(g: Graph, r: int) -> FactorDecision:
+def _decide_by_gadget(g: Graph, r: int, near: EdgeSubgraph | None = None) -> FactorDecision:
     """The exact arbiter: a perfect matching of the gadget, or the Tutte
-    pair of its Gallai-Edmonds barrier."""
+    pair of its Gallai-Edmonds barrier.  The search starts from the fast
+    path's near-factor ``near`` (computed when not given)."""
     gadget = _build_gadget(g, r)
-    matcher = _Matcher(gadget.size, gadget.rows, _seed_mate(g, r, gadget), gadget.partner)
+    matcher = _Matcher(gadget.size, gadget.rows, _seed_mate(g, r, gadget, near), gadget.partner)
     mate = matcher.solve()
     if -1 not in mate:
         return FactorDecision(True, r, factor=_factor_from_matching(g, r, gadget, mate))
@@ -639,11 +674,12 @@ def _decide(g: Graph, r: int) -> FactorDecision:
     if hit is not None:
         return FactorDecision(False, r, certificate=_certificate_from_masks(g, r, *hit))
 
-    factor = _factor_via_orientation(g, r)
+    near = _near_factor(g, r)
+    factor = _factor_via_orientation(g, r, near)
     if factor is not None:
         return FactorDecision(True, r, factor=factor)
 
-    return _decide_by_gadget(g, r)
+    return _decide_by_gadget(g, r, near)
 
 
 def r_factor_exists(g: Graph, r: int) -> FactorDecision:
@@ -757,7 +793,8 @@ def petersen_two_factorization(g: Graph) -> list[Factor]:
     Balanced orientation makes every vertex out/in degree k; peeling k
     perfect matchings (``_balanced_subdigraph`` with half = 1) off the
     associated out/in bipartite graph (each exists since that graph stays
-    regular) yields the 2-factors.
+    regular) yields the 2-factors.  Each peel removes the selected rows
+    from the graph's rows and from the orientation's out-rows.
     """
     if g.n == 0:
         return []
@@ -767,19 +804,18 @@ def petersen_two_factorization(g: Graph) -> list[Factor]:
     rdeg = degs[0]
     if rdeg % 2:
         raise InputError(f"input graph is {rdeg}-regular; even regularity required")
-    k = rdeg // 2
-    n = g.n
-    remaining = balanced_orientation_arcs(g)
+    adj = list(g.adj)
+    out = balanced_orientation_arcs(g)
     factors = []
-    for _ in range(k):
-        picked = _balanced_subdigraph(n, remaining, 1)
-        if len(picked) < n:
+    for _ in range(rdeg // 2):
+        picked = _balanced_subdigraph(adj, out, 1)
+        if sum(map(int.bit_count, picked)) < 2 * g.n:
             raise InternalError("bipartite peel failed to find a perfect matching")
-        factor = Factor(EdgeSubgraph.from_host_edges(n, [remaining[i] for i in picked]), 2)
+        factor = Factor(EdgeSubgraph.from_host_edges(g.n, (), picked), 2)
         factor.validate(g)
         factors.append(factor)
-        taken = set(picked)
-        remaining = [a for i, a in enumerate(remaining) if i not in taken]
+        adj = [a & ~p for a, p in zip(adj, picked)]
+        out = [o & ~p for o, p in zip(out, picked)]
     return factors
 
 

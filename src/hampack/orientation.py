@@ -4,7 +4,10 @@ Odd-degree vertices are paired up with virtual edges, every component of
 the resulting even-degree multigraph is traversed by an Eulerian
 circuit, and traversal direction becomes the orientation.  Dropping the
 virtual edges leaves |outdeg - indeg| <= 1 at every vertex, with exact
-balance wherever the degree is even.
+balance wherever the degree is even.  The orientation is returned as the
+out-neighbour bitset rows the walk fills, the form the b-matching of
+``factors`` reads; ``expanders.eulerian_orientation`` wraps it as a
+``DiGraph``.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from .core import Graph
 from .errors import InternalError
 
 
-def balanced_orientation_arcs(g: Graph) -> list[tuple[int, int]]:
-    """Orient the edges of ``g``; returns one (u, v) arc per edge, in
-    ``g.edges()`` order.
+def balanced_orientation_arcs(g: Graph) -> list[int]:
+    """Orient the edges of ``g``; returns its out-neighbour rows: bit w
+    of row v is set when the edge vw is oriented v -> w.  The in-rows
+    are ``g.adj[v] & ~out[v]``.
 
     Deterministic: each circuit starts at the lowest vertex with an
     unused edge and leaves every vertex by its lowest unused neighbour,
@@ -30,7 +34,7 @@ def balanced_orientation_arcs(g: Graph) -> list[tuple[int, int]]:
     for a, b in zip(odd[::2], odd[1::2]):
         virtual[a] = 1 << b
         virtual[b] = 1 << a
-    out = [0] * n  # bit w of out[v]: the edge vw was traversed from v
+    out = [0] * n
     for start in range(n):
         if not rows[start] | virtual[start]:
             continue
@@ -53,15 +57,6 @@ def balanced_orientation_arcs(g: Graph) -> list[tuple[int, int]]:
                 break
             trail.append(v)
             v = w
-    arcs = []
-    for u in range(n):
-        fwd = out[u]
-        row = g.adj[u] >> (u + 1) << (u + 1)
-        while row:
-            low = row & -row
-            v = low.bit_length() - 1
-            arcs.append((u, v) if fwd & low else (v, u))
-            row ^= low
-    if len(arcs) != sum(r.bit_count() for r in out):
+    if sum(map(int.bit_count, out)) != g.m:
         raise InternalError("an edge was left unoriented")
-    return arcs
+    return out

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from hampack.core import Graph, _check_capacity, iter_bits, mask_of
-from hampack.errors import DisjointnessError, InputError
+from hampack.errors import DisjointnessError, InputError, InternalError
 from hampack.expanders import ExpanderVerdict, RobustParams
 from hampack.factors import tutte_quantities
 from hampack.matching import _Matcher
@@ -467,6 +467,112 @@ def reference_balanced_subdigraph(n: int, arcs, half: int) -> list[int] | None:
                 j = back[x]
                 chosen[j] = False
                 y = arcs[j][1]
+    return [i for i, c in enumerate(chosen) if c]
+
+
+def arc_list_balanced_subdigraph(n: int, arcs: list[tuple[int, int]], half: int) -> list[int]:
+    """Indices of the arcs that the Hopcroft-Karp b-matching selects,
+    run on an explicit arc list: the arcs taken greedily in list order,
+    then phases of one layered BFS from every short tail and a DFS that
+    keeps one pointer into each tail's and each head's arcs, in list
+    order.  Given the arcs of an orientation in ``g.edges()`` order, its
+    selection is the library's rows selection arc for arc."""
+    tail = [u for u, _ in arcs]
+    head = [v for _, v in arcs]
+    into: list[list[int]] = [[] for _ in range(n)]  # arc ids by head
+    by_tail: list[list[int]] = [[] for _ in range(n)]
+    chosen = [False] * len(arcs)
+    out = [0] * n
+    load = [0] * n
+    for i, (u, v) in enumerate(arcs):
+        by_tail[u].append(i)
+        into[v].append(i)
+        if out[u] < half and load[v] < half:
+            chosen[i] = True
+            out[u] += 1
+            load[v] += 1
+    short = [u for u in range(n) if out[u] < half]
+    while short:
+        # layers: tdist[x] even for a tail, hdist[y] odd for a head, -1 unreached
+        tdist = [-1] * n
+        hdist = [-1] * n
+        for u in short:
+            tdist[u] = 0
+        layer, d, last = short, 0, -1
+        while layer and last < 0:
+            heads = []
+            for x in layer:
+                for i in by_tail[x]:
+                    y = head[i]
+                    if not chosen[i] and hdist[y] < 0:
+                        hdist[y] = d + 1
+                        heads.append(y)
+                        if load[y] < half:
+                            last = d + 1
+            d += 2
+            layer = []
+            if last < 0:
+                for y in heads:
+                    for j in into[y]:
+                        w = tail[j]
+                        if chosen[j] and tdist[w] < 0:
+                            tdist[w] = d
+                            layer.append(w)
+        if last < 0:
+            break
+        ptr = [0] * n   # per tail: its next arc to try
+        hptr = [0] * n  # per head: its next chosen arc to descend by
+        gained = 0
+        for u in short:
+            while out[u] < half and tdist[u] == 0:
+                stack = [u]
+                path: list[tuple[int, int]] = []  # (arc taken, chosen arc given up)
+                while stack:
+                    x = stack[-1]
+                    d = tdist[x] + 1
+                    mine = by_tail[x]
+                    k = ptr[x]
+                    down = -1
+                    while k < len(mine):
+                        i = mine[k]
+                        y = head[i]
+                        if not chosen[i] and hdist[y] == d:
+                            if d == last:
+                                if load[y] < half:
+                                    break
+                            else:
+                                feed = into[y]
+                                h = hptr[y]
+                                while h < len(feed) and not (
+                                    chosen[feed[h]] and tdist[tail[feed[h]]] == d + 1
+                                ):
+                                    h += 1
+                                hptr[y] = h
+                                if h < len(feed):
+                                    down = feed[h]
+                                    break
+                        k += 1
+                    ptr[x] = k
+                    if k == len(mine):  # dead: the parent tries its arc again
+                        tdist[x] = -1
+                        stack.pop()
+                        if path:
+                            path.pop()
+                    elif down >= 0:
+                        path.append((i, down))
+                        stack.append(tail[down])
+                    else:
+                        chosen[i] = True
+                        load[y] += 1
+                        out[u] += 1
+                        gained += 1
+                        for a, b in path:
+                            chosen[a] = True
+                            chosen[b] = False
+                        break
+        if not gained:
+            raise InternalError("a Hopcroft-Karp phase found no augmenting path")
+        short = [u for u in short if out[u] < half]
     return [i for i, c in enumerate(chosen) if c]
 
 

@@ -182,6 +182,17 @@ def test_extremal_restarts_reach_local_search(tmp_path, capsys, monkeypatch):
     assert seen == [3]
 
 
+@pytest.mark.parametrize("restarts", ["0", "-1"])
+@pytest.mark.parametrize("n", ["12", "30"])  # the exact search, then the local search
+def test_extremal_restarts_below_one_is_an_input_error(tmp_path, capsys, n, restarts):
+    path = tmp_path / "g.el"
+    run(["construct", "--kind", "gnp", "--n", n, "--p", "0.6", "--seed", "3", "--out", str(path)], capsys)
+    code = main(["extremal", "--eta", "1/5", "--input", str(path), "--restarts", restarts])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert f"restarts must be >= 1, got {restarts}" in captured.err
+
+
 def test_classify_cli(tmp_path, capsys):
     path = tmp_path / "kb.el"
     run(["construct", "--kind", "bipartite", "--n", "16", "--out", str(path)], capsys)
@@ -556,19 +567,34 @@ def test_pinned_factor_emit(tmp_path, capsys, kind, r, out_digest, emit_digest):
     assert hashlib.sha256(text.encode()).hexdigest() == emit_digest
 
 
-# regeven --emit: (construct args, sha256 of stdout, of the --emit file)
+# regeven --emit: (test id, construct args, sha256 of stdout, of the --emit
+# file).  On each of these the greedy pass leaves the b-matching short and
+# Hopcroft-Karp phases fill it; at n = 64, delta = 33 the selection stays
+# short at reg_even = 22 and the gadget decides from it.
 PINNED_REGEVEN = [
-    (["extremal", "--n", "48", "--delta", "25"],
+    ("extremal", ["extremal", "--n", "48", "--delta", "25"],
      "3b0c6b229c675a9884e2021f36ab7162435627320b82154a0734efe630e3582b",
      "0d905d9ca22acbd0e371fb8e15224edeab82dec97bd21b8b65b8d05fa8bc5f8c"),
-    (["gnp", "--n", "64", "--p", "0.88", "--seed", "3"],
+    ("gnp", ["gnp", "--n", "64", "--p", "0.88", "--seed", "3"],
      "f6bdccfa5ff3fea5ce4d78cd199b68534e4e7a344125376cf90cf0b4df682a86",
      "9606d03bffd494b9370f810c06b0147e41e79b45778d8885b7951708bdf4dbee"),
+    ("extremal-n64-d33", ["extremal", "--n", "64", "--delta", "33"],
+     "6607a6fd2d2c64d0d612dcb41ca91ed96812bff73a98f865896bb5d9dad30963",
+     "04d637e538b90160dc7b773e52ce56e0cb374d97f9e4a5dafc89d510b679d201"),
+    ("extremal-n64-d37", ["extremal", "--n", "64", "--delta", "37"],
+     "e021be127b5ec72e2c4b9f883d6d504599f74066c599ead89441e19eefd3101e",
+     "b3e0c2c98b67fb5c4f858f592bcf560a22b00559631a7d7d98311f0f0a878774"),
+    ("extremal-n64-d48", ["extremal", "--n", "64", "--delta", "48"],
+     "a4177f818ebff2ae53b35971b3b0f7d1bea63a19adfbb48675711834c36bbd9b",
+     "bb093390322c57071db01a729c044c243675fadd96dc02226372bf9258124c81"),
+    ("gnp-n64-p075-seed5", ["gnp", "--n", "64", "--p", "0.75", "--seed", "5"],
+     "44d4bdd1c7f5a0b89d77a520b443472ec3df25d26e7bc5839e9fa9104572bd0b",
+     "e811fe9396a00495238b72f67a395b6f0e77acaab2981a88ac8f0e0b993eb34b"),
 ]
 
 
-@pytest.mark.parametrize("kind,out_digest,emit_digest", PINNED_REGEVEN,
-                         ids=[k[0] for k, *_ in PINNED_REGEVEN])
+@pytest.mark.parametrize("kind,out_digest,emit_digest", [case[1:] for case in PINNED_REGEVEN],
+                         ids=[case[0] for case in PINNED_REGEVEN])
 def test_pinned_regeven_emit(tmp_path, capsys, kind, out_digest, emit_digest):
     graph, emit = tmp_path / "g.el", tmp_path / "f.el"
     assert run(["construct", "--kind", *kind, "--out", str(graph)], capsys)[0] == 0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from oracles import (
+    arc_list_balanced_subdigraph,
     brute_balanced_min_cut,
     brute_has_r_factor,
     first_structured_violation,
@@ -27,7 +29,7 @@ from hampack.construct import (
     extremal_graph,
     random_graph,
 )
-from hampack.edgelist import read_edge_list
+from hampack.edgelist import format_rows, read_edge_list
 from hampack.errors import CapacityError, ExistenceError, InputError, InternalError
 from hampack import factors
 from hampack.factors import (
@@ -318,49 +320,96 @@ def test_bounds_grid_invariants():
 # The b-matching of the even fast path and of the 2-factor peel
 # ---------------------------------------------------------------------------
 
-def _assert_selection(n, arcs, half, picked):
-    """Distinct arc ids with every in- and out-degree at most ``half``."""
-    assert picked == sorted(set(picked))
-    out, into = [0] * n, [0] * n
+def _arcs_of(g, out):
+    """The arcs of the out-rows ``out`` in ``g.edges()`` order, after
+    checking that they orient every edge of g exactly one way."""
+    assert all(o & ~a == 0 for o, a in zip(out, g.adj))
+    arcs = []
+    for u, v in g.edges():
+        assert (out[u] >> v & 1) != (out[v] >> u & 1)
+        arcs.append((u, v) if out[u] >> v & 1 else (v, u))
+    return arcs
+
+
+def _out_rows(n, arcs):
+    out = [0] * n
+    for u, v in arcs:
+        out[u] |= 1 << v
+    return out
+
+
+def _picked_rows(n, arcs, picked):
+    """The symmetric rows of the arcs ``arcs[i]``, i in ``picked``."""
+    rows = [0] * n
     for i in picked:
         u, v = arcs[i]
-        out[u] += 1
-        into[v] += 1
-    assert max(out + into, default=0) <= half
-    return out, into
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
 
 
-def _assert_full_selection(n, arcs, half, picked):
-    out, into = _assert_selection(n, arcs, half, picked)
-    assert out == [half] * n and into == [half] * n
+def _flipped(g, out, rng):
+    """``out`` with each edge of g reversed with probability 1/2."""
+    out = list(out)
+    for u, v in g.edges():
+        if rng.random() < 0.5:
+            out[u] ^= 1 << v
+            out[v] ^= 1 << u
+    return out
+
+
+def _assert_selection(g, out, half, sel):
+    """Symmetric rows of edges of g with every in- and out-degree at
+    most ``half`` in the orientation ``out``."""
+    assert all(s & ~a == 0 for s, a in zip(sel, g.adj))
+    assert all(sel[v] >> u & 1 for u in range(g.n) for v in iter_bits(sel[u]))
+    outs = [(s & o).bit_count() for s, o in zip(sel, out)]
+    into = [(s & ~o).bit_count() for s, o in zip(sel, out)]
+    assert max(outs + into, default=0) <= half
+    return outs, into
+
+
+def _assert_full_selection(g, out, half, sel):
+    outs, into = _assert_selection(g, out, half, sel)
+    assert outs == [half] * g.n and into == [half] * g.n
 
 
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=10), st.data())
 def test_balanced_subdigraph_matches_min_cut_oracle(g, data):
     # a wrong None would go unseen elsewhere: the blossom decides after it
-    edges = g.edges()
-    if data.draw(st.booleans()):
-        arcs = balanced_orientation_arcs(g)
-    else:
-        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
-        arcs = [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
+    out = balanced_orientation_arcs(g)
+    if not data.draw(st.booleans()):
+        flips = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+        for (u, v), f in zip(g.edges(), flips):
+            if f:
+                out[u] ^= 1 << v
+                out[v] ^= 1 << u
+    arcs = _arcs_of(g, out)
     for half in range(max(g.degrees(), default=0) + 2):
-        picked = _balanced_subdigraph(g.n, arcs, half)
-        _assert_selection(g.n, arcs, half, picked)
+        sel = _balanced_subdigraph(g.adj, out, half)
+        _assert_selection(g, out, half, sel)
+        size = sum(map(int.bit_count, sel)) // 2
         cut = brute_balanced_min_cut(g.n, arcs, half)
-        assert (len(picked) == g.n * half) == (cut == g.n * half)
+        assert (size == g.n * half) == (cut == g.n * half)
         if g.n <= 8:
-            assert len(picked) == cut  # the selection is maximum
+            assert size == cut  # the selection is maximum
 
 
 def test_balanced_subdigraph_long_augmenting_path():
-    # the greedy pass takes every (i, i+1), so tail n-1 is left short and
-    # its one augmenting path alternates through every other tail
-    n = 1000
-    arcs = [(i, i + 1) for i in range(n - 1)] + [(i, i - 1) for i in range(1, n)]
-    picked = _balanced_subdigraph(n, arcs, 1)
-    _assert_full_selection(n, arcs, 1, picked)
+    # Tails t_i = i and heads h_j = 2k - 1 - j, with the arcs t_i -> h_{i+1}
+    # and t_i -> h_{i-1}.  The greedy pass takes every t_i -> h_{i+1}, its
+    # lower head, so tail t_{k-1} is left short and its one augmenting path
+    # alternates through every other tail down to h_0.  The heads have no
+    # out-arcs, so the selection stops at k arcs, every tail full.
+    k = 512
+    n = 2 * k
+    arcs = [(i, 2 * k - 1 - j) for i in range(k) for j in (i - 1, i + 1) if 0 <= j < k]
+    g, out = Graph(n, arcs), _out_rows(n, arcs)
+    sel = _balanced_subdigraph(g.adj, out, 1)
+    outs, _ = _assert_selection(g, out, 1, sel)
+    assert outs == [1] * k + [0] * k
+    assert sel == _picked_rows(n, _arcs_of(g, out), arc_list_balanced_subdigraph(n, _arcs_of(g, out), 1))
 
 
 def _seeded_graphs(sizes, densities, seeds):
@@ -373,36 +422,44 @@ def _seeded_graphs(sizes, densities, seeds):
 def test_orientation_matches_reference_arcs():
     # sparse draws give odd degrees, isolated vertices and many components
     for g in _seeded_graphs(range(65), (0.03, 0.1, 0.3, 0.5, 0.9), range(2)):
-        assert balanced_orientation_arcs(g) == reference_orientation_arcs(g), g
+        assert _arcs_of(g, balanced_orientation_arcs(g)) == reference_orientation_arcs(g), g
 
 
 def test_balanced_subdigraph_matches_reference_verdict():
-    nones = 0
+    # the rows selection is the arc-list oracle's arc for arc, on Euler
+    # orientations and random flips, for every half up to Delta/2 + 1
+    nones = fulls = 0
     for g in _seeded_graphs(range(0, 65, 4), (0.2, 0.5, 0.8), range(2)):
         rng = random.Random(g.m)
-        edges = g.edges()
-        for arcs in (balanced_orientation_arcs(g), [e if rng.random() < 0.5 else e[::-1] for e in edges]):
-            for half in range(g.min_degree() // 2 + 2):
-                picked = _balanced_subdigraph(g.n, arcs, half)
-                short = len(picked) < g.n * half
+        euler = balanced_orientation_arcs(g)
+        for out in (euler, _flipped(g, euler, rng)):
+            arcs = _arcs_of(g, out)
+            for half in range(max(g.degrees(), default=0) // 2 + 2):
+                sel = _balanced_subdigraph(g.adj, out, half)
+                assert sel == _picked_rows(g.n, arcs, arc_list_balanced_subdigraph(g.n, arcs, half))
+                short = sum(map(int.bit_count, sel)) < 2 * g.n * half
                 assert short == (reference_balanced_subdigraph(g.n, arcs, half) is None)
                 if short:
                     nones += 1
                 else:
-                    _assert_full_selection(g.n, arcs, half, picked)
-    assert nones >= 50
+                    fulls += 1
+                    _assert_full_selection(g, out, half, sel)
+    assert nones >= 50 and fulls >= 50
 
 
 def test_balanced_subdigraph_retries_the_arc_of_a_dead_tail():
-    # The greedy pass leaves tail 1 one arc short and head 1 with room.
-    # Tail 1's only unchosen arc (1, 2) reaches head 2, which is full and
-    # fed by the chosen arcs (3, 2) and (0, 2), in that order.  Tail 3 has
-    # no unchosen arc, so it dies; the arc (1, 2) must be tried again to
-    # reach tail 0, whose arc (0, 1) ends the path at head 1.
-    arcs = [(0, 3), (1, 0), (3, 2), (0, 2), (0, 1), (2, 1), (2, 3), (3, 0), (1, 2)]
-    picked = _balanced_subdigraph(4, arcs, 2)
-    assert picked == [0, 1, 2, 4, 5, 6, 7, 8]
-    _assert_full_selection(4, arcs, 2, picked)
+    # K6 less the edges 14 and 35.  The greedy pass leaves tail 5 one arc
+    # short and head 4 with room.  Tail 5's only unchosen arc 5 -> 0
+    # reaches head 0, which is full and fed by the chosen arcs 1 -> 0 and
+    # 2 -> 0, in ascending tail order.  Tail 1 has no unchosen arc, so it
+    # dies; the arc 5 -> 0 must be tried again to reach tail 2, whose arc
+    # 2 -> 4 ends the path at head 4.
+    arcs = [(0, 3), (0, 4), (1, 0), (1, 5), (2, 0), (2, 1), (2, 4),
+            (3, 1), (3, 2), (4, 3), (4, 5), (5, 0), (5, 2)]
+    g, out = Graph(6, arcs), _out_rows(6, arcs)
+    sel = _balanced_subdigraph(g.adj, out, 2)
+    _assert_full_selection(g, out, 2, sel)
+    assert Graph.from_adj(sel).edges() == [e for e in g.edges() if e != (0, 2)]
 
 
 def test_largest_even_factor_at_n512():
@@ -433,6 +490,15 @@ def test_two_factorization_partitions_edges(g, count):
         assert all(d == 2 for d in f.subgraph.degrees())
         union = f.subgraph if union is None else union_edge_disjoint(union, f.subgraph)
     assert union.edges == g.edge_set()
+
+
+def test_two_factorization_pinned_digest():
+    # the 20-factor of a seeded G(64, 1/2): most peels run Hopcroft-Karp phases
+    h = extract_r_factor(random_graph(64, 0.5, 1), 20).subgraph.to_graph()
+    parts = petersen_two_factorization(h)
+    text = "".join(format_rows(h.n, f.subgraph.rows) for f in parts)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a2a6e9090e476f61d05b659a3e0c19ffba083615f24283993672e8283e8c3ef0")
 
 
 def test_two_factorization_rejects_bad_inputs():
@@ -683,7 +749,7 @@ def _leave_one_exposed(n, adj):
 def test_odd_fast_path_miss_falls_through_to_the_gadget(monkeypatch, miss):
     g = random_graph(40, 0.5, 7)
     if miss == "no_subdigraph":
-        monkeypatch.setattr(factors, "_balanced_subdigraph", lambda n, arcs, half: [])
+        monkeypatch.setattr(factors, "_balanced_subdigraph", lambda adj, out, half: [0] * len(adj))
         rs = (3, 5, 7)
     else:
         monkeypatch.setattr(factors, "maximum_matching", _leave_one_exposed)
@@ -694,6 +760,25 @@ def test_odd_fast_path_miss_falls_through_to_the_gadget(monkeypatch, miss):
         assert decision.exists
         decision.factor.validate(g)
         assert decision.factor == _decide_by_gadget(g, r).factor
+
+
+@pytest.mark.parametrize("g,r", [
+    (extremal_graph(64, 33)[0], 22),    # the selection misses by a few units; a yes
+    (random_graph(16, 0.3, 52), 3),     # the host matching leaves a vertex short; a yes
+    (random_graph(16, 0.3, 57), 3),     # a no, off the barrier
+    (random_graph(16, 0.15, 337), 2),   # a fixed hard negative
+], ids=["extremal-r22", "gnp52-r3", "gnp57-r3", "gnp337-r2"])
+def test_gadget_decision_orients_once(monkeypatch, g, r):
+    # a fast-path miss hands its near-factor to the gadget, so the Euler
+    # walk and the b-matching run once per decision
+    calls, gadgets = [], []
+    orient, build = factors.balanced_orientation_arcs, factors._build_gadget
+    monkeypatch.setattr(factors, "balanced_orientation_arcs", lambda g: calls.append(g) or orient(g))
+    monkeypatch.setattr(factors, "_build_gadget", lambda g, r: gadgets.append(r) or build(g, r))
+    decision = r_factor_exists(g, r)
+    assert gadgets == [r] and len(calls) == 1
+    arbiter = _decide_by_gadget(g, r)
+    assert (decision.factor, decision.certificate) == (arbiter.factor, arbiter.certificate)
 
 
 def test_odd_factor_at_n512():
