@@ -562,6 +562,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         t0 = time.perf_counter()
+        # random.Random would drop a negative seed's sign, numpy refuses it
+        if "seed" in args and args.seed < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         if "input" in args:
             result = args.fn(edgelist.read_edge_list(args.input), args)
         else:

@@ -128,6 +128,8 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     probability p, reproducibly from the seed."""
     if not 0 <= p <= 1:
         raise InputError(f"probability must be in [0,1], got {p}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     import numpy as np
 
     rng = np.random.default_rng(seed)

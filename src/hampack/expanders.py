@@ -18,9 +18,11 @@ refute.  It tries structured candidates (the components and their
 complements, cumulative unions of components, neighbourhoods,
 degree-sorted prefixes and suffixes, BFS balls), then seeded random
 subsets, as 0/1 rows: one rows @ adj product scores a block of 64, and
-the first violating row is the witness.  The random subsets are the
-ones random.Random(seed).randint(kmin, kmax) and .sample(range(n), k)
-draw, replayed on the generator's getrandbits (_random_rows).
+the first violating row is the witness.  A random subset is drawn from
+n + 1 32-bit words of random.Random(seed).getrandbits, a whole block in
+one call (_random_rows): the first word picks the size k in the window,
+and the members are the k vertices with the smallest (word, vertex)
+keys.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .core import DiGraph, Graph, mask_of, set_of
@@ -315,58 +316,36 @@ def _structured_subsets(g: Graph, kmin: int, kmax: int, adj: np.ndarray) -> Iter
 def _random_rows(
     getrandbits: Callable[[int], int], n: int, kmin: int, kmax: int, count: int
 ) -> np.ndarray:
-    """count seeded random candidates as 0/1 rows, each the set that
-    random.Random's randint(kmin, kmax) and then sample(range(n), k)
-    would draw from the same getrandbits, leaving the generator in the
-    same state.  The draws replay CPython's own algorithm: _randbelow(m)
-    redraws m.bit_length() bits until they fall below m, randint adds
-    kmin to _randbelow(kmax - kmin + 1), and sample takes a partial
-    Fisher-Yates pool when n <= its setsize, else redraws a member until
-    it is new to the selected set."""
+    """count seeded random candidates as 0/1 rows, from one
+    getrandbits(32 * (n + 1) * count) call read as count rows of n + 1
+    little-endian 32-bit words: the same words, and the same generator
+    state after, as that many getrandbits(32) calls.  In each row, word 0
+    gives the size k = kmin + floor(w * width / 2^32), width = kmax -
+    kmin + 1, and word v + 1 gives vertex v its key (w, v); the members
+    are the k vertices with the smallest keys.  So k is uniform on the
+    window (up to a bias below width / 2^32), the members are a uniform
+    k-subset, and a row does not depend on how many are drawn at once."""
     import numpy as np
 
-    width = kmax - kmin + 1
-    wbits, nbits = width.bit_length(), n.bit_length()
-    bits = [m.bit_length() for m in range(n + 1)]
-    flat: list[int] = []  # row * n + member
-    for row in range(count):
-        base = row * n
-        k = getrandbits(wbits)
-        while k >= width:
-            k = getrandbits(wbits)
-        k += kmin
-        setsize = 21  # sample's size of a small set, plus a table for k > 5
-        if k > 5:
-            setsize += 4 ** ceil(log(k * 3, 4))
-        if n <= setsize:
-            pool = list(range(base, base + n))  # flat indices of this row
-            for m in range(n, n - k, -1):
-                b = bits[m]
-                j = getrandbits(b)
-                while j >= m:
-                    j = getrandbits(b)
-                flat.append(pool[j])
-                pool[j] = pool[m - 1]
-        else:
-            selected: set[int] = set()
-            for _ in range(k):
-                j = getrandbits(nbits)
-                while j >= n or j in selected:
-                    j = getrandbits(nbits)
-                selected.add(j)
-            flat.extend(base + j for j in selected)
-    block = np.zeros(count * n, dtype=bool)
-    block[flat] = True
-    return block.reshape(count, n)
+    words = np.frombuffer(
+        getrandbits(32 * (n + 1) * count).to_bytes(4 * (n + 1) * count, "little"), dtype="<u4"
+    ).reshape(count, n + 1)
+    k = kmin + (words[:, 0].astype(np.int64) * (kmax - kmin + 1) >> 32)
+    # column v + 1 holds v's key as one integer, w * 2^32 + v + 1, which
+    # orders as (w, v); column 0 becomes a sentinel above every key, so
+    # the sorted row's column k is the least key of a non-member
+    keys = words.astype(np.uint64) << np.uint64(32) | np.arange(n + 1, dtype=np.uint64)
+    keys[:, 0] = np.iinfo(np.uint64).max
+    cut = np.sort(keys, axis=1)[np.arange(count), k]
+    return keys[:, 1:] < cut[:, None]
 
 
 def refute_robust_expander_mc(
     g: Graph, params: RobustParams, samples: int, seed: int
 ) -> ExpanderVerdict:
     """Search for a refuting subset: structured candidates first, then
-    ``samples`` seeded random subsets, the same ones that
-    random.Random(seed) draws as randint(kmin, kmax) sizes and
-    sample(range(n), k) members.  Candidates are 0/1 rows scored _BLOCK
+    ``samples`` seeded random subsets, drawn by _random_rows from
+    random.Random(seed).getrandbits.  Candidates are 0/1 rows scored _BLOCK
     at a time: rows @ adj counts every vertex's neighbours in each set,
     and the first violating row is the witness.  ``samples`` in the verdict
     counts the candidates up to and including the witness.  Never

@@ -380,11 +380,21 @@ def _reference_structured_subsets(g: Graph, kmin: int, kmax: int):
                 yield from emit(ball_order[:k])
 
 
+def reference_random_candidate(rng: random.Random, n: int, kmin: int, kmax: int) -> list[int]:
+    """One random candidate of the refuter, one 32-bit word at a time: a
+    word w for the size k = kmin + floor(w * (kmax - kmin + 1) / 2^32),
+    then one key word per vertex; the members are the k vertices that
+    come first by (key, vertex)."""
+    k = kmin + (rng.getrandbits(32) * (kmax - kmin + 1) >> 32)
+    keys = [rng.getrandbits(32) for _ in range(n)]
+    return sorted(range(n), key=lambda v: (keys[v], v))[:k]
+
+
 def reference_refute_mc(g: Graph, params: RobustParams, samples: int, seed: int) -> ExpanderVerdict:
     """The Monte-Carlo refuter one candidate at a time, each scored by a
     popcount pass over the adjacency rows: the structured candidates,
-    then ``samples`` subsets drawn as rng.randint(kmin, kmax) sizes and
-    rng.sample(range(n), k) members from random.Random(seed)."""
+    then ``samples`` random subsets from random.Random(seed), each drawn
+    by reference_random_candidate."""
     n = g.n
     nu, tau = Fraction(params.nu), Fraction(params.tau)
     kmin = -((-tau.numerator * n) // tau.denominator)
@@ -405,8 +415,7 @@ def reference_refute_mc(g: Graph, params: RobustParams, samples: int, seed: int)
             return ExpanderVerdict(False, cand, "monte_carlo", tried)
     rng = random.Random(seed)
     for _ in range(samples):
-        k = rng.randint(kmin, min(kmax, n))
-        cand = frozenset(rng.sample(range(n), k))
+        cand = frozenset(reference_random_candidate(rng, n, kmin, kmax))
         tried += 1
         if violates(cand):
             return ExpanderVerdict(False, cand, "monte_carlo", tried)

@@ -193,6 +193,31 @@ def test_extremal_restarts_below_one_is_an_input_error(tmp_path, capsys, n, rest
     assert f"restarts must be >= 1, got {restarts}" in captured.err
 
 
+# each command that takes --seed, with its other required options; None
+# stands for an input file that does not exist
+SEEDED = {
+    "construct": ["--kind", "gnp", "--n", "10", "--p", "1/2"],
+    "expander": ["--mc", "--nu", "1/8", "--tau", "1/4", "--input", None],
+    "extremal": ["--eta", "1/5", "--input", None],
+    "closeness": ["--kind", "bipartite", "--epsilon", "1/10", "--input", None],
+    "classify": ["--kappa", "1/20", "--nu", "1/20", "--tau", "1/4", "--epsilon", "1/20", "--input", None],
+    "ensemble": ["--experiment", "expansion", "--count", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED))
+def test_negative_seed_is_an_input_error(tmp_path, capsys, command):
+    # refused before the input is read or anything is written
+    assert sorted(SEEDED) == sorted(name for name, (_, _, options) in COMMANDS.items()
+                                    if any(flag == "--seed" for flag, _ in options))
+    out = tmp_path / "out"
+    options = [str(tmp_path / "missing.el") if opt is None else opt for opt in SEEDED[command]]
+    code = main([command, *options, "--seed", "-1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "") and not out.exists()
+    assert captured.err == "input error: --seed must be >= 0, got -1\n"
+
+
 def test_classify_cli(tmp_path, capsys):
     path = tmp_path / "kb.el"
     run(["construct", "--kind", "bipartite", "--n", "16", "--out", str(path)], capsys)
@@ -612,8 +637,8 @@ PINNED_MC = [
     # refuted by a seeded random subset, after every structured candidate
     (["gnp", "--n", "32", "--p", "0.6", "--seed", "831"],
      ["--nu", "13/64", "--tau", "7/16", "--samples", "300", "--seed", "1"],
-     '{"certified": false, "mode": "monte_carlo", "nu": "13/64", "samples": 143, "tau": "7/16", '
-     '"witness": [0, 2, 8, 9, 11, 12, 15, 17, 20, 23, 25, 26, 29, 31]}'),
+     '{"certified": false, "mode": "monte_carlo", "nu": "13/64", "samples": 152, "tau": "7/16", '
+     '"witness": [0, 2, 5, 7, 8, 12, 15, 20, 21, 23, 26, 28, 29, 30]}'),
     (["gnp", "--n", "64", "--p", "0.5", "--seed", "7"],
      ["--nu", "1/64", "--tau", "1/4", "--samples", "200", "--seed", "3"],
      '{"certified": false, "inconclusive": true, "mode": "monte_carlo", "nu": "1/64", '
@@ -643,7 +668,7 @@ def test_pinned_expander_mc_stdout(tmp_path, capsys, kind, options, expected):
 
 # expander --mc stdout by its sha256: (input, options, digest).  The input is
 # construct args, or None for the circulant C96(1..16), which only a random
-# candidate refutes: a 13-set drawn by random.sample's selected-set branch.
+# candidate refutes: a 12-set, random row 21.
 PINNED_MC_DIGEST = [
     (["gnp", "--n", "18", "--p", "0.55", "--seed", "21"],  # the README example
      ["--nu", "1/10", "--tau", "2/5", "--samples", "2000", "--seed", "7"],
@@ -652,7 +677,7 @@ PINNED_MC_DIGEST = [
      ["--nu", "1/64", "--tau", "1/4", "--samples", "1000", "--seed", "0"],
      "db9d95c55ba9112ae37d976fbd0450ddff23674253ef61b0c121de13ce2ddb58"),
     (None, ["--nu", "1/16", "--tau", "1/8", "--samples", "200", "--seed", "0"],
-     "2842eeb0380979ae9cbabca9b37185b4c40b94efcbe52b2913a4d9849464a578"),
+     "3a7426a601af9335bfb27190832869921ceca7200ca98645fa0c9689d09924b9"),
 ]
 
 

@@ -138,6 +138,11 @@ def test_random_graph_determinism():
     assert a != c
 
 
+def test_random_graph_refuses_a_negative_seed():
+    with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+        random_graph(10, 0.5, -1)
+
+
 def test_reference_graphs():
     assert two_cliques(12).m == 30
     kb = complete_bipartite(12)

@@ -1,14 +1,14 @@
 import random
 from collections import deque
 from fractions import Fraction
-from math import ceil, comb, log
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from oracles import brute_first_non_expanding_set, reference_refute_mc
+from oracles import brute_first_non_expanding_set, reference_random_candidate, reference_refute_mc
 
 from hampack import expanders
 from hampack.core import DiGraph, Graph, mask_of, union_edge_disjoint
@@ -242,18 +242,28 @@ MC_ORACLE_CASES = {
     "gnp25-structured-row-0": (random_graph(25, 0.3, 149), Fraction(5, 32), Fraction(3, 8), 300, 149, 3),
     "gnp63-structured-row-63": (random_graph(63, 0.2, 7111), Fraction(5, 128), Fraction(5, 32), 1, 7111, 66),
     "gnp96-sparse-structured": (random_graph(96, 0.1, 4), Fraction(1, 32), Fraction(1, 4), 50, 9, 182),
-    "gnp23-random": (random_graph(23, 0.5, 26), Fraction(9, 64), Fraction(3, 8), 200, 26, 263),
-    "gnp23-random-row-63": (random_graph(23, 0.5, 26), Fraction(9, 64), Fraction(3, 8), 300, 2, 156),
-    "gnp23-random-row-0": (random_graph(23, 0.5, 26), Fraction(9, 64), Fraction(3, 8), 300, 86, 157),
-    "gnp23-random-early": (random_graph(23, 0.4, 284), Fraction(1, 8), Fraction(7, 16), 200, 284, 76),
+    "gnp23-random": (random_graph(23, 0.5, 26), Fraction(9, 64), Fraction(3, 8), 200, 33, 263),
+    "gnp23-random-row-63": (random_graph(23, 0.5, 26), Fraction(9, 64), Fraction(3, 8), 300, 135, 156),
+    "gnp23-random-row-0": (random_graph(23, 0.5, 26), Fraction(9, 64), Fraction(3, 8), 300, 179, 157),
+    "gnp23-random-early": (random_graph(23, 0.4, 284), Fraction(1, 8), Fraction(7, 16), 200, 21, 77),
     "path64-none": (_path(64), Fraction(1, 64), Fraction(1, 4), 100, 0, 268),
     "gnp64-none": (random_graph(64, 0.7, 1), Fraction(1, 64), Fraction(1, 4), 200, 5, 444),
     "gnp96-none": (random_graph(96, 0.7, 2), Fraction(1, 64), Fraction(1, 4), 100, 6, 474),
     # every structured candidate is an interval of the circulant and
-    # expands; the witness is random row 105, a 13-set.  sample draws it,
-    # and every earlier row of size <= 21, by its selected-set branch
-    "circulant96-random-set-branch": (_circulant(96, 16), Fraction(1, 16), Fraction(1, 8), 200, 0, 463),
-    "gnp128-none-set-branch": (random_graph(128, 0.7, 5), Fraction(1, 64), Fraction(1, 8), 150, 12, 670),
+    # expands, so only a random row refutes it
+    "circulant96-random": (_circulant(96, 16), Fraction(1, 16), Fraction(1, 8), 200, 0, 380),
+    "gnp128-none": (random_graph(128, 0.7, 5), Fraction(1, 64), Fraction(1, 8), 150, 12, 670),
+}
+
+# the random row (counted from 0) that refutes each random-decided case:
+# a late hit, the last and the first row of a 64-row block, an early hit,
+# and the circulant's witness
+MC_RANDOM_ROW = {
+    "gnp23-random": 170,
+    "gnp23-random-row-63": 63,
+    "gnp23-random-row-0": 64,
+    "gnp23-random-early": 3,
+    "circulant96-random": 21,
 }
 
 
@@ -272,26 +282,55 @@ def test_mc_matches_reference_refuter(monkeypatch, case, block):
     assert _verdict_tuple(refute_robust_expander_mc(g, params, samples, seed)) == _verdict_tuple(ref)
 
 
-def _sample_setsize(k):
-    # random.sample shuffles a pool list when n <= this, else redraws
-    # into a selected set
-    return 21 + (4 ** ceil(log(3 * k, 4)) if k > 5 else 0)
+@pytest.mark.parametrize("case", list(MC_RANDOM_ROW))
+def test_mc_random_cases_are_decided_by_their_random_row(case):
+    g, nu, tau, samples, seed, expected_samples = MC_ORACLE_CASES[case]
+    params = RobustParams(nu, tau)
+    structured = reference_refute_mc(g, params, 0, seed)
+    assert structured.witness is None
+    assert expected_samples == structured.samples + MC_RANDOM_ROW[case] + 1
+    assert reference_refute_mc(g, params, samples, seed).refuted
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 21, 22, 23, 85, 86, 96, 256, 300, 1024])
-def test_random_rows_replay_randint_and_sample(n):
-    branches = set()
-    windows = {(0, n), (1, min(n, 5)), (min(n, 6), min(n, 21)), (n // 4, n - n // 4), (n, n)}
+class _TiedWords:
+    """A getrandbits source whose 32-bit words take four values, so that
+    keys tie in almost every row; a bulk call returns the words of that
+    many 32-bit calls, least significant first, like random.Random."""
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+
+    def getrandbits(self, bits: int) -> int:
+        assert bits % 32 == 0
+        return sum(self._rng.choice((0, 1, 3 << 30, (1 << 32) - 1)) << (32 * i) for i in range(bits // 32))
+
+    def getstate(self):
+        return self._rng.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 21, 22, 23, 96, 256, 1024])
+def test_random_rows_match_reference_candidates(n):
+    windows = {(0, n), (n, n), (1, min(n, 5)), (n // 4, n - n // 4)}
     for seed, (kmin, kmax) in enumerate(sorted(windows)):
-        ours, ref = random.Random(seed), random.Random(seed)
-        rows = _random_rows(ours.getrandbits, n, kmin, kmax, 50)
-        assert rows.shape == (50, n)
-        for row in rows:
-            k = ref.randint(kmin, kmax)
-            assert set(row.nonzero()[0].tolist()) == set(ref.sample(range(n), k))
-            branches.add("set" if n > _sample_setsize(k) else "pool")
-        assert ours.getstate() == ref.getstate()
-    assert branches == ({"pool", "set"} if n > 21 else {"pool"})
+        for ours, ref in ((random.Random(seed), random.Random(seed)), (_TiedWords(seed), _TiedWords(seed))):
+            rows = _random_rows(ours.getrandbits, n, kmin, kmax, 50)
+            assert rows.shape == (50, n)
+            for row in rows:
+                members = reference_random_candidate(ref, n, kmin, kmax)
+                assert kmin <= len(members) <= kmax
+                assert row.nonzero()[0].tolist() == sorted(members)
+            assert ours.getstate() == ref.getstate()
+
+
+def test_random_rows_are_uniform_in_size_and_members():
+    n, kmin, kmax, count = 8, 2, 6, 20_000
+    rows = _random_rows(random.Random(2024).getrandbits, n, kmin, kmax, count)
+    sizes = rows.sum(axis=1)
+    share = count / (kmax - kmin + 1)
+    for k in range(kmin, kmax + 1):
+        assert abs((sizes == k).sum() - share) <= 0.15 * share
+    freq = rows.sum(axis=0)
+    assert (abs(freq - freq.mean()) <= 0.05 * freq.mean()).all()
 
 
 def _seeded_graph(rng, n):
