@@ -352,6 +352,8 @@ def refute_robust_expander_mc(
     certifies; no witness means the run is inconclusive."""
     if samples < 1:
         raise InputError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     n = g.n
     kmin, kmax = _window(n, params.tau)
     if kmin > kmax or kmin > n or kmax < 0:
@@ -439,6 +441,8 @@ def sparse_expander_factor(
         raise InputError(f"eps*n must be an even integer >= 2, got {r_frac}")
     if attempts < 1:
         raise InputError("attempts must be >= 1")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     r = int(r_frac)
     base = extract_r_factor(g, r)  # existence gate; raises with certificate
     rng = random.Random(seed)

@@ -195,6 +195,8 @@ def find_eta_extremal_witness(
     eta = as_fraction(eta)
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     if g.n <= EXACT_WITNESS_MAX_N:
         hit = _exact_witness(g, eta)
         mode = "exact"
@@ -448,6 +450,8 @@ def closeness(
     gives an upper bound."""
     if kind not in CLOSENESS_KINDS:
         raise InputError(f"kind must be one of {CLOSENESS_KINDS}, got {kind!r}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     epsilon = as_fraction(epsilon)
     n = g.n
     k = n // 2

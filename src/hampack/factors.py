@@ -2,43 +2,57 @@
 certificates, the largest even-factor degree, its two-sided bound, and
 the split of an even-regular graph into 2-factors.
 
-The r-factor decision runs a layered pipeline, cheapest first:
+The r-factor decision runs a layered pipeline.  The structured Tutte
+pairs are the list (0, 0); (0, {v}) and ({v}, 0) for each vertex v;
+then (S, V - S) and (S, 0) for each proper prefix S of the vertices by
+degree, descending, ties by index.  A negative is refuted by the first
+violating pair of that list when it has one; its costly passes run only
+when the fast path fails:
 
 1. parity / degree gates with immediate certificates,
-2. structured Tutte pairs that refute most infeasible instances: the
-   empty pair, (0, {v}) and ({v}, 0) for each vertex v, and (S, V - S)
-   and (S, 0) for each proper prefix S of the vertices by degree.  Only
-   the pairs that can violate are evaluated, so the pass costs
-   O(n + m) plus one components pass per pair evaluated:
-   - the empty pair only when G is disconnected (one component C = V
-     has r|C| = rn even, so Q_r = 0 = R_r);
+2. the pairs that cost O(n + m) in all: (0, 0) by one connectivity test
+   (one component C = V has r|C| = rn even, so Q_r = 0 = R_r; with
+   several, Q_r counts those of odd r|C|), and (S, V - S) for every
+   prefix S by one sweep.  (S, V - S) leaves nothing outside S u T, so
+   Q_r = 0 and the pair violates iff R_r = 2e(V - S) + r(2|S| - n) < 0,
+   which needs 2|S| < n; R_r is updated in O(1) bit counts as each
+   vertex moves from T to S, and the sweep stops at the first negative
+   value,
+3. unless step 2 found a violating pair, a constructive fast path
+   (Petersen's argument).  For even r: in the balanced orientation,
+   choose r/2 out-arcs at every tail and r/2 in-arcs at every head, a
+   bipartite b-matching (greedy, then Hopcroft-Karp phases) whose arcs
+   form an r-factor.  The orientation comes as out-neighbour bitset
+   rows, the b-matching reads and returns bitset rows, and the selected
+   rows are the factor's rows: no arc list is built on the way.  For
+   odd r: the same step with (r - 1)/2 gives an (r - 1)-factor F (none
+   is needed at r = 1), and a perfect matching of G - F, from one
+   maximum matching of the host's n vertices on its bitset rows,
+   completes it to an r-factor.  The union is audited once.  An
+   audited r-factor is a "yes", and by Tutte's f-factor theorem no pair
+   (S, T) of G can then violate Q_r(S,T) <= R_r(S,T): the costly pairs
+   are skipped without skipping a violating one.  A miss proves
+   nothing, since another orientation or another F might succeed; the
+   miss's near-factor goes on to step 5, so each decision orients once,
+4. on a miss, or when step 2 found a violating pair, the full list, in
+   order, reusing step 2's degree order and the prefix where its sweep
+   stopped.  Only the pairs that can violate are evaluated, so the pass
+   costs O(n + m) plus one components pass per pair evaluated:
+   - the empty pair only when G is disconnected;
    - the single-vertex pairs only at cut vertices, v with G - v
      disconnected: otherwise G - v is one component C and Q_r is at
      most (r|C| + d(v)) mod 2 = (d(v) - r) mod 2 <= d(v) - r = R_r for
      T = {v}, and at most 1 <= r = R_r for S = {v}.  When 2 delta >= n
      (n >= 3) G is Hamiltonian by Dirac's theorem, hence 2-connected,
      and the cut-vertex pass is skipped;
-   - (S, V - S) leaves nothing outside S u T, so Q_r = 0 and the pair
-     violates iff R_r < 0; R_r is updated in O(1) bit counts as each
-     vertex moves from T to S;
+   - (S, V - S) as in step 2;
    - (S, 0) has R_r = r|S| and is skipped for even r, where Q_r = 0;
      for odd r, Q_r is the number of odd components of G - S, read for
      every prefix off one reverse union-find pass.
-   The first violating pair is the first of the full list,
-3. a constructive fast path (Petersen's argument).  For even r: in the
-   balanced orientation, choose r/2 out-arcs at every tail and r/2
-   in-arcs at every head, a bipartite b-matching (greedy, then
-   Hopcroft-Karp phases) whose arcs form an r-factor.  The orientation
-   comes as out-neighbour bitset rows, the b-matching reads and returns
-   bitset rows, and the selected rows are the factor's rows: no arc
-   list is built on the way.  For odd r: the same step with (r - 1)/2
-   gives an (r - 1)-factor F (none is needed at r = 1), and a perfect
-   matching of G - F, from one maximum matching of the host's n
-   vertices, completes it to an r-factor.  The union is audited once.
-   A miss proves nothing, since another orientation or another F might
-   succeed; the miss's near-factor goes on to step 4, so each decision
-   orients once,
-4. the stub/core expansion to a perfect-matching instance decided by
+   The first violating pair is the first of the full list.  A negative
+   always reaches this step (its fast path cannot pass the audit), so it
+   gets the pair the list gives whatever the order of steps 3 and 4,
+5. the stub/core expansion to a perfect-matching instance decided by
    the blossom algorithm -- the exact arbiter for everything the fast
    paths leave open.  The blossom search starts from the gadget matching
    of the fast path's own near-factor: the orientation's maximum
@@ -58,7 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import EdgeSubgraph, Graph, _first_edge, iter_bits, mask_of, set_of
 from .errors import CapacityError, ExistenceError, InputError, InternalError
@@ -143,8 +157,7 @@ class FactorDecision:
 
 def max_matching(g: Graph) -> Matching:
     """Maximum cardinality matching of g."""
-    adj = [g.neighbors(v) for v in range(g.n)]
-    mate = maximum_matching(g.n, adj)
+    mate = maximum_matching(g.n, g.adj)
     pairs = frozenset((v, u) for v, u in enumerate(mate) if u > v)
     return Matching(pairs)
 
@@ -253,39 +266,73 @@ def _odd_components_after_prefixes(g: Graph, order: list[int]) -> list[int]:
     return odd
 
 
-def _structured_violation(g: Graph, r: int) -> tuple[int, int] | None:
+class _Sweep(NamedTuple):
+    """The O(n + m) structured pairs, evaluated ahead of the fast path.
+
+    ``dirac``: n >= 3 and 2 delta >= n, so G is 2-connected;
+    ``connected``: G is connected; ``order``: the vertices by degree,
+    descending, ties by index; ``first``: the least k with
+    R_r(S_k, V - S_k) < 0 for the prefix S_k of ``order``, n when there
+    is none; ``hit``: (0, 0) or some (S_k, V - S_k) violates.
+    """
+
+    dirac: bool
+    connected: bool
+    order: list[int]
+    first: int
+    hit: bool
+
+
+def _sweep(g: Graph, r: int, degs: list[int]) -> _Sweep:
+    n = g.n
+    adj = g.adj
+    dirac = n >= 3 and 2 * min(degs) >= n  # Hamiltonian, hence 2-connected
+    connected = dirac or g.is_connected()
+    # (0, 0): Q_r counts the components C with r|C| odd, and R_r = 0
+    hit = not connected and r % 2 == 1 and any(c.bit_count() % 2 for c in g.components())
+    order = sorted(range(n), key=degs.__getitem__, reverse=True)  # stable: ties by index
+    smask = 0
+    rr = 2 * g.m - r * n  # R_r(0, V)
+    first = n
+    # R_r(S_k, V - S_k) = 2e(V - S_k) + r(2k - n) is negative only if 2k < n
+    for k, v in enumerate(order[:(n - 1) // 2], 1):
+        # v moves from T to S: R_r changes by 2(|N(v) & S| - d(v) + r)
+        rr += 2 * ((adj[v] & smask).bit_count() - degs[v] + r)
+        smask |= 1 << v
+        if rr < 0:
+            first = k
+            break
+    return _Sweep(dirac, connected, order, first, hit or first < n)
+
+
+def _structured_violation(g: Graph, r: int, sweep: _Sweep | None = None) -> tuple[int, int] | None:
     """The first violating pair in the order (0, 0); (0, {v}) and
     ({v}, 0) for v = 0..n-1; then (S_k, V - S_k) and (S_k, 0) for each
     proper prefix S_k of the vertices by degree, descending, ties by
     index.  Only reached after the gates, so rn is even and
     1 <= r <= delta; the pairs skipped are those the module docstring
     proves never violate, so the first hit is that of the whole list.
+    ``sweep``, the decision's own ``_sweep``, is computed when not given;
+    its degree order and its first negative R_r are reused, so the
+    prefix pairs past that k are never evaluated.
     """
     n = g.n
-    adj = g.adj
-    degs = g.degrees()
-    if n >= 3 and 2 * min(degs) >= n:
-        connected, cuts = True, 0  # Dirac: Hamiltonian, hence 2-connected
-    else:
-        connected, cuts = g.is_connected(), g.cut_vertices()
-    candidates = [] if connected else [(0, 0)]
-    for v in iter_bits(cuts):
+    if sweep is None:
+        sweep = _sweep(g, r, g.degrees())
+    candidates = [] if sweep.connected else [(0, 0)]
+    for v in iter_bits(0 if sweep.dirac else g.cut_vertices()):
         candidates += [(0, 1 << v), (1 << v, 0)]
     for smask, tmask in candidates:
         q, rr = _quantities(g, r, smask, tmask)
         if q > rr:
             return smask, tmask
-    order = sorted(range(n), key=lambda v: (-degs[v], v))
+    order, first = sweep.order, sweep.first
     odd = _odd_components_after_prefixes(g, order) if r % 2 else None
-    full = (1 << n) - 1
     smask = 0
-    rr = 2 * g.m - r * n  # R_r(0, V)
-    for k, v in enumerate(order[:-1], 1):
-        # v moves from T to S: R_r changes by 2(|N(v) & S| - d(v) + r)
-        rr += 2 * ((adj[v] & smask).bit_count() - degs[v] + r)
+    for k, v in enumerate(order[:min(first, n - 1)], 1):
         smask |= 1 << v
-        if rr < 0:
-            return smask, full & ~smask
+        if k == first:
+            return smask, ((1 << n) - 1) & ~smask
         if odd is not None and odd[k] > r * k:
             return smask, 0
     return None
@@ -486,7 +533,7 @@ def _near_factor(g: Graph, r: int) -> EdgeSubgraph:
     if r > 1:
         _even_factor_via_orientation(g, r - r % 2, rows)
     if r % 2:
-        mate = maximum_matching(g.n, [list(iter_bits(a & ~f)) for a, f in zip(g.adj, rows)])
+        mate = maximum_matching(g.n, [a & ~f for a, f in zip(g.adj, rows)])
         rows = [f | 1 << u if u >= 0 else f for f, u in zip(rows, mate)]
     return EdgeSubgraph.from_host_edges(g.n, (), rows)
 
@@ -670,15 +717,17 @@ def _decide(g: Graph, r: int) -> FactorDecision:
         factor.validate(g)
         return FactorDecision(True, r, factor=factor)
 
-    hit = _structured_violation(g, r)
+    sweep = _sweep(g, r, degs)
+    near = None
+    if not sweep.hit:
+        near = _near_factor(g, r)
+        factor = _factor_via_orientation(g, r, near)
+        if factor is not None:
+            return FactorDecision(True, r, factor=factor)
+
+    hit = _structured_violation(g, r, sweep)
     if hit is not None:
         return FactorDecision(False, r, certificate=_certificate_from_masks(g, r, *hit))
-
-    near = _near_factor(g, r)
-    factor = _factor_via_orientation(g, r, near)
-    if factor is not None:
-        return FactorDecision(True, r, factor=factor)
-
     return _decide_by_gadget(g, r, near)
 
 

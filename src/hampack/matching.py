@@ -1,14 +1,16 @@
 """Maximum cardinality matching in general graphs (Edmonds' blossom
 algorithm, array-based, O(V^3)-style).
 
-Called by ``factors.max_matching`` and by the exact r-factor arbiter on
-the stub/core expansion; the bipartite selections in ``factors`` use
-their own b-matching.  The search starts from a greedy maximal matching,
-which may extend a partial seed matching handed in by the caller: the
-degree-factor pipeline seeds it from the fast path's near-factor, so
-only a few gadget vertices start exposed.  Each alternating
-tree resets and scans only the vertices it reached, so an augmentation
-costs the size of its tree, not of the graph.
+Called on a host graph's bitset rows by ``factors.max_matching`` and
+the odd-r fast path (``maximum_matching``), and on the stub/core
+expansion by the exact r-factor arbiter (``_Matcher``); the bipartite
+selections in ``factors`` use their own b-matching.  The search starts
+from a greedy maximal matching, which may extend a partial seed
+matching handed in by the caller: the degree-factor pipeline seeds it
+from the fast path's near-factor, so only a few gadget vertices start
+exposed.  Each alternating tree resets and scans only the vertices it
+reached, so an augmentation costs the size of its tree, not of the
+graph.
 
 A vertex v's neighbours are ``adj[v]``, read in order.  ``adj[v]`` may
 be one object shared by many vertices (twins), and with ``heads`` given,
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from .core import iter_bits
 from .errors import InternalError
 
 
@@ -64,11 +67,13 @@ class _Matcher:
         adj: list,
         seed: list[int] | None = None,
         heads: list[int] | None = None,
+        maximal: bool = False,
     ):
         self.n = n
         self.adj = adj
         self.heads = heads
-        self.match = greedy_matching(n, adj, seed, heads)
+        # a maximal seed leaves no edge between exposed vertices to extend it by
+        self.match = seed if maximal else greedy_matching(n, adj, seed, heads)
         self.p = [-1] * n
         self.base = list(range(n))
         # used[v] == epoch iff v is an outer (even) vertex of the current tree
@@ -178,9 +183,46 @@ class _Matcher:
         return outer
 
 
-def maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
-    """Mate array of a maximum matching (-1 for exposed vertices)."""
-    return _Matcher(n, adj).solve()
+def maximum_matching(n: int, rows) -> list[int]:
+    """Mate array of a maximum matching (-1 for exposed vertices) of the
+    graph with bitset rows ``rows``.
+
+    The greedy pass is ``greedy_matching``'s on the rows' neighbour
+    lists: vertices by ascending degree, ties by index, each matched to
+    its lowest free neighbour.  A maximal matching that leaves at most
+    one vertex exposed is maximum, so the blossom search runs only when
+    two or more stay exposed.  It starts from the greedy matching as
+    it is, since its own greedy pass could not extend a maximal one, and
+    builds a vertex's neighbour list the first time it reads it.  The
+    mate array is ``_Matcher(n, lists).solve()``'s.
+    """
+    match = [-1] * n
+    free = (1 << n) - 1
+    for v in sorted(range(n), key=lambda u: rows[u].bit_count()):
+        if free >> v & 1:
+            cand = rows[v] & free
+            if cand:
+                low = cand & -cand
+                u = low.bit_length() - 1
+                match[v] = u
+                match[u] = v
+                free ^= low | 1 << v
+    if free & (free - 1):
+        return _Matcher(n, _NeighbourLists(rows), match, maximal=True).solve()
+    return match
+
+
+class _NeighbourLists(dict):
+    """v -> the ascending neighbour list of the bitset row ``rows[v]``,
+    built when first read."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, v: int) -> list[int]:
+        neighbours = self[v] = list(iter_bits(self.rows[v]))
+        return neighbours
 
 
 def matching_size(match: list[int]) -> int:

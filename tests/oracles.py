@@ -11,10 +11,18 @@ import itertools
 import random
 from fractions import Fraction
 
-from hampack.core import Graph, _check_capacity, iter_bits, mask_of
+from hampack.core import EdgeSubgraph, Graph, _check_capacity, iter_bits, mask_of
 from hampack.errors import DisjointnessError, InputError, InternalError
 from hampack.expanders import ExpanderVerdict, RobustParams
-from hampack.factors import tutte_quantities
+from hampack.factors import (
+    Factor,
+    FactorDecision,
+    _certificate_from_masks,
+    _decide_by_gadget,
+    _factor_via_orientation,
+    _near_factor,
+    tutte_quantities,
+)
 from hampack.matching import _Matcher
 
 
@@ -313,6 +321,35 @@ def first_structured_violation(g: Graph, r: int) -> tuple[int, int] | None:
         if tutte_quantities(g, r, iter_bits(smask), iter_bits(tmask)).violates:
             return smask, tmask
     return None
+
+
+def reference_decide(g: Graph, r: int) -> FactorDecision:
+    """The r-factor decision with the structured pairs ahead of the fast
+    path: the gates, then the first violating pair of the full
+    structured list (``first_structured_violation``), then the
+    constructive fast path, then the gadget seeded from its
+    near-factor."""
+    n = g.n
+    if not 0 <= r <= max(n - 1, 0):
+        raise InputError(f"r must satisfy 0 <= r <= n-1, got r={r}, n={n}")
+    if r == 0:
+        return FactorDecision(True, 0, factor=Factor(EdgeSubgraph(n, []), 0))
+    if (r * n) % 2:
+        return FactorDecision(False, r, note="r*n is odd; no spanning r-regular subgraph")
+    degs = g.degrees()
+    if r > min(degs):
+        cert = _certificate_from_masks(g, r, 0, 1 << degs.index(min(degs)))
+        return FactorDecision(False, r, certificate=cert)
+    if all(d == r for d in degs):
+        return FactorDecision(True, r, factor=Factor(EdgeSubgraph(n, g.edges()), r))
+    hit = first_structured_violation(g, r)
+    if hit is not None:
+        return FactorDecision(False, r, certificate=_certificate_from_masks(g, r, *hit))
+    near = _near_factor(g, r)
+    factor = _factor_via_orientation(g, r, near)
+    if factor is not None:
+        return FactorDecision(True, r, factor=factor)
+    return _decide_by_gadget(g, r, near)
 
 
 def _reference_structured_subsets(g: Graph, kmin: int, kmax: int):

@@ -442,13 +442,17 @@ def test_ensemble_worker_pool_matches_sequential(tmp_path, capsys):
 # Seeded inputs on which the even-factor fast path hits, misses with the
 # blossom saying yes, and misses with the blossom saying no, at r = 2 and
 # 4; the negatives carry gate, structured-pair and Gallai-Edmonds
-# certificates.
+# certificates, among them pairs found only after a fast-path miss: a
+# cut-vertex pair (gnp13_03_101, r = 2) and an odd-prefix pair
+# (gnp8_03_23, r = 1).
 PINNED_INPUTS = {
     "gnp10_06_1": ["gnp", "--n", "10", "--p", "0.6", "--seed", "1"],
     "gnp10_05_27": ["gnp", "--n", "10", "--p", "0.5", "--seed", "27"],
     "gnp10_06_10": ["gnp", "--n", "10", "--p", "0.6", "--seed", "10"],
     "gnp10_03_28": ["gnp", "--n", "10", "--p", "0.3", "--seed", "28"],
     "gnp13_05_16": ["gnp", "--n", "13", "--p", "0.5", "--seed", "16"],
+    "gnp13_03_101": ["gnp", "--n", "13", "--p", "0.3", "--seed", "101"],
+    "gnp8_03_23": ["gnp", "--n", "8", "--p", "0.3", "--seed", "23"],
     "gnp16_015_114": ["gnp", "--n", "16", "--p", "0.15", "--seed", "114"],
     "gnp21_025_11": ["gnp", "--n", "21", "--p", "0.25", "--seed", "11"],
     "gnp22_015_46": ["gnp", "--n", "22", "--p", "0.15", "--seed", "46"],
@@ -480,6 +484,10 @@ PINNED_STDOUT = [
     ("factor", "gnp13_05_16", ["3"],
      '{"exists": false, "note": "r*n is odd; no spanning r-regular subgraph", "r": 3}'),
     ("factor", "gnp13_05_16", ["4"], '{"exists": true, "r": 4}'),
+    ("factor", "gnp13_03_101", ["2"],
+     '{"certificate": {"Qr": 2, "Rr": 0, "S": [], "T": [2]}, "exists": false, "r": 2}'),
+    ("factor", "gnp8_03_23", ["1"],
+     '{"certificate": {"Qr": 4, "Rr": 2, "S": [0, 6], "T": []}, "exists": false, "r": 1}'),
     ("factor", "gnp16_015_114", ["1"],
      '{"certificate": {"Qr": 0, "Rr": -2, "S": [2, 4, 7, 10, 12, 14, 15], '
      '"T": [0, 1, 3, 5, 6, 8, 9, 11, 13]}, "exists": false, "r": 1}'),

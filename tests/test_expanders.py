@@ -162,6 +162,13 @@ def test_mc_rejects_zero_samples():
         )
 
 
+def test_mc_refuses_a_negative_seed():
+    # random.Random drops the sign: seed -1 would replay seed 1's draws
+    g = random_graph(32, 0.6, 831)
+    with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+        refute_robust_expander_mc(g, RobustParams(Fraction(13, 64), Fraction(7, 16)), 300, seed=-1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_mc_never_refutes_exactly_certified(seed):
@@ -572,6 +579,14 @@ def test_sparse_factor_float_eps_reads_as_decimal():
         complete_graph(20), 0.1, RobustParams(Fraction(1, 20), Fraction(1, 4)), seed=1, attempts=1
     )
     assert f.r == 2
+
+
+def test_sparse_factor_refuses_a_negative_seed():
+    with pytest.raises(InputError, match="seed must be >= 0, got -5"):
+        sparse_expander_factor(
+            complete_graph(20), Fraction(1, 10), RobustParams(Fraction(1, 20), Fraction(1, 4)),
+            seed=-5, attempts=1,
+        )
 
 
 def test_sparse_factor_parity_precondition():

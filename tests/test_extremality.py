@@ -332,6 +332,19 @@ def test_closeness_bad_kind():
         closeness(complete_graph(4), "nope", Fraction(1, 10))
 
 
+def test_closeness_refuses_a_negative_seed():
+    # above the exact cutoff the swap search would run on seed 3's draws
+    g = random_graph(30, 0.6, 3)
+    with pytest.raises(InputError, match="seed must be >= 0, got -3"):
+        closeness(g, "bipartite", Fraction(1, 10), seed=-3)
+
+
+def test_witness_search_refuses_a_negative_seed():
+    g = random_graph(30, 0.6, 3)
+    with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+        find_eta_extremal_witness(g, Fraction(1, 5), seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # Trichotomy
 # ---------------------------------------------------------------------------

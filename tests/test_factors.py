@@ -14,6 +14,7 @@ from oracles import (
     brute_has_r_factor,
     first_structured_violation,
     reference_balanced_subdigraph,
+    reference_decide,
     reference_gadget,
     reference_gadget_decision,
     reference_orientation_arcs,
@@ -864,3 +865,84 @@ def test_pruned_structured_pass_matches_full_pair_list():
                 kinds.add(_pair_kind(hit))
     assert kinds == {"(0, 0)", "(0, {v})", "({v}, 0)", "(S, V - S)", "(S, 0)"}
 
+
+# ---------------------------------------------------------------------------
+# The fast path ahead of the costly pairs, against the structured-first order
+# ---------------------------------------------------------------------------
+
+def _decision_order_inputs():
+    """Odd r on G(n, 1/2), n = 24..40; r = 1 and 2 on the structured
+    inputs (sparse G(n, p), disconnected graphs, cut vertices, odd-prefix
+    negatives and the fixed hard negatives); every r on the extremal
+    family."""
+    rng = random.Random(20261020)
+    for n in range(24, 41, 2):
+        for _ in range(2):
+            g = random_graph(n, 0.5, rng.getrandbits(32))
+            for r in (1, 3, 5):
+                yield g, r
+    for g in _structured_inputs():
+        for r in (1, 2):
+            if r < g.n:
+                yield g, r
+    # K_{2,4} at r = 1: (S_2, V - S_2) and (S_2, 0) both violate
+    yield Graph(6, [(a, b) for a in (0, 1) for b in range(2, 6)]), 1
+    for n, delta in ((16, 9), (24, 13), (32, 17), (40, 21)):
+        g = extremal_graph(n, delta)[0]
+        for r in range(1, delta + 1):
+            yield g, r
+
+
+def test_fast_path_first_decides_as_the_structured_first_order():
+    kinds = set()
+    positives = gadget_negatives = 0
+    for g, r in _decision_order_inputs():
+        decision, want = r_factor_exists(g, r), reference_decide(g, r)
+        assert (decision.exists, decision.note) == (want.exists, want.note)
+        assert decision.certificate == want.certificate
+        if want.factor is None:
+            assert decision.factor is None
+        else:
+            assert decision.factor.subgraph.rows == want.factor.subgraph.rows
+        if decision.exists:
+            positives += 1
+        elif decision.certificate is not None and r <= g.min_degree():
+            hit = first_structured_violation(g, r)
+            if hit is None:
+                gadget_negatives += 1
+            else:
+                kinds.add(_pair_kind(hit))
+    assert kinds == {"(0, 0)", "(0, {v})", "({v}, 0)", "(S, V - S)", "(S, 0)"}
+    assert positives > 100 and gadget_negatives >= len(list(FIXED_INPUTS.glob("*.txt")))
+
+
+def test_odd_positive_below_dirac_skips_the_costly_pairs(monkeypatch):
+    # 2 delta < n, so only the fast path keeps the cut-vertex pass and
+    # the odd-prefix union-find from running on this yes
+    g = random_graph(40, 0.5, 7)
+    assert 2 * g.min_degree() < g.n
+
+    def refuse(*args):
+        raise AssertionError("a positive ran a costly structured pass")
+
+    monkeypatch.setattr(Graph, "cut_vertices", refuse)
+    monkeypatch.setattr(factors, "_odd_components_after_prefixes", refuse)
+    monkeypatch.setattr(factors, "_structured_violation", refuse)
+    decision = r_factor_exists(g, 3)
+    assert decision.exists
+    decision.factor.validate(g)
+
+
+@pytest.mark.parametrize("g,r,pair", [
+    (_side_by_side(complete_graph(3), complete_graph(3), 0), 1, (0, 0)),
+    (random_graph(12, 0.3, 18), 2, (0b110000, 0b111111001111)),
+    (Graph(6, [(a, b) for a in (0, 1) for b in range(2, 6)]), 1, (0b11, 0b111100)),
+], ids=["two-triangles-r1", "gnp12-r2", "k24-r1"])
+def test_sweep_negative_skips_the_fast_path(monkeypatch, g, r, pair):
+    # a pair of the O(n + m) sweep refutes before any orientation runs
+    def refuse(*args):
+        raise AssertionError("the fast path ran on a negative the sweep refutes")
+
+    monkeypatch.setattr(factors, "_near_factor", refuse)
+    cert = r_factor_exists(g, r).certificate
+    assert (cert.s, cert.t) == (set(iter_bits(pair[0])), set(iter_bits(pair[1])))

@@ -1,12 +1,17 @@
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
 from oracles import brute_max_matching_size, petersen
 
-from hampack.construct import complete_graph, cycle_graph
+from hampack import matching
+from hampack.core import Graph
+from hampack.construct import complete_graph, cycle_graph, random_graph
 from hampack.factors import max_matching
-from hampack.matching import _Matcher
+from hampack.matching import _Matcher, greedy_matching, maximum_matching
 
 
 def test_k4_matching_size():
@@ -51,3 +56,51 @@ def test_seeded_matcher_matches_brute_force(g, data):
             assert g.has_edge(u, v)
             pairs.add((min(u, v), max(u, v)))
     assert len(pairs) == brute_max_matching_size(g)
+
+
+@pytest.fixture
+def blossom_runs(monkeypatch):
+    """The seeds that ``maximum_matching`` hands to the blossom search."""
+    runs = []
+
+    class Recorded(_Matcher):
+        def __init__(self, n, adj, seed=None, heads=None, maximal=False):
+            runs.append(list(seed))
+            super().__init__(n, adj, seed, heads, maximal)
+
+    monkeypatch.setattr(matching, "_Matcher", Recorded)
+    return runs
+
+
+def test_rows_matching_runs_the_blossom_where_the_greedy_falls_short(blossom_runs):
+    # a pendant 0-5 on the 5-cycle 5-4-1-2-3: the greedy matches 0-5 and
+    # 1-2 and leaves 3 and 4 exposed, joined by the augmenting path 3-2-1-4
+    g = Graph(6, [(0, 5), (1, 2), (1, 4), (2, 3), (3, 5), (4, 5)])
+    lists = [g.neighbors(v) for v in range(g.n)]
+    assert greedy_matching(g.n, lists) == [5, 2, 1, -1, -1, 0]
+    mate = maximum_matching(g.n, g.adj)
+    assert mate == _Matcher(g.n, lists).solve() == [5, 4, 3, 2, 1, 0]
+    assert blossom_runs == [[5, 2, 1, -1, -1, 0]]
+
+
+def test_rows_matching_equals_the_list_matcher(blossom_runs):
+    rng = random.Random(20261020)
+    augmented = skipped = 0
+    for n in range(1, 61):
+        for p in (0.05, 0.15, 0.3, 0.6):
+            g = random_graph(n, p, rng.getrandbits(32))
+            lists = [g.neighbors(v) for v in range(n)]
+            greedy = greedy_matching(n, lists)
+            runs = len(blossom_runs)
+            mate = maximum_matching(n, g.adj)
+            assert mate == _Matcher(n, lists).solve()
+            ran = len(blossom_runs) > runs
+            # the blossom starts from the greedy matching, and runs
+            # exactly when two or more vertices stay exposed
+            assert ran == (greedy.count(-1) >= 2)
+            if ran:
+                assert blossom_runs[-1] == greedy
+            else:
+                skipped += 1
+            augmented += mate.count(-1) < greedy.count(-1)
+    assert augmented > 10 and skipped > 10
