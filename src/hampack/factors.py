@@ -305,20 +305,18 @@ def _sweep(g: Graph, r: int, degs: list[int]) -> _Sweep:
     return _Sweep(dirac, connected, order, first, hit or first < n)
 
 
-def _structured_violation(g: Graph, r: int, sweep: _Sweep | None = None) -> tuple[int, int] | None:
+def _structured_violation(g: Graph, r: int, sweep: _Sweep) -> tuple[int, int] | None:
     """The first violating pair in the order (0, 0); (0, {v}) and
     ({v}, 0) for v = 0..n-1; then (S_k, V - S_k) and (S_k, 0) for each
     proper prefix S_k of the vertices by degree, descending, ties by
     index.  Only reached after the gates, so rn is even and
     1 <= r <= delta; the pairs skipped are those the module docstring
     proves never violate, so the first hit is that of the whole list.
-    ``sweep``, the decision's own ``_sweep``, is computed when not given;
-    its degree order and its first negative R_r are reused, so the
-    prefix pairs past that k are never evaluated.
+    ``sweep`` is the decision's own ``_sweep``: its degree order and its
+    first negative R_r are reused, so the prefix pairs past that k are
+    never evaluated.
     """
     n = g.n
-    if sweep is None:
-        sweep = _sweep(g, r, g.degrees())
     candidates = [] if sweep.connected else [(0, 0)]
     for v in iter_bits(0 if sweep.dirac else g.cut_vertices()):
         candidates += [(0, 1 << v), (1 << v, 0)]

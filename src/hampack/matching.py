@@ -67,13 +67,11 @@ class _Matcher:
         adj: list,
         seed: list[int] | None = None,
         heads: list[int] | None = None,
-        maximal: bool = False,
     ):
         self.n = n
         self.adj = adj
         self.heads = heads
-        # a maximal seed leaves no edge between exposed vertices to extend it by
-        self.match = seed if maximal else greedy_matching(n, adj, seed, heads)
+        self.match = greedy_matching(n, adj, seed, heads)
         self.p = [-1] * n
         self.base = list(range(n))
         # used[v] == epoch iff v is an outer (even) vertex of the current tree
@@ -191,10 +189,9 @@ def maximum_matching(n: int, rows) -> list[int]:
     lists: vertices by ascending degree, ties by index, each matched to
     its lowest free neighbour.  A maximal matching that leaves at most
     one vertex exposed is maximum, so the blossom search runs only when
-    two or more stay exposed.  It starts from the greedy matching as
-    it is, since its own greedy pass could not extend a maximal one, and
-    builds a vertex's neighbour list the first time it reads it.  The
-    mate array is ``_Matcher(n, lists).solve()``'s.
+    two or more stay exposed, seeded with the greedy matching, which
+    its own greedy pass cannot extend.  The mate array is
+    ``_Matcher(n, lists).solve()``'s.
     """
     match = [-1] * n
     free = (1 << n) - 1
@@ -208,21 +205,8 @@ def maximum_matching(n: int, rows) -> list[int]:
                 match[u] = v
                 free ^= low | 1 << v
     if free & (free - 1):
-        return _Matcher(n, _NeighbourLists(rows), match, maximal=True).solve()
+        return _Matcher(n, [list(iter_bits(x)) for x in rows], match).solve()
     return match
-
-
-class _NeighbourLists(dict):
-    """v -> the ascending neighbour list of the bitset row ``rows[v]``,
-    built when first read."""
-
-    def __init__(self, rows):
-        super().__init__()
-        self.rows = rows
-
-    def __missing__(self, v: int) -> list[int]:
-        neighbours = self[v] = list(iter_bits(self.rows[v]))
-        return neighbours
 
 
 def matching_size(match: list[int]) -> int:

@@ -41,6 +41,7 @@ from hampack.factors import (
     _ge_pair,
     _seed_mate,
     _structured_violation,
+    _sweep,
     extract_r_factor,
     largest_even_factor,
     dense_factor_degree,
@@ -730,7 +731,7 @@ def test_odd_fast_path_matches_the_gadget_arbiter():
             continue
         negatives += 1
         # a negative is the structured pair, or else the gadget's barrier pair
-        hit = _structured_violation(g, r)
+        hit = _structured_violation(g, r, _sweep(g, r, g.degrees()))
         cert = decision.certificate
         if hit is None:
             assert (cert.s, cert.t) == (arbiter.certificate.s, arbiter.certificate.t)
@@ -859,7 +860,7 @@ def test_pruned_structured_pass_matches_full_pair_list():
             # the gates that run before the structured pass
             if r > min(degs) or (r * g.n) % 2 or all(d == r for d in degs):
                 continue
-            hit = _structured_violation(g, r)
+            hit = _structured_violation(g, r, _sweep(g, r, g.degrees()))
             assert hit == first_structured_violation(g, r)
             if hit is not None:
                 kinds.add(_pair_kind(hit))

@@ -64,9 +64,9 @@ def blossom_runs(monkeypatch):
     runs = []
 
     class Recorded(_Matcher):
-        def __init__(self, n, adj, seed=None, heads=None, maximal=False):
+        def __init__(self, n, adj, seed=None, heads=None):
             runs.append(list(seed))
-            super().__init__(n, adj, seed, heads, maximal)
+            super().__init__(n, adj, seed, heads)
 
     monkeypatch.setattr(matching, "_Matcher", Recorded)
     return runs
