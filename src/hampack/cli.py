@@ -9,6 +9,12 @@ min/max/mean summary row.
 
 Exit codes: 0 success, 2 parse error, 3 capacity error, 4 precondition
 violation, 5 internal invariant failure.
+
+Plain argv, ``<command> --flag value ... [--switch]`` with each flag
+spelled in full at most once, is read straight from the ``COMMANDS``
+table into the namespace argparse would give.  argparse owns help,
+usage and every error: any other argv, and any value its check would
+refuse, goes to the command's argparse parser unchanged.
 """
 
 from __future__ import annotations
@@ -130,6 +136,7 @@ def cmd_factor(g: Graph, args) -> dict:
 
 
 def cmd_tutte(g: Graph, args) -> dict:
+    factors._check_degree(g.n, args.r)
     if args.exhaustive:
         if args.s is not None or args.t is not None:
             raise InputError("tutte --exhaustive checks every pair: drop --s and --t")
@@ -522,11 +529,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     one-command parser names the full command list in its usage, so its
     help and error texts are those of the full parser.
 
-    Each parser is built once per process and reused, so ``main`` can be
-    called repeatedly in one process at the cost of one build per
-    command.  Reuse carries nothing between calls: ``parse_args`` returns
-    a fresh namespace each time, and argparse reads the terminal width
-    when it formats help and usage, not when it builds the parser."""
+    ``main`` asks for a parser only for argv that ``_plain_args``
+    declines.  Each parser is built once per process and reused, so
+    ``main`` can be called repeatedly in one process at the cost of at
+    most one build per command.  Reuse carries nothing between calls:
+    ``parse_args`` returns a fresh namespace each time, and argparse
+    reads the terminal width when it formats help and usage, not when it
+    builds the parser."""
     parser = argparse.ArgumentParser(
         prog="hampack",
         description="Even factors, robust expansion and Hamilton cycle packing at desk scale.",
@@ -540,6 +549,53 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         for flag, kwargs in COMMON + options:
             p.add_argument(flag, **kwargs)
     return parser
+
+
+#: Each command's options by flag, ``COMMON`` first: the order argparse sets dests in.
+_OPTIONS = {name: dict(COMMON + options) for name, (_, _, options) in COMMANDS.items()}
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser(argv[0]).parse_args(argv)`` returns,
+    for argv of the plain form (module docstring); None for any other
+    argv, and for a value that its option's type or choices refuse."""
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    given = {}
+    i, end = 1, len(argv)
+    while i < end:
+        flag = argv[i]
+        kwargs = options.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            i += 1
+            continue
+        if i + 1 == end or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+        i += 2
+    args = argparse.Namespace(command=argv[0])
+    for flag, kwargs in options.items():
+        if flag in given:
+            value = given[flag]
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), value)
+    args.fn = COMMANDS[argv[0]][0]
+    return args
 
 
 def _write_record(args, argv: list[str], elapsed: float) -> None:
@@ -558,8 +614,10 @@ def _write_record(args, argv: list[str], elapsed: float) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = build_parser(command).parse_args(argv)
     try:
         t0 = time.perf_counter()
         # random.Random would drop a negative seed's sign, numpy refuses it

@@ -64,8 +64,10 @@ def _reach(adj, v: int, within: int) -> int:
     frontier = seen
     while frontier:
         nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= adj[u]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & ~seen & within
         seen |= frontier
     return seen

@@ -182,7 +182,8 @@ def format_edge_list(g: Graph) -> str:
 def read_edge_list(path: str | Path) -> Graph:
     """The graph in the edge-list file at ``path``, read as UTF-8; a
     byte that does not decode is a ``ParseError`` on its line."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

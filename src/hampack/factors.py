@@ -696,10 +696,16 @@ def _decide_by_gadget(g: Graph, r: int, near: EdgeSubgraph | None = None) -> Fac
 # The decision pipeline
 # ---------------------------------------------------------------------------
 
-def _decide(g: Graph, r: int) -> FactorDecision:
-    n = g.n
+def _check_degree(n: int, r: int) -> None:
+    """Refuse a factor degree r outside 0 <= r <= n - 1 (r = 0 on the
+    empty graph) with ``InputError``."""
     if not 0 <= r <= max(n - 1, 0):
         raise InputError(f"r must satisfy 0 <= r <= n-1, got r={r}, n={n}")
+
+
+def _decide(g: Graph, r: int) -> FactorDecision:
+    n = g.n
+    _check_degree(n, r)
     if r == 0:
         return FactorDecision(True, 0, factor=Factor(EdgeSubgraph(n, []), 0))
     if (r * n) % 2:

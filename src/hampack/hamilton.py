@@ -140,8 +140,7 @@ def _feasible(adj: list[int] | tuple[int, ...], n: int, used: int, cur: int) -> 
     while m:
         wb = m & -m
         m ^= wb
-        w = wb.bit_length() - 1
-        if (adj[w] & (unvisited | open_ends)).bit_count() < 2:
+        if (adj[wb.bit_length() - 1] & (unvisited | open_ends)).bit_count() < 2:
             return False
     # the cycle can close, and every unvisited vertex is reachable from the path head
     return bool(adj[0] & unvisited) and not unvisited & ~_reach(adj, cur, unvisited)

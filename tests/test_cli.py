@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -10,11 +12,13 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import cliques_sharing_a_vertex, generalized_petersen
 
 import hampack
-from hampack import hamilton
+from hampack import cli, hamilton
 from hampack.cli import COMMANDS, MAX_WORKERS, build_parser, main
 from hampack.core import DiGraph, Graph
 from hampack.expanders import eulerian_orientation
@@ -100,6 +104,21 @@ def test_tutte_exhaustive_refuses_a_pair(tmp_path, capsys, pair):
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert "tutte --exhaustive checks every pair: drop --s and --t" in captured.err
+
+
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--s", "1", "--t", "2"]])
+@pytest.mark.parametrize("r", ["-2", "8", "40"])
+def test_tutte_refuses_r_outside_its_range(tmp_path, capsys, mode, r):
+    # the message factor gives, before any pair is evaluated
+    k8 = tmp_path / "k8.el"
+    k8.write_text(format_edge_list(complete_graph(8)))
+    code = main(["tutte", "--r", r, "--input", str(k8), *mode])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == f"input error: r must satisfy 0 <= r <= n-1, got r={r}, n=8\n"
+    assert main(["factor", "--r", r, "--input", str(k8)]) == 4
+    assert capsys.readouterr().err == captured.err
+    assert run(["tutte", "--r", "7", "--input", str(k8), *mode], capsys)[0] == 0
 
 
 def test_expander_cli(tmp_path, capsys):
@@ -740,7 +759,6 @@ BAD_VALUE = {
 def test_every_option_is_read():
     # a dest is read as args.<dest> by its handler, or by main and
     # _write_record (input, out and record)
-    from hampack import cli
 
     shared = inspect.getsource(cli.main) + inspect.getsource(cli._write_record)
     unread = []
@@ -818,11 +836,11 @@ def test_graph_commands_read_their_input_once(tmp_path, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Parser reuse: ``main`` builds each command's parser once per process
+# Parser reuse: plain argv builds no parser, and ``main`` builds each
+# command's parser once per process for the argv it declines
 # ---------------------------------------------------------------------------
 
 def test_each_parser_is_built_once(tmp_path, capsys, monkeypatch):
-    from hampack import cli
 
     assert build_parser() is build_parser()
     for command in COMMANDS:
@@ -836,11 +854,109 @@ def test_each_parser_is_built_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "argparse", SimpleNamespace(**{**vars(argparse),
                                                              "ArgumentParser": counting_parser}))
     build_parser.cache_clear()
+    out = tmp_path / "out"
     for command, argv in valid_calls(tmp_path).items():
         built.clear()
         for _ in range(2):
             assert run(argv, capsys)[0] == 0, command
+        assert run([*argv, "--out", str(out)], capsys) == (0, ""), command
+        assert built == [], command
+        expected = out.read_bytes()
+        for _ in range(2):  # declined: argparse reads --flag=value
+            out.unlink()
+            assert run([*argv, f"--out={out}"], capsys) == (0, ""), command
+            assert out.read_bytes() == expected, command
         assert built == ["hampack"], command
+
+
+# ---------------------------------------------------------------------------
+# The plain-argv dispatch against argparse
+# ---------------------------------------------------------------------------
+
+def parsed(parse, argv):
+    """(namespace or exit code, stdout, stderr) of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# Values each option type takes, and tokens that a type refuses, that
+# argparse reads as a flag or a negative number, or that only look odd
+VALID_VALUES = {int: ["0", "3", "17"], cli._fraction: ["1/3", "2", "0.25"],
+                cli._vertex_list: ["0,1", "5", ""], None: ["g.el", "x"]}
+ODD_VALUES = ["", "x", "1/0", "1,x", "1.5", " 7", "٣", "nope", "bipartite",
+              "-1", "-3/4", "-x", "-", "--", "--out", "-h"]
+
+
+@st.composite
+def command_argv(draw):
+    """A command and an argv of its own flags, with whether it is plain:
+    each flag once and in full, each value accepted, the required ones
+    all given."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    options = dict(cli.COMMON + COMMANDS[command][2])
+
+    def given_once(flag, odd=False):
+        """A flag with its value, an odd one if asked, or a switch alone."""
+        kwargs = options[flag]
+        if kwargs.get("action"):
+            return [flag], True
+        valid = kwargs.get("choices") or VALID_VALUES[kwargs.get("type")]
+        return [flag, draw(st.sampled_from(ODD_VALUES if odd else valid))], not odd
+
+    def piece():
+        flag = draw(st.sampled_from(list(options)))
+        switch = options[flag].get("action") is not None
+        shape = draw(st.sampled_from(["plain", "odd", "=", "prefix", "bare", "other"]))
+        if shape == "plain":
+            return given_once(flag)
+        if shape == "odd":  # a switch with a value, or a valued flag with an odd one
+            return ([flag, "1"], False) if switch else given_once(flag, odd=True)
+        if shape == "=":
+            return [f"{flag}={draw(st.sampled_from(ODD_VALUES + ['3', '1/2']))}"], False
+        if shape == "prefix":
+            return [flag[:draw(st.integers(1, len(flag) - 1))]], False
+        if shape == "bare":
+            return [flag], switch
+        return [draw(st.sampled_from(["-h", "--help", "stray", "--bogus", "--", "-", "-1"]))], False
+
+    required = [flag for flag, kwargs in options.items() if kwargs.get("required")]
+    optional = [flag for flag in options if flag not in required]
+    flags = required + draw(st.lists(st.sampled_from(optional), unique=True, max_size=4))
+    pieces = [given_once(flag) for flag in flags]
+    change = draw(st.sampled_from(["none", "drop", "odd"]))
+    if change == "drop":
+        pieces = pieces[1:]  # the first required flag goes missing
+    elif change == "odd":
+        at = draw(st.integers(0, len(pieces) - 1))
+        pieces[at] = given_once(flags[at], odd=True)
+    pieces += [piece() for _ in range(draw(st.integers(0, 3)))]
+    pieces = draw(st.permutations(pieces))
+    flags = [tokens[0] for tokens, _ in pieces]
+    plain = (all(ok for _, ok in pieces) and len(set(flags)) == len(flags)
+             and set(required) <= set(flags))
+    return [command, *(token for tokens, _ in pieces for token in tokens)], plain
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_argv())
+def test_plain_dispatch_matches_argparse(case):
+    # the dispatch reads plain argv as argparse does and declines the rest;
+    # on a declined argv that argparse refuses, main answers as argparse alone
+    argv, plain = case
+    reference = parsed(build_parser(argv[0]).parse_args, argv)
+    dispatched = cli._plain_args(argv)
+    if plain:
+        assert dispatched is not None, argv
+    if dispatched is not None:
+        assert isinstance(reference[0], argparse.Namespace), argv
+        assert vars(dispatched) == vars(reference[0]), argv
+    elif not isinstance(reference[0], argparse.Namespace):
+        assert parsed(main, argv) == reference, argv
 
 
 def test_no_state_crosses_calls(tmp_path, capsys):
