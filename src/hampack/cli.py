@@ -170,7 +170,7 @@ def cmd_expander(g: Graph, args) -> dict:
 
 
 def cmd_orient(g: Graph, args) -> str:
-    return edgelist.format_arc_list(expanders.eulerian_orientation(g))
+    return edgelist.format_arc_list(g.n, expanders.eulerian_orientation(g))
 
 
 def cmd_extremal(g: Graph, args) -> dict:
@@ -265,7 +265,7 @@ def cmd_maxpack(g: Graph, args) -> dict:
 
 
 def cmd_decompose(g: Graph, args) -> dict:
-    packing, exact = hamilton._decomposition(g, args.budget)
+    packing, exact = hamilton.decompose_even_regular(g, args.budget)
     if packing is None:
         return {"decomposed": False, "exact": exact}
     return {**_packing_payload(g, packing, packing.exhaustive), "decomposed": True}

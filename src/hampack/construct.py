@@ -41,13 +41,6 @@ def babai_graph(m: int) -> Graph:
     return Graph(n, edges)
 
 
-def babai_partition(m: int) -> Partition:
-    """The (independent A, matched B) classes of :func:`babai_graph`."""
-    a_size = 2 * m
-    n = 4 * m + 2
-    return Partition(frozenset(range(a_size)), frozenset(range(a_size, n)))
-
-
 @dataclass(frozen=True)
 class ExtremalSpec:
     """Derived parameters of the two-class extremal construction."""

@@ -1,9 +1,9 @@
-"""Simple undirected/directed graphs over dense vertex indices 0..n-1.
+"""Simple undirected graphs over dense vertex indices 0..n-1.
 
 Adjacency rows are Python ints used as bitsets (bit v of adj[u] set iff
-uv is an edge), which keeps the counting primitives e(X,Y), e'(X,Y) and
-all subset enumeration loops branch-free and fast.  Graphs are immutable
-after construction and safe to share between threads.
+uv is an edge), which keeps edge counts and all subset enumeration
+loops branch-free and fast.  Graphs are immutable after construction
+and safe to share between threads.
 
 Vertex sets cross the public API as ordinary iterables of ints and are
 converted to masks internally; results come back as frozensets.
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import CapacityError, DisjointnessError, InputError
+from .errors import CapacityError, InputError
 
 #: Hard cap on the vertex count; every desk-scale target sits far below it.
 MAX_VERTICES = 1024
@@ -125,9 +125,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self.adj[v]))
-
     def edges(self) -> list[Edge]:
         """All edges as (u, v) pairs with u < v, sorted."""
         out = []
@@ -136,9 +133,6 @@ class Graph:
             for v in iter_bits(row):
                 out.append((u, v))
         return out
-
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges())
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -221,54 +215,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class DiGraph:
-    """Immutable simple digraph; out_adj/in_adj are bitset rows."""
-
-    __slots__ = ("n", "out_adj", "in_adj")
-
-    def __init__(self, n: int, arcs: Iterable[Edge] = ()):
-        _check_capacity(n)
-        out_rows = [0] * n
-        in_rows = [0] * n
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"arc ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise InputError(f"loop at vertex {u} not allowed")
-            out_rows[u] |= 1 << v
-            in_rows[v] |= 1 << u
-        self.n = n
-        self.out_adj = tuple(out_rows)
-        self.in_adj = tuple(in_rows)
-
-    @classmethod
-    def from_rows(cls, out_rows: Iterable[int], in_rows: Iterable[int]) -> "DiGraph":
-        """Build from out- and in-neighbour bitset rows that transpose
-        each other (bit v of out_rows[u] iff bit u of in_rows[v]); not
-        checked here."""
-        d = cls.__new__(cls)
-        d.out_adj = tuple(out_rows)
-        d.in_adj = tuple(in_rows)
-        d.n = len(d.out_adj)
-        _check_capacity(d.n)
-        return d
-
-    def out_degree(self, v: int) -> int:
-        return self.out_adj[v].bit_count()
-
-    def in_degree(self, v: int) -> int:
-        return self.in_adj[v].bit_count()
-
-    def arc_count(self) -> int:
-        return sum(r.bit_count() for r in self.out_adj)
-
-    def arcs(self) -> list[Edge]:
-        return [(u, v) for u in range(self.n) for v in iter_bits(self.out_adj[u])]
-
-    def __repr__(self) -> str:
-        return f"DiGraph(n={self.n}, arcs={self.arc_count()})"
-
-
 class EdgeSubgraph:
     """A set of edges on the vertex set 0..n-1 of a host graph, held as
     symmetric bitset rows like ``Graph.adj``.  This is the representation
@@ -345,76 +291,3 @@ class Partition:
     def __post_init__(self):
         if self.a & self.b:
             raise InputError("partition classes A and B must be disjoint")
-
-
-# ---------------------------------------------------------------------------
-# Counting primitives
-# ---------------------------------------------------------------------------
-
-def edges_between(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> int:
-    """Number of edges with one endvertex in X and the other in Y.
-
-    Edges inside X ∩ Y are counted once.
-    """
-    x = mask_of(xs, g.n)
-    y = mask_of(ys, g.n)
-    both = x & y
-    only_x = x & ~y
-    only_y = y & ~x
-    total = 0
-    for v in iter_bits(only_x):
-        total += (g.adj[v] & y).bit_count()
-    for v in iter_bits(both):
-        total += (g.adj[v] & only_y).bit_count()
-    # edges inside the intersection, each seen twice from within
-    inner = 0
-    for v in iter_bits(both):
-        inner += (g.adj[v] & both).bit_count()
-    return total + inner // 2
-
-
-def edges_inside(g: Graph, xs: Iterable[int]) -> int:
-    """e(X): number of edges of the subgraph induced by X."""
-    x = mask_of(xs, g.n)
-    total = 0
-    for v in iter_bits(x):
-        total += (g.adj[v] & x).bit_count()
-    return total // 2
-
-
-def ordered_pairs(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> int:
-    """e'(X,Y): ordered pairs (x, y) with x in X, y in Y and xy an edge.
-
-    Equals e(X,Y) + e(X ∩ Y).
-    """
-    x = mask_of(xs, g.n)
-    y = mask_of(ys, g.n)
-    total = 0
-    for v in iter_bits(x):
-        total += (g.adj[v] & y).bit_count()
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Subgraph surgery
-# ---------------------------------------------------------------------------
-
-def remove_subgraph(g: Graph, h: EdgeSubgraph) -> Graph:
-    """Delete the edges of ``h`` from ``g``; the vertex set is unchanged."""
-    if h.n != g.n:
-        raise InputError(f"host mismatch: graph n={g.n}, subgraph n={h.n}")
-    missing = _first_edge(b & ~a for a, b in zip(g.adj, h.rows))
-    if missing is not None:
-        raise InputError(f"edge ({missing[0]},{missing[1]}) not present in the host graph")
-    return Graph.from_adj([a & ~b for a, b in zip(g.adj, h.rows)])
-
-
-def union_edge_disjoint(h1: EdgeSubgraph, h2: EdgeSubgraph) -> EdgeSubgraph:
-    """Disjoint union of two edge sets on the same host."""
-    if h1.n != h2.n:
-        raise InputError(f"host mismatch: {h1.n} vs {h2.n}")
-    shared = [a & b for a, b in zip(h1.rows, h2.rows)]
-    if any(shared):
-        count = sum(map(int.bit_count, shared)) // 2
-        raise DisjointnessError(f"edge sets share {count} edges, e.g. {_first_edge(shared)}")
-    return EdgeSubgraph.from_host_edges(h1.n, (), [a | b for a, b in zip(h1.rows, h2.rows)])

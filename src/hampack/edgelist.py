@@ -28,7 +28,7 @@ import operator
 from collections.abc import Sequence
 from pathlib import Path
 
-from .core import MAX_VERTICES, DiGraph, Graph, _check_capacity
+from .core import MAX_VERTICES, Graph, _check_capacity, iter_bits
 from .errors import ParseError
 
 #: The bulk reader's lookup tables: each vertex's canonical token and bit.
@@ -192,12 +192,8 @@ def read_edge_list(path: str | Path) -> Graph:
     return parse_edge_list(text)
 
 
-def write_edge_list(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_edge_list(g))
-
-
-def format_arc_list(d: DiGraph) -> str:
-    arcs = d.arcs()
-    lines = [f"p {d.n} {len(arcs)}"]
-    lines.extend(f"a {u} {v}" for u, v in arcs)
-    return "\n".join(lines) + "\n"
+def format_arc_list(n: int, out_rows: Sequence[int]) -> str:
+    """The arc-list text of the orientation on 0..n-1 whose out-neighbour
+    bitset rows are ``out_rows``: arcs in ascending (u, v) order."""
+    lines = [f"a {u} {v}" for u, row in enumerate(out_rows) for v in iter_bits(row)]
+    return "\n".join([f"p {n} {len(lines)}", *lines]) + "\n"

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
 CLI exit-code mapping: ParseError -> 2, CapacityError -> 3,
-InputError (including parity/existence violations) -> 4,
+InputError (including parity violations) -> 4,
 InternalError -> 5.
 """
 
@@ -16,21 +16,6 @@ class InputError(HampackError):
 
 class ParityError(InputError):
     """A parity requirement fails (e.g. r*n odd, k*d odd)."""
-
-
-class ExistenceError(InputError):
-    """A required combinatorial object does not exist.
-
-    Carries the refuting certificate when one is available.
-    """
-
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
-
-
-class DisjointnessError(InputError):
-    """Two edge sets that must be disjoint share an edge."""
 
 
 class CapacityError(HampackError):

@@ -1,9 +1,9 @@
 """Exact comparisons between rationals and square-root expressions.
 
 All extremality and bound checks compare integers/rationals against
-quantities of the form c + sqrt(a) or c + sqrt(a) + sqrt(b) with a, b
-rational.  Comparing on squared forms keeps every verdict exact; floats
-only ever appear in *display* values, never in decisions.
+quantities of the form c + sqrt(a) or c*sqrt(a) with a rational.
+Comparing on squared forms keeps every verdict exact; floats only ever
+appear in *display* values, never in decisions.
 """
 
 from __future__ import annotations
@@ -31,20 +31,6 @@ def cmp_sqrt(q: Rat, a: Rat) -> int:
     if q < 0:
         return -1
     return _sign(Fraction(q) * q - a)
-
-
-def cmp_sqrt_sum(q: Rat, a: Rat, b: Rat) -> int:
-    """Sign of q - (sqrt(a) + sqrt(b)) for rationals a, b >= 0."""
-    if a < 0 or b < 0:
-        raise ValueError("sqrt of negative rational")
-    if q < 0:
-        return -1
-    # q >= 0: compare q^2 with a + b + 2*sqrt(ab)
-    t = Fraction(q) * q - a - b
-    if t < 0:
-        return -1
-    # t >= 0: compare t with 2*sqrt(ab)
-    return _sign(t * t - 4 * Fraction(a) * b)
 
 
 def cmp_scaled_sqrt(c: Rat, x: Rat, d: Rat) -> int:

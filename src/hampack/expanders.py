@@ -1,17 +1,14 @@
-"""Robust (nu,tau)-expansion certification for graphs and digraphs,
-balanced Eulerian orientation, and randomized sparse expander-factor
-extraction.
+"""Robust (nu,tau)-expansion certification, and balanced Eulerian
+orientation.
 
 A set S in the size window tau*n <= |S| <= (1-tau)*n must satisfy
 |RN_nu(S)| >= |S| + nu*n, where RN_nu(S) collects the vertices with at
-least nu*n neighbours (in-neighbours, for digraphs) inside S.  Graphs
-and digraphs run one path on in-neighbour rows (a graph's are its
-adjacency rows).  The exact checker walks all 2^n masks in ascending
-order, 2^16 at a time: each chunk fixes the high bits, so a vertex's
-in-neighbour count in S is its count in the high part plus a lookup in
-one int8 table over the low 16 bits, built once per call.  Thresholds
-are exact integers, and every emitted witness is re-checked against the
-definition as a rational.
+least nu*n neighbours inside S.  The exact checker walks all 2^n masks
+in ascending order, 2^16 at a time: each chunk fixes the high bits, so
+a vertex's neighbour count in S is its count in the high part plus a
+lookup in one int8 table over the low 16 bits, built once per call.
+Thresholds are exact integers, and every emitted witness is re-checked
+against the definition as a rational.
 
 Beyond the exact cap (n <= 22) the Monte-Carlo refuter can only
 refute.  It tries structured candidates (the components and their
@@ -30,9 +27,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .core import DiGraph, Graph, mask_of, set_of
+from .core import Graph, mask_of, set_of
 from .errors import CapacityError, InputError, InternalError
 from .exactcmp import as_fraction
 from .orientation import balanced_orientation_arcs
@@ -93,31 +90,13 @@ def _window(n: int, tau: Fraction) -> tuple[int, int]:
     return _ceil_frac(tau * n), _floor_frac((1 - tau) * n)
 
 
-def _robust_vertices(in_rows: tuple[int, ...], smask: int, thr: int) -> list[int]:
-    """The vertices with at least thr in-neighbours inside smask: the
-    one robust-neighbourhood count."""
-    return [v for v, row in enumerate(in_rows) if (row & smask).bit_count() >= thr]
-
-
-def robust_neighborhood(g: Graph, s: Iterable[int], nu: Fraction | float) -> frozenset[int]:
-    """All vertices with at least nu*n neighbours inside s (s-members allowed)."""
-    return frozenset(_robust_vertices(g.adj, mask_of(s, g.n), _ceil_frac(as_fraction(nu) * g.n)))
-
-
-def robust_out_neighborhood(
-    d: DiGraph, s: Iterable[int], nu: Fraction | float
-) -> frozenset[int]:
-    """All vertices with at least nu*n in-neighbours inside s."""
-    return frozenset(_robust_vertices(d.in_adj, mask_of(s, d.n), _ceil_frac(as_fraction(nu) * d.n)))
-
-
-def _assert_witness(
-    in_rows: tuple[int, ...], n: int, params: RobustParams, s: frozenset[int]
-) -> None:
+def _assert_witness(adj: tuple[int, ...], n: int, params: RobustParams, s: frozenset[int]) -> None:
     """Re-check a refuting set against the definition, as rationals:
-    it must fail |RN_nu(S)| >= |S| + nu*n."""
-    rn = _robust_vertices(in_rows, mask_of(s, n), _ceil_frac(params.nu * n))
-    if Fraction(len(rn)) >= len(s) + params.nu * n:
+    it must fail |RN_nu(S)| >= |S| + nu*n.  The one robust-neighbourhood
+    count: the vertices with at least nu*n neighbours in S."""
+    smask, thr = mask_of(s, n), _ceil_frac(params.nu * n)
+    rn = sum((row & smask).bit_count() >= thr for row in adj)
+    if Fraction(rn) >= len(s) + params.nu * n:
         raise InternalError("emitted witness fails re-validation")
 
 
@@ -136,13 +115,16 @@ def _bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
     return bits.astype(np.float32)
 
 
-def _exact_window_check(
-    in_rows: tuple[int, ...], n: int, params: RobustParams
-) -> ExpanderVerdict:
-    """Full enumeration over in-neighbour rows (a graph's adjacency rows),
+def is_robust_expander_exact(g: Graph, params: RobustParams) -> ExpanderVerdict:
+    """Certify or refute robust (nu,tau)-expansion by full enumeration,
     in ascending bitmask order, 2^16 masks per chunk.  A chunk fixes the
-    high bits, so v's in-neighbour count in S is its count in the fixed
-    high part plus a lookup in one table over the low 16 bits."""
+    high bits, so v's neighbour count in S is its count in the fixed
+    high part plus a lookup in one table over the low 16 bits.
+
+    The refuting witness, when present, is the first violating subset
+    in ascending bitmask order.
+    """
+    n, adj = g.n, g.adj
     if n > EXACT_EXPANDER_MAX_N:
         raise CapacityError(
             f"exact expansion check capped at n <= {EXACT_EXPANDER_MAX_N}; "
@@ -155,9 +137,9 @@ def _exact_window_check(
     import numpy as np
 
     b = min(n, _CHUNK_BITS)
-    # low_counts[v, l]: in-neighbours of v among the set bits of l, and
+    # low_counts[v, l]: neighbours of v among the set bits of l, and
     # low_sizes[l]: the popcount of l, both doubled one low bit at a time
-    credit = _bit_matrix(in_rows, n).T.astype(np.int8)  # credit[u, v]: u -> v
+    credit = _bit_matrix(adj, n).astype(np.int8)  # symmetric: credit[u, v] = [uv in E]
     low_counts = np.zeros((n, 1), dtype=np.int8)
     low_sizes = np.zeros(1, dtype=np.int16)
     for u in range(b):
@@ -174,7 +156,7 @@ def _exact_window_check(
         examined += int(np.count_nonzero(in_window))
         robust.fill(0)
         always = 0  # vertices robust through their high count alone
-        for v, row in enumerate(in_rows):
+        for v, row in enumerate(adj):
             # v is robust when its low count reaches need - its high count
             thr = need - (row & hmask).bit_count()
             if thr <= 0:
@@ -184,23 +166,9 @@ def _exact_window_check(
         bad = in_window & (robust < low_sizes + (hsize + need - always))
         if bad.any():
             witness = set_of(hmask | int(np.argmax(bad)))
-            _assert_witness(in_rows, n, params, witness)
+            _assert_witness(adj, n, params, witness)
             return ExpanderVerdict(False, witness, "exact", examined)
     return ExpanderVerdict(True, None, "exact", examined)
-
-
-def is_robust_expander_exact(g: Graph, params: RobustParams) -> ExpanderVerdict:
-    """Certify or refute robust (nu,tau)-expansion by full enumeration.
-
-    The refuting witness, when present, is the first violating subset
-    in ascending bitmask order.
-    """
-    return _exact_window_check(g.adj, g.n, params)
-
-
-def is_robust_outexpander_exact(d: DiGraph, params: RobustParams) -> ExpanderVerdict:
-    """Digraph analogue with in-neighbour robust neighbourhoods."""
-    return _exact_window_check(d.in_adj, d.n, params)
 
 
 # ---------------------------------------------------------------------------
@@ -402,77 +370,13 @@ def min_degree_implies_expander_params(
     return RobustParams(nu=eps * tau / 2, tau=tau)
 
 
-def eulerian_orientation(g: Graph) -> DiGraph:
+def eulerian_orientation(g: Graph) -> list[int]:
     """Orient edges with |outdeg - indeg| <= 1 everywhere and exact
-    balance at even-degree vertices."""
+    balance at even-degree vertices; returns the out-neighbour rows
+    (bit w of row v set when vw is oriented v -> w), audited for that
+    balance.  The in-rows are ``g.adj[v] & ~out[v]``."""
     out = balanced_orientation_arcs(g)
-    d = DiGraph.from_rows(out, [a & ~o for a, o in zip(g.adj, out)])
-    for v in range(g.n):
-        if abs(d.out_degree(v) - d.in_degree(v)) > 1:
+    for v, (row, o) in enumerate(zip(g.adj, out)):
+        if abs(2 * o.bit_count() - row.bit_count()) > 1:
             raise InternalError(f"orientation unbalanced at vertex {v}")
-    return d
-
-
-# ---------------------------------------------------------------------------
-# Sparse expander factor (randomized extract-and-verify)
-# ---------------------------------------------------------------------------
-
-def sparse_expander_factor(
-    g: Graph,
-    eps: Fraction | float,
-    params: RobustParams,
-    seed: int,
-    attempts: int = 50,
-    mc_samples: int = 500,
-):
-    """Hunt for an eps*n-factor of g that certifies (or survives
-    refutation attempts) as a robust expander.
-
-    Factors are extracted from randomly edge-sampled subgraphs so that
-    repeated attempts explore different factors.  Returns the first
-    certified/unrefuted (factor, verdict) pair, else the last factor
-    with its failing verdict; never silently hides non-certification.
-    """
-    from .factors import extract_r_factor, r_factor_exists
-
-    eps = as_fraction(eps)
-    r_frac = eps * g.n
-    if r_frac.denominator != 1 or r_frac < 2 or r_frac % 2:
-        raise InputError(f"eps*n must be an even integer >= 2, got {r_frac}")
-    if attempts < 1:
-        raise InputError("attempts must be >= 1")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    r = int(r_frac)
-    base = extract_r_factor(g, r)  # existence gate; raises with certificate
-    rng = random.Random(seed)
-    delta = g.min_degree()
-    last = None
-
-    def check(factor):
-        h = factor.subgraph.to_graph()
-        if g.n <= EXACT_EXPANDER_MAX_N:
-            return is_robust_expander_exact(h, params)
-        return refute_robust_expander_mc(
-            h, params, samples=mc_samples, seed=rng.getrandbits(32)
-        )
-
-    for attempt in range(attempts):
-        if attempt == 0:
-            factor = base
-        else:
-            keep = min(1.0, (r + 2 + 2 * (attempt % 4)) / max(delta, 1))
-            edges = [e for e in g.edges() if rng.random() < keep]
-            sub = Graph(g.n, edges)
-            if sub.min_degree() < r:
-                continue
-            decision = r_factor_exists(sub, r)
-            if not decision.exists:
-                continue
-            factor = decision.factor
-        verdict = check(factor)
-        last = (factor, verdict)
-        if verdict.certified or (verdict.checked_mode == "monte_carlo" and not verdict.refuted):
-            return factor, verdict
-    assert last is not None
-    return last
+    return out

@@ -27,11 +27,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .core import Graph, Partition, iter_bits, mask_of, set_of
 from .errors import InputError, InternalError
-from .exactcmp import as_fraction, cmp_sqrt, cmp_sqrt_sum
+from .exactcmp import as_fraction, cmp_sqrt
 from .expanders import (
     EXACT_EXPANDER_MAX_N,
     ExpanderVerdict,
@@ -46,6 +46,14 @@ if TYPE_CHECKING:
 
 EXACT_WITNESS_MAX_N = 14
 EXACT_CLOSENESS_MAX_N = 24
+
+
+def _nonnegative(name: str, x: Fraction | float) -> Fraction:
+    """x as a Fraction, refused with ``InputError`` when negative."""
+    x = as_fraction(x)
+    if x < 0:
+        raise InputError(f"{name} must be nonnegative, got {x}")
+    return x
 
 
 def alpha_of(g: Graph) -> Fraction:
@@ -157,7 +165,7 @@ def check_eta_extremal_pair(
     g: Graph, eta: Fraction | float, part: Partition
 ) -> ExtremalityReport:
     """Evaluate (E1)-(E4) for an explicit disjoint pair, exactly."""
-    eta = as_fraction(eta)
+    eta = _nonnegative("eta", eta)
     amask = mask_of(part.a, g.n)
     bmask = mask_of(part.b, g.n)
     if amask & bmask:
@@ -192,7 +200,7 @@ def find_eta_extremal_witness(
     then definitive); seeded local search above that (a negative only
     means no witness was found).
     """
-    eta = as_fraction(eta)
+    eta = _nonnegative("eta", eta)
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
@@ -342,84 +350,6 @@ def _heuristic_witness(
 
 
 # ---------------------------------------------------------------------------
-# Almost-regularity audit of G[B]
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AlmostRegularReport:
-    """Vertices of B falling below (alpha+sqrt(alpha/2)-3eta)n inner
-    degree, vertices exceeding (alpha+sqrt(alpha/2)+2 sqrt(eta))n, and
-    whether the exceeder count stays within 2 sqrt(eta) n."""
-
-    lower_violations: tuple[int, ...]
-    upper_exceeders: tuple[int, ...]
-    exceeders_within_bound: bool
-    lower_threshold: float
-    upper_threshold: float
-    count_bound: float
-
-
-def almost_regular_audit(
-    g: Graph, part: Partition, eta: Fraction | float
-) -> AlmostRegularReport:
-    """Audit the inner-degree regularity promises for a claimed witness
-    pair.  Runs unconditionally and reports; nothing is assumed."""
-    eta = as_fraction(eta)
-    n = g.n
-    alpha = alpha_of(g)
-    ap = max(alpha, Fraction(0))
-    bmask = mask_of(part.b, g.n)
-    sq = ap / 2 * n * n
-    low_viol = []
-    high = []
-    for v in iter_bits(bmask):
-        d_b = (g.adj[v] & bmask).bit_count()
-        # d_B(v) < (alpha + sqrt(alpha+/2) - 3 eta) n ?
-        if cmp_sqrt(d_b - (alpha - 3 * eta) * n, sq) < 0:
-            low_viol.append(v)
-        # d_B(v) > (alpha + sqrt(alpha+/2) + 2 sqrt(eta)) n ?
-        if cmp_sqrt_sum(d_b - alpha * n, sq, 4 * eta * n * n) > 0:
-            high.append(v)
-    within = cmp_sqrt(len(high), 4 * eta * n * n) <= 0
-    sqrt_ap2 = float(ap / 2) ** 0.5
-    return AlmostRegularReport(
-        lower_violations=tuple(low_viol),
-        upper_exceeders=tuple(high),
-        exceeders_within_bound=within,
-        lower_threshold=float((alpha - 3 * eta) * n) + sqrt_ap2 * n,
-        upper_threshold=float(alpha * n) + sqrt_ap2 * n + 2 * float(eta) ** 0.5 * n,
-        count_bound=2 * float(eta) ** 0.5 * n,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Greedy sparsification inside a vertex set
-# ---------------------------------------------------------------------------
-
-def greedy_sparsify(g: Graph, inside: Iterable[int]) -> Graph:
-    """Repeatedly delete an edge within ``inside`` whose endpoints both
-    currently exceed the original minimum degree; the first such edge in
-    (u, v) order goes first.  Preserves the minimum degree exactly.
-
-    One pass in (u, v) order does this: degrees only fall, so an edge
-    that is not deletable when passed never becomes deletable later."""
-    amask = mask_of(inside, g.n)
-    delta0 = g.min_degree()
-    rows = list(g.adj)
-    deg = [r.bit_count() for r in rows]
-    for u, v in g.edges():
-        if (amask >> u) & (amask >> v) & 1 and deg[u] > delta0 and deg[v] > delta0:
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-            deg[u] -= 1
-            deg[v] -= 1
-    out = Graph.from_adj(rows)
-    if out.n and out.min_degree() != delta0:
-        raise InternalError("sparsification changed the minimum degree")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Closeness to the Dirac-extremal families
 # ---------------------------------------------------------------------------
 
@@ -452,7 +382,7 @@ def closeness(
         raise InputError(f"kind must be one of {CLOSENESS_KINDS}, got {kind!r}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    epsilon = as_fraction(epsilon)
+    epsilon = _nonnegative("epsilon", epsilon)
     n = g.n
     k = n // 2
     if n == 0:
@@ -615,10 +545,11 @@ def trichotomy_classify(
     two-clique family, robust expansion.  When none is established
     (possible at small n, or when only Monte-Carlo expansion evidence is
     available) the result is explicitly unclassified with all three
-    sub-results attached."""
-    kappa, nu, tau, epsilon = map(as_fraction, (kappa, nu, tau, epsilon))
-    if kappa < 0:
-        raise InputError(f"kappa must be nonnegative, got {kappa}")
+    sub-results attached.  Every parameter is checked first, whatever
+    the graph."""
+    kappa = _nonnegative("kappa", kappa)
+    params = RobustParams(nu=nu, tau=tau)
+    epsilon = _nonnegative("epsilon", epsilon)
     if Fraction(g.min_degree()) < (Fraction(1, 2) - kappa) * g.n:
         return TrichotomyResult("hypothesis_violated", None, None, None)
     bip = closeness(g, "bipartite", epsilon, seed=seed)
@@ -627,7 +558,6 @@ def trichotomy_classify(
     cli = closeness(g, "two_cliques", epsilon, seed=seed)
     if cli.close:
         return TrichotomyResult("close_cliques", bip, cli, None)
-    params = RobustParams(nu=nu, tau=tau)
     if g.n <= EXACT_EXPANDER_MAX_N:
         verdict = is_robust_expander_exact(g, params)
         if verdict.certified:

@@ -1,6 +1,6 @@
-"""Degree factors: maximum matching, r-factor existence with Tutte
-certificates, the largest even-factor degree, its two-sided bound, and
-the split of an even-regular graph into 2-factors.
+"""Degree factors: r-factor existence with Tutte certificates, the
+largest even-factor degree, its two-sided bound, and the split of an
+even-regular graph into 2-factors.
 
 The r-factor decision runs a layered pipeline.  The structured Tutte
 pairs are the list (0, 0); (0, {v}) and ({v}, 0) for each vertex v;
@@ -75,8 +75,8 @@ from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import EdgeSubgraph, Graph, _first_edge, iter_bits, mask_of, set_of
-from .errors import CapacityError, ExistenceError, InputError, InternalError
-from .exactcmp import as_fraction, cmp_scaled_sqrt, cmp_sqrt, sqrt_approx
+from .errors import CapacityError, InputError, InternalError
+from .exactcmp import cmp_scaled_sqrt, sqrt_approx
 from .matching import _Matcher, maximum_matching
 from .orientation import balanced_orientation_arcs
 
@@ -86,17 +86,6 @@ EXHAUSTIVE_TUTTE_MAX_N = 14
 # ---------------------------------------------------------------------------
 # Result types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise disjoint edges."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
 
 @dataclass(frozen=True)
 class Factor:
@@ -149,17 +138,6 @@ class FactorDecision:
 
     def __bool__(self) -> bool:
         return self.exists
-
-
-# ---------------------------------------------------------------------------
-# Matching front end
-# ---------------------------------------------------------------------------
-
-def max_matching(g: Graph) -> Matching:
-    """Maximum cardinality matching of g."""
-    mate = maximum_matching(g.n, g.adj)
-    pairs = frozenset((v, u) for v, u in enumerate(mate) if u > v)
-    return Matching(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -745,16 +723,6 @@ def r_factor_exists(g: Graph, r: int) -> FactorDecision:
     return _decide(g, r)
 
 
-def extract_r_factor(g: Graph, r: int) -> Factor:
-    decision = _decide(g, r)
-    if not decision.exists:
-        raise ExistenceError(
-            f"graph has no {r}-factor", certificate=decision.certificate
-        )
-    assert decision.factor is not None
-    return decision.factor
-
-
 # ---------------------------------------------------------------------------
 # Largest even factor
 # ---------------------------------------------------------------------------
@@ -870,27 +838,3 @@ def petersen_two_factorization(g: Graph) -> list[Factor]:
         adj = [a & ~p for a, p in zip(adj, picked)]
         out = [o & ~p for o, p in zip(out, picked)]
     return factors
-
-
-# ---------------------------------------------------------------------------
-# The sparse-regularization degree formula
-# ---------------------------------------------------------------------------
-
-def dense_factor_degree(
-    n: int, alpha: Fraction | int | float, eps: Fraction | int | float
-) -> tuple[int, Fraction]:
-    """Even degree n/4 + (alpha+eps)n/2 + sqrt((alpha+eps)/2)*n, rounded
-    down to an even integer; also returns the value as a rational
-    approximation (1e-9)."""
-    alpha = as_fraction(alpha)
-    eps = as_fraction(eps)
-    if not -eps <= alpha < Fraction(1, 2):
-        raise InputError(f"need -eps <= alpha < 1/2, got alpha={alpha}, eps={eps}")
-    q = Fraction(n, 4) + (alpha + eps) * n / 2
-    s = (alpha + eps) / 2
-    approx = q + sqrt_approx(s * n * n, 9)
-    # largest even e with e <= q + sqrt(s*n^2)
-    e = 2 * (int(approx) // 2 + 2)
-    while cmp_sqrt(e - q, s * n * n) > 0:
-        e -= 2
-    return e, approx

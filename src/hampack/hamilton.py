@@ -313,18 +313,14 @@ def _max_packing(g: Graph, reg_even: int | None) -> tuple[int, Packing]:
     return len(best), packing
 
 
-def decompose_even_regular(g: Graph, budget: int | None = None) -> Packing | None:
-    """Partition an even-regular graph into Hamilton cycles, if possible.
+def decompose_even_regular(g: Graph, budget: int | None = None) -> tuple[Packing | None, bool]:
+    """Partition an even-regular graph into Hamilton cycles, if possible:
+    the decomposition (None when none was found) and whether the search
+    ran uncut, which makes a None definitive.
 
-    Definitive negatives only for n <= 12 with an uncut search; above
-    that a budget (default SEARCH_NODE_BUDGET nodes) makes the search
-    best-effort.
+    The search is uncut by default for n <= 12; above that a budget
+    (default SEARCH_NODE_BUDGET nodes) makes it best-effort.
     """
-    return _decomposition(g, budget)[0]
-
-
-def _decomposition(g: Graph, budget: int | None) -> tuple[Packing | None, bool]:
-    """``decompose_even_regular``, and whether its search ran uncut."""
     if budget is None:
         budget = None if g.n <= EXACT_PACKING_MAX_N else SEARCH_NODE_BUDGET
     b = _Budget(budget)

@@ -1,8 +1,8 @@
 """Maximum cardinality matching in general graphs (Edmonds' blossom
 algorithm, array-based, O(V^3)-style).
 
-Called on a host graph's bitset rows by ``factors.max_matching`` and
-the odd-r fast path (``maximum_matching``), and on the stub/core
+Called on a host graph's bitset rows by the odd-r fast path of
+``factors`` (``maximum_matching``), and on the stub/core
 expansion by the exact r-factor arbiter (``_Matcher``); the bipartite
 selections in ``factors`` use their own b-matching.  The search starts
 from a greedy maximal matching, which may extend a partial seed
@@ -208,6 +208,3 @@ def maximum_matching(n: int, rows) -> list[int]:
         return _Matcher(n, [list(iter_bits(x)) for x in rows], match).solve()
     return match
 
-
-def matching_size(match: list[int]) -> int:
-    return sum(1 for v, u in enumerate(match) if u > v)

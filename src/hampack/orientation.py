@@ -6,8 +6,8 @@ circuit, and traversal direction becomes the orientation.  Dropping the
 virtual edges leaves |outdeg - indeg| <= 1 at every vertex, with exact
 balance wherever the degree is even.  The orientation is returned as the
 out-neighbour bitset rows the walk fills, the form the b-matching of
-``factors`` reads; ``expanders.eulerian_orientation`` wraps it as a
-``DiGraph``.
+``factors`` reads and ``expanders.eulerian_orientation`` audits for
+balance.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from hampack.core import EdgeSubgraph, Graph, _check_capacity, iter_bits, mask_of
-from hampack.errors import DisjointnessError, InputError, InternalError
+from hampack.errors import InputError, InternalError
 from hampack.expanders import ExpanderVerdict, RobustParams
 from hampack.factors import (
     Factor,
@@ -170,17 +170,32 @@ def reference_closeness_heuristic(
     return best_mask, best_score
 
 
-def brute_first_non_expanding_set(n: int, arcs, nu, tau) -> frozenset[int] | None:
+def robust_neighbourhood(g: Graph, s, nu) -> frozenset[int]:
+    """RN_nu(S): the vertices with at least nu*n neighbours in S, counted
+    over the edge list, the threshold compared as a rational."""
+    s = set(s)
+    count = [0] * g.n
+    for u, v in g.edges():
+        count[u] += v in s
+        count[v] += u in s
+    return frozenset(v for v in range(g.n) if count[v] >= Fraction(nu) * g.n)
+
+
+def brute_first_non_expanding_set(g: Graph, nu, tau) -> frozenset[int] | None:
     """The first S in ascending bitmask order with tau*n <= |S| <= (1-tau)*n
-    and fewer than |S| + nu*n vertices that have at least nu*n
-    in-neighbours in S, straight from the definition; None if none."""
-    ins = [{a for a, b in arcs if b == v} for v in range(n)]
+    and |RN_nu(S)| < |S| + nu*n, straight from the definition; None if
+    none."""
+    n = g.n
+    nbrs = [set() for _ in range(n)]
+    for u, v in g.edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     lo, hi, thr = tau * n, (1 - tau) * n, nu * n
     for mask in range(1 << n):
         if not lo <= mask.bit_count() <= hi:
             continue
         s = {v for v in range(n) if mask >> v & 1}
-        rn = [v for v in range(n) if len(ins[v] & s) >= thr]
+        rn = [v for v in range(n) if len(nbrs[v] & s) >= thr]
         if len(rn) < len(s) + thr:
             return frozenset(s)
     return None
@@ -271,35 +286,6 @@ def brute_max_packing(g: Graph) -> int:
 
     dfs(0, 0, 0)
     return best
-
-
-def rescan_greedy_sparsify(g: Graph, inside) -> Graph:
-    """``greedy_sparsify`` by its definition: rescan from the first edge
-    after every deletion for the first edge within ``inside`` whose
-    endpoints both exceed the original minimum degree."""
-    amask = sum(1 << v for v in inside)
-    delta0 = g.min_degree()
-    rows = list(g.adj)
-    deg = [r.bit_count() for r in rows]
-    while True:
-        target = None
-        for u in iter_bits(amask):
-            if deg[u] <= delta0:
-                continue
-            cand = rows[u] & amask & ~((1 << (u + 1)) - 1)
-            for v in iter_bits(cand):
-                if deg[v] > delta0:
-                    target = (u, v)
-                    break
-            if target:
-                break
-        if target is None:
-            return Graph.from_adj(rows)
-        u, v = target
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        deg[u] -= 1
-        deg[v] -= 1
 
 
 def first_structured_violation(g: Graph, r: int) -> tuple[int, int] | None:
@@ -393,7 +379,7 @@ def _reference_structured_subsets(g: Graph, kmin: int, kmax: int):
             if len(acc) > kmax:
                 break
     for v in range(n):
-        nb = g.neighbors(v)
+        nb = list(iter_bits(g.adj[v]))
         yield from emit(nb)
         yield from emit(nb + [v])
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
@@ -753,23 +739,3 @@ class ReferenceEdgeSubgraph:
     def __eq__(self, other) -> bool:
         return (isinstance(other, ReferenceEdgeSubgraph)
                 and self.n == other.n and self.edges == other.edges)
-
-
-def reference_remove_subgraph(g: Graph, h: ReferenceEdgeSubgraph) -> Graph:
-    """G minus the edges of h; a missing edge is named by the least one."""
-    if h.n != g.n:
-        raise InputError(f"host mismatch: graph n={g.n}, subgraph n={h.n}")
-    missing = h.edges - g.edge_set()
-    if missing:
-        u, v = min(missing)
-        raise InputError(f"edge ({u},{v}) not present in the host graph")
-    return Graph(g.n, g.edge_set() - h.edges)
-
-
-def reference_union_edge_disjoint(h1: ReferenceEdgeSubgraph, h2: ReferenceEdgeSubgraph):
-    if h1.n != h2.n:
-        raise InputError(f"host mismatch: {h1.n} vs {h2.n}")
-    shared = h1.edges & h2.edges
-    if shared:
-        raise DisjointnessError(f"edge sets share {len(shared)} edges, e.g. {min(shared)}")
-    return ReferenceEdgeSubgraph(h1.n, h1.edges | h2.edges)

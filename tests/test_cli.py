@@ -1,10 +1,12 @@
 import argparse
 import contextlib
 import hashlib
+import importlib
 import inspect
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from oracles import cliques_sharing_a_vertex, generalized_petersen
 import hampack
 from hampack import cli, hamilton
 from hampack.cli import COMMANDS, MAX_WORKERS, build_parser, main
-from hampack.core import DiGraph, Graph
+from hampack.core import Graph
 from hampack.expanders import eulerian_orientation
 from hampack.edgelist import format_edge_list, format_rows, parse_edge_list, read_edge_list
 from hampack.factors import _decide_by_gadget
@@ -157,10 +159,13 @@ def test_orient_cli(tmp_path, capsys):
     assert code == 0
     header, *lines = out.splitlines()
     assert header == f"p 5 {len(lines)}" and all(line.startswith("a ") for line in lines)
-    d = DiGraph(5, [tuple(map(int, line.split()[1:])) for line in lines])
-    expected = eulerian_orientation(complete_graph(5))
-    assert (d.out_adj, d.in_adj) == (expected.out_adj, expected.in_adj)
-    assert all(d.out_degree(v) == 2 for v in range(5))
+    arcs = [tuple(map(int, line.split()[1:])) for line in lines]
+    assert arcs == sorted(arcs)
+    out_rows = [0] * 5
+    for u, v in arcs:
+        out_rows[u] |= 1 << v
+    assert out_rows == eulerian_orientation(complete_graph(5))
+    assert all(row.bit_count() == 2 for row in out_rows)
     arcs = tmp_path / "k5.arcs"
     assert run(["orient", "--input", str(k5), "--out", str(arcs)], capsys) == (0, "")
     assert arcs.read_text() == out
@@ -243,6 +248,36 @@ def test_classify_cli(tmp_path, capsys):
     code, out = run(["classify", "--kappa", "1/20", "--nu", "1/20", "--tau", "1/4",
                      "--epsilon", "1/20", "--input", str(path)], capsys)
     assert code == 0 and json.loads(out)["label"] == "close_bipartite"
+
+
+@pytest.mark.parametrize("kind", [["two-cliques", "--n", "12"], ["gnp", "--n", "12", "--p", "0.9", "--seed", "1"]])
+def test_classify_refuses_bad_nu_on_every_graph(tmp_path, capsys, kind):
+    # close_bipartite on two cliques once returned before nu was checked
+    path = tmp_path / "g.el"
+    assert run(["construct", "--kind", *kind, "--out", str(path)], capsys)[0] == 0
+    code = main(["classify", "--kappa", "1/10", "--nu", "5", "--tau", "1/3", "--epsilon", "1/20",
+                 "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "input error: need 0 < nu <= tau < 1, got nu=5, tau=1/3\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["extremal", "--eta", "-1"], "eta must be nonnegative, got -1"),
+    (["extremal", "--eta", "-1", "--a", "0,1", "--b", "2,3"], "eta must be nonnegative, got -1"),
+    (["closeness", "--kind", "bipartite", "--epsilon", "-1"], "epsilon must be nonnegative, got -1"),
+    (["classify", "--kappa", "1/10", "--nu", "1/50", "--tau", "3/10", "--epsilon", "-1"],
+     "epsilon must be nonnegative, got -1"),
+])
+def test_negative_eta_and_epsilon_exit_4(tmp_path, capsys, argv, message):
+    path = tmp_path / "tc.el"
+    path.write_text(format_edge_list(two_cliques(12)))
+    code = main([*argv, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (4, "", f"input error: {message}\n")
+    # zero stays valid
+    zero = [a if a != "-1" else "0" for a in argv]
+    assert run([*zero, "--input", str(path)], capsys)[0] == 0
 
 
 def test_ham_pack_maxpack_decompose_conjecture(tmp_path, capsys):
@@ -769,6 +804,81 @@ def test_every_option_is_read():
             if not re.search(rf"\bargs\.{dest}\b", source):
                 unread.append(f"{name} {flag}")
     assert unread == []
+
+
+#: The exports no command reaches, each with the command planned for it.
+LIBRARY_ONLY = {
+    "petersen_two_factorization": "ROADMAP item 1: peeling Hamilton cycles off the even factor",
+    "min_degree_implies_expander_params": "ROADMAP item 3: the min-degree certificate of classify and expander",
+}
+
+
+def _export_argv(d):
+    """One small seeded argv per command, with one per construct kind
+    and one per mode that calls another export; ``d`` holds the inputs."""
+    kinds = {"babai": ["--m", "2"], "extremal": ["--n", "12", "--delta", "7"], "complete": ["--n", "5"],
+             "bipartite": ["--n", "8"], "two-cliques": ["--n", "8"], "cycle": ["--n", "6"],
+             "gnp": ["--n", "10", "--p", "7/10", "--seed", "3"]}
+    argv = [["construct", "--kind", k, *opts, "--out", f"{d}/{k}.el"] for k, opts in kinds.items()]
+    gnp, ext, cyc, k5, tc = (f"{d}/{k}.el" for k in ("gnp", "extremal", "cycle", "complete", "two-cliques"))
+    return argv + [
+        ["regeven", "--input", gnp, "--emit", f"{d}/f.el"],
+        ["bounds", "--n", "12", "--delta", "7"],
+        ["factor", "--r", "3", "--input", gnp],
+        ["tutte", "--r", "2", "--s", "0", "--t", "1", "--input", gnp],
+        ["tutte", "--r", "2", "--exhaustive", "--input", cyc],
+        ["expander", "--nu", "1/20", "--tau", "1/4", "--input", gnp],
+        ["expander", "--nu", "1/20", "--tau", "1/4", "--mc", "--samples", "20", "--input", gnp],
+        ["orient", "--input", gnp],
+        ["extremal", "--eta", "1/5", "--input", ext],
+        ["extremal", "--eta", "1/5", "--a", "0,1,2", "--b", "3,4,5,6,7,8,9,10,11", "--input", ext],
+        ["closeness", "--kind", "cliques", "--epsilon", "1/20", "--input", tc],
+        ["classify", "--kappa", "1/10", "--nu", "1/50", "--tau", "3/10", "--epsilon", "1/20",
+         "--input", gnp],
+        ["ham", "--input", gnp],
+        ["pack", "--target", "2", "--input", k5],
+        ["maxpack", "--input", k5],
+        ["decompose", "--input", k5],
+        ["conjecture", "--input", gnp],
+        ["ensemble", "--experiment", "expansion", "--count", "2", "--n-min", "8", "--n-max", "10"],
+        ["ensemble", "--experiment", "conjecture", "--count", "2", "--n-min", "6", "--n-max", "8"],
+    ]
+
+
+def test_every_export_is_reached(tmp_path, capsys, monkeypatch):
+    # a counting wrapper on each function of __all__, in every hampack
+    # namespace that binds it, and on each class's constructor and
+    # classmethod builders, then one run of every command
+    modules = [hampack] + [importlib.import_module(f"hampack.{m.name}")
+                           for m in pkgutil.iter_modules(hampack.__path__)]
+    reached = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in hampack.__all__:
+        obj = getattr(hampack, name)
+        if isinstance(obj, type):
+            monkeypatch.setattr(obj, "__init__", counting(name, obj.__init__))
+            for attr, value in list(vars(obj).items()):
+                if isinstance(value, classmethod):
+                    monkeypatch.setattr(obj, attr, classmethod(counting(name, value.__func__)))
+        elif callable(obj):
+            for mod in modules:
+                for attr, value in list(vars(mod).items()):
+                    if value is obj:
+                        monkeypatch.setattr(mod, attr, counting(name, obj))
+    argv = _export_argv(tmp_path)
+    assert {a[0] for a in argv} == set(COMMANDS)
+    for a in argv:
+        assert main(a) == 0, a
+    capsys.readouterr()
+    exports = {name for name in hampack.__all__ if callable(getattr(hampack, name))}
+    assert set(LIBRARY_ONLY) <= exports and not set(LIBRARY_ONLY) & reached
+    assert sorted(exports - reached - set(LIBRARY_ONLY)) == []
 
 
 def outcome(parse, argv, capsys):

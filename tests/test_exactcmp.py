@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hampack.exactcmp import cmp_scaled_sqrt, cmp_sqrt, cmp_sqrt_sum, sqrt_approx
+from hampack.exactcmp import cmp_scaled_sqrt, cmp_sqrt, sqrt_approx
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -26,14 +26,6 @@ def test_cmp_sqrt_matches_float(q, a):
 
 
 @settings(max_examples=400, deadline=None)
-@given(rationals, nonneg, nonneg)
-def test_cmp_sqrt_sum_matches_float(q, a, b):
-    expect = _sign(float(q) - (math.sqrt(float(a)) + math.sqrt(float(b))))
-    if expect != 0:
-        assert cmp_sqrt_sum(q, a, b) == expect
-
-
-@settings(max_examples=400, deadline=None)
 @given(rationals, nonneg, rationals)
 def test_cmp_scaled_sqrt_matches_float(c, x, d):
     expect = _sign(float(c) * math.sqrt(float(x)) - float(d))
@@ -45,8 +37,6 @@ def test_exact_boundaries():
     assert cmp_sqrt(Fraction(2), 4) == 0
     assert cmp_sqrt(Fraction(-1), 0) == -1
     assert cmp_sqrt(Fraction(0), 0) == 0
-    assert cmp_sqrt_sum(Fraction(5), 4, 9) == 0
-    assert cmp_sqrt_sum(Fraction(0), 0, 0) == 0
     assert cmp_scaled_sqrt(0, 7, 0) == 0
     assert cmp_scaled_sqrt(-2, 4, -4) == 0
     assert cmp_scaled_sqrt(3, 0, 0) == 0

@@ -8,29 +8,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from oracles import brute_first_non_expanding_set, reference_random_candidate, reference_refute_mc
+from oracles import (
+    brute_first_non_expanding_set,
+    reference_random_candidate,
+    reference_refute_mc,
+    robust_neighbourhood,
+)
 
 from hampack import expanders
-from hampack.core import DiGraph, Graph, mask_of, union_edge_disjoint
+from hampack.core import Graph, iter_bits, mask_of
 from hampack.construct import (
     complete_graph,
     cycle_graph,
     random_graph,
     two_cliques,
 )
-from hampack.errors import CapacityError, ExistenceError, InputError
+from hampack.errors import CapacityError, InputError
 from hampack.expanders import (
     RobustParams,
     _bit_matrix,
     _random_rows,
     eulerian_orientation,
     is_robust_expander_exact,
-    is_robust_outexpander_exact,
     min_degree_implies_expander_params,
     refute_robust_expander_mc,
-    robust_neighborhood,
-    robust_out_neighborhood,
-    sparse_expander_factor,
 )
 from hampack.factors import petersen_two_factorization
 
@@ -51,50 +52,6 @@ def test_params_read_floats_as_decimals():
 
 
 # ---------------------------------------------------------------------------
-# Robust neighbourhoods
-# ---------------------------------------------------------------------------
-
-def test_rn_k5_singleton():
-    assert robust_neighborhood(complete_graph(5), [0], Fraction(1, 5)) == frozenset(
-        {1, 2, 3, 4}
-    )
-
-
-def test_rn_full_set():
-    g = complete_graph(6)
-    nu = Fraction(g.min_degree(), g.n)
-    assert robust_neighborhood(g, range(6), nu) == frozenset(range(6))
-
-
-def test_rn_empty_graph():
-    assert robust_neighborhood(Graph(5), range(5), Fraction(1, 10)) == frozenset()
-
-
-def test_rn_float_nu_reads_as_decimal():
-    # the double 0.1 lies just above 1/10, which would make ceil(nu*n) = 2
-    g = complete_graph(10)
-    assert robust_neighborhood(g, [0], 0.1) == robust_neighborhood(g, [0], Fraction(1, 10))
-    assert robust_neighborhood(g, [0], 0.1) == frozenset(range(1, 10))
-
-
-def test_out_rn_float_nu_reads_as_decimal():
-    d = DiGraph(10, [(0, v) for v in range(1, 10)])
-    assert robust_out_neighborhood(d, [0], 0.1) == frozenset(range(1, 10))
-
-
-@settings(max_examples=100, deadline=None)
-@given(graphs(max_n=10), st.data())
-def test_rn_monotone_in_nu(g, data):
-    if g.n == 0:
-        return
-    s = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
-    lo = data.draw(small_fracs)
-    hi = data.draw(small_fracs)
-    lo, hi = min(lo, hi), max(lo, hi)
-    assert robust_neighborhood(g, s, lo) >= robust_neighborhood(g, s, hi)
-
-
-# ---------------------------------------------------------------------------
 # Exact certification
 # ---------------------------------------------------------------------------
 
@@ -110,7 +67,7 @@ def test_two_cliques_refuted_and_witness_revalidates():
     params = RobustParams(Fraction(1, 10), Fraction(2, 5))
     v = is_robust_expander_exact(g, params)
     assert v.refuted
-    rn = robust_neighborhood(g, v.witness, params.nu)
+    rn = robust_neighbourhood(g, v.witness, params.nu)
     assert Fraction(len(rn)) < len(v.witness) + params.nu * g.n
 
 
@@ -118,7 +75,7 @@ def test_one_clique_is_itself_a_refuting_set():
     g = two_cliques(12)
     params = RobustParams(Fraction(1, 10), Fraction(2, 5))
     clique = frozenset(range(6))
-    rn = robust_neighborhood(g, clique, params.nu)
+    rn = robust_neighbourhood(g, clique, params.nu)
     assert rn == clique
     assert Fraction(len(rn)) < len(clique) + params.nu * g.n
 
@@ -231,7 +188,7 @@ def test_bfs_distances_match_per_root_bfs(monkeypatch, name, gather):
         queue = deque([v])
         while queue:
             u = queue.popleft()
-            for w in g.neighbors(u):
+            for w in iter_bits(g.adj[u]):
                 if expected[w] == n:
                     expected[w] = expected[u] + 1
                     queue.append(w)
@@ -408,111 +365,81 @@ def test_params_domain_error():
 # Orientation
 # ---------------------------------------------------------------------------
 
+def _out_in_degrees(g, out):
+    """Per vertex (out-degree, in-degree) of the orientation whose
+    out-rows are ``out``, counted arc by arc."""
+    arcs = [(v, w) for v, row in enumerate(out) for w in iter_bits(row)]
+    return [(sum(a == v for a, _ in arcs), sum(b == v for _, b in arcs)) for v in range(g.n)]
+
+
 def test_orientation_c4_balanced():
-    d = eulerian_orientation(cycle_graph(4))
-    assert all(d.out_degree(v) == d.in_degree(v) == 1 for v in range(4))
+    g = cycle_graph(4)
+    assert _out_in_degrees(g, eulerian_orientation(g)) == [(1, 1)] * 4
 
 
 def test_orientation_k5_exactly_half():
-    d = eulerian_orientation(complete_graph(5))
-    assert all(d.out_degree(v) == d.in_degree(v) == 2 for v in range(5))
+    g = complete_graph(5)
+    assert _out_in_degrees(g, eulerian_orientation(g)) == [(2, 2)] * 5
 
 
 def test_orientation_path_endpoints():
-    d = eulerian_orientation(Graph(3, [(0, 1), (1, 2)]))
-    assert d.out_degree(1) == d.in_degree(1) == 1
+    g = Graph(3, [(0, 1), (1, 2)])
+    degs = _out_in_degrees(g, eulerian_orientation(g))
+    assert degs[1] == (1, 1)
     for v in (0, 2):
-        assert abs(d.out_degree(v) - d.in_degree(v)) == 1
+        assert abs(degs[v][0] - degs[v][1]) == 1
 
 
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=12))
 def test_orientation_balance_and_arc_count(g):
-    d = eulerian_orientation(g)
-    assert d.arc_count() == g.m
+    out = eulerian_orientation(g)
+    # each edge oriented exactly one way: the out-rows and their
+    # transpose partition the adjacency rows
     for v in range(g.n):
-        gap = abs(d.out_degree(v) - d.in_degree(v))
+        assert not out[v] & ~g.adj[v]
+        for w in iter_bits(g.adj[v]):
+            assert (out[v] >> w & 1) != (out[w] >> v & 1)
+    assert sum(map(int.bit_count, out)) == g.m
+    for v, (o, i) in enumerate(_out_in_degrees(g, out)):
+        gap = abs(o - i)
         assert gap <= 1
         if g.degree(v) % 2 == 0:
             assert gap == 0
 
 
 # ---------------------------------------------------------------------------
-# Digraph expansion
+# Against the definition
 # ---------------------------------------------------------------------------
 
-def test_complete_digraph_certified():
-    arcs = [(u, v) for u in range(10) for v in range(10) if u != v]
-    d = DiGraph(10, arcs)
-    v = is_robust_outexpander_exact(d, RobustParams(Fraction(1, 10), Fraction(1, 4)))
-    assert v.certified
-
-
-def test_directed_cycle_refuted():
-    d = DiGraph(12, [(i, (i + 1) % 12) for i in range(12)])
-    params = RobustParams(Fraction(1, 10), Fraction(1, 4))
-    v = is_robust_outexpander_exact(d, params)
-    assert v.refuted
-    rn = robust_out_neighborhood(d, v.witness, params.nu)
-    assert Fraction(len(rn)) < len(v.witness) + params.nu * d.n
-
-
-@pytest.mark.parametrize("nu, tau", [(Fraction(1, 10), Fraction(1, 4)),
-                                     (Fraction(1, 5), Fraction(1, 3)),
-                                     (Fraction(1, 12), Fraction(2, 5))])
-def test_symmetric_digraph_matches_graph_check(nu, tau):
-    # both arcs per edge: the digraph path must see exactly the graph;
-    # n runs past 16, where the enumeration takes more than one chunk
-    params = RobustParams(nu, tau)
-    outcomes = set()
-    for seed in range(12):
-        g = random_graph(8 + seed, (0.25, 0.5, 0.75)[seed % 3], seed)
-        d = DiGraph(g.n, [a for u, v in g.edges() for a in ((u, v), (v, u))])
-        want = is_robust_expander_exact(g, params)
-        got = is_robust_outexpander_exact(d, params)
-        assert (got.certified, got.witness, got.samples) == (
-            want.certified, want.witness, want.samples)
-        outcomes.add(want.certified)
-    assert outcomes == {True, False}
-
-
-def test_outexpander_matches_definition_on_one_way_digraphs():
-    # arcs mostly run from low to high vertices, so in- and out-neighbour
-    # counts differ and a checker that mixes them up gives other answers
+def test_expander_matches_definition_on_seeded_gnp():
     params = RobustParams(Fraction(1, 8), Fraction(1, 4))
     outcomes = set()
     for seed in range(16):
-        rng = random.Random(seed)
-        n = 8 + seed % 3
-        arcs = [(u, v) for u in range(n) for v in range(n)
-                if u != v and rng.random() < (0.7 if u < v else 0.2)]
-        want = brute_first_non_expanding_set(n, arcs, params.nu, params.tau)
-        got = is_robust_outexpander_exact(DiGraph(n, arcs), params)
+        g = random_graph(8 + seed % 3, (0.3, 0.5, 0.7)[seed % 3], seed)
+        want = brute_first_non_expanding_set(g, params.nu, params.tau)
+        got = is_robust_expander_exact(g, params)
         assert (got.certified, got.witness) == (want is None, want)
         outcomes.add(want is None)
     assert outcomes == {True, False}
 
 
-def _dense_below_16(n, seed, directed):
-    """Arcs of G(n, 0.7) on the vertices below 16 (both ways for a
-    graph), each pair touching a vertex >= 16 kept with probability 0.1."""
+def _dense_below_16(n, seed):
+    """G(n, 0.7) on the vertices below 16, each pair touching a vertex
+    >= 16 kept with probability 0.1."""
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(n) if (u != v if directed else u < v)]
-    return [(u, v) for u, v in pairs if rng.random() < (0.7 if max(u, v) < 16 else 0.1)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, [(u, v) for u, v in pairs if rng.random() < (0.7 if v < 16 else 0.1)])
 
 
-@pytest.mark.parametrize("n, seed, directed", [(17, 3, False), (18, 1, False), (18, 0, True)])
-def test_first_witness_across_the_16_bit_chunk_split(n, seed, directed):
+@pytest.mark.parametrize("n, seed", [(17, 3), (18, 1)])
+def test_first_witness_across_the_16_bit_chunk_split(n, seed):
     # the first violating set lies in the second 2^16-mask chunk, where
     # the high bits are fixed and the low 16 bits come from the table
     params = RobustParams(Fraction(1, 6), Fraction(1, 4))
-    arcs = _dense_below_16(n, seed, directed)
-    if directed:
-        got = is_robust_outexpander_exact(DiGraph(n, arcs), params)
-    else:
-        got = is_robust_expander_exact(Graph(n, arcs), params)
-        arcs += [(v, u) for u, v in arcs]
-    want = brute_first_non_expanding_set(n, arcs, params.nu, params.tau)
+    g = _dense_below_16(n, seed)
+    got = is_robust_expander_exact(g, params)
+    want = brute_first_non_expanding_set(g, params.nu, params.tau)
     assert max(want) >= 16
     assert got.witness == want and not got.certified
     # samples counts the window-sized masks of every whole chunk up to
@@ -522,12 +449,6 @@ def test_first_witness_across_the_16_bit_chunk_split(n, seed, directed):
     assert got.samples == sum(
         comb(16, s) for high in range(chunk + 1) for s in range(17)
         if kmin <= s + high.bit_count() <= kmax)
-
-
-def test_oriented_k12_certified():
-    d = eulerian_orientation(complete_graph(12))
-    v = is_robust_outexpander_exact(d, RobustParams(Fraction(1, 25), Fraction(3, 10)))
-    assert v.certified
 
 
 # ---------------------------------------------------------------------------
@@ -540,85 +461,10 @@ def test_disjoint_union_preserves_certification():
     g = circulant_regular(12, 6)
     parts = petersen_two_factorization(g)
     params = RobustParams(Fraction(1, 30), Fraction(1, 3))
-    h = union_edge_disjoint(parts[0].subgraph, parts[1].subgraph)
-    if is_robust_expander_exact(h.to_graph(), params).certified:
-        hh = union_edge_disjoint(h, parts[2].subgraph)
-        assert is_robust_expander_exact(hh.to_graph(), params).certified
-
-
-# ---------------------------------------------------------------------------
-# Sparse expander factor
-# ---------------------------------------------------------------------------
-
-def test_sparse_factor_k16_single_cycle_parameters():
-    f, verdict = sparse_expander_factor(
-        complete_graph(16),
-        Fraction(1, 8),
-        RobustParams(Fraction(1, 20), Fraction(1, 4)),
-        seed=7,
-    )
-    assert f.r == 2
-    assert verdict.certified
-
-
-def test_sparse_factor_k12():
-    f, verdict = sparse_expander_factor(
-        complete_graph(12),
-        Fraction(1, 3),
-        RobustParams(Fraction(1, 50), Fraction(3, 10)),
-        seed=11,
-        attempts=10,
-    )
-    assert f.r == 4
-    assert verdict.certified
-
-
-def test_sparse_factor_float_eps_reads_as_decimal():
-    # eps * n = 0.1 * 20 = 2 exactly; the double 0.1 would give a non-integer
-    f, _ = sparse_expander_factor(
-        complete_graph(20), 0.1, RobustParams(Fraction(1, 20), Fraction(1, 4)), seed=1, attempts=1
-    )
-    assert f.r == 2
-
-
-def test_sparse_factor_refuses_a_negative_seed():
-    with pytest.raises(InputError, match="seed must be >= 0, got -5"):
-        sparse_expander_factor(
-            complete_graph(20), Fraction(1, 10), RobustParams(Fraction(1, 20), Fraction(1, 4)),
-            seed=-5, attempts=1,
-        )
-
-
-def test_sparse_factor_parity_precondition():
-    with pytest.raises(InputError):
-        sparse_expander_factor(
-            complete_graph(12),
-            Fraction(1, 4),
-            RobustParams(Fraction(1, 50), Fraction(3, 10)),
-            seed=0,
-        )
-
-
-def test_sparse_factor_existence_error():
-    with pytest.raises(ExistenceError):
-        sparse_expander_factor(
-            two_cliques(12),
-            Fraction(1, 2),
-            RobustParams(Fraction(1, 50), Fraction(3, 10)),
-            seed=0,
-        )
-
-
-def test_sparse_factor_deterministic():
-    args = (
-        complete_graph(12),
-        Fraction(1, 6),
-        RobustParams(Fraction(1, 50), Fraction(3, 10)),
-    )
-    f1, v1 = sparse_expander_factor(*args, seed=5)
-    f2, v2 = sparse_expander_factor(*args, seed=5)
-    assert f1.subgraph.edges == f2.subgraph.edges
-    assert (v1.certified, v1.samples) == (v2.certified, v2.samples)
+    h = [a | b for a, b in zip(parts[0].subgraph.rows, parts[1].subgraph.rows)]
+    if is_robust_expander_exact(Graph.from_adj(h), params).certified:
+        hh = [a | b for a, b in zip(h, parts[2].subgraph.rows)]
+        assert is_robust_expander_exact(Graph.from_adj(hh), params).certified
 
 
 def test_mc_refutes_component_soup_via_unions():
@@ -632,23 +478,5 @@ def test_mc_refutes_component_soup_via_unions():
     params = RobustParams(Fraction(1, 30), Fraction(1, 4))
     v = refute_robust_expander_mc(soup, params, samples=10, seed=0)
     assert v.refuted
-    rn = robust_neighborhood(soup, v.witness, params.nu)
+    rn = robust_neighbourhood(soup, v.witness, params.nu)
     assert Fraction(len(rn)) < len(v.witness) + params.nu * soup.n
-
-
-def test_sparse_factor_mc_path_beyond_exact_range():
-    # n = 30 routes the expansion check through the Monte-Carlo refuter;
-    # factors made of many small cycles are refuted and retried, so an
-    # accepted factor admits no in-window union of components
-    params = RobustParams(Fraction(1, 30), Fraction(1, 4))
-    f, verdict = sparse_expander_factor(
-        complete_graph(30), Fraction(1, 15), params,
-        seed=2, attempts=30, mc_samples=100,
-    )
-    assert f.r == 2
-    assert verdict.checked_mode == "monte_carlo"
-    assert not verdict.refuted
-    # with window [8, 22], surviving refutation forces one dominant cycle:
-    # several small components would land a cumulative union in the window
-    sizes = sorted(c.bit_count() for c in f.subgraph.to_graph().components())
-    assert sizes[-1] > 22

@@ -9,13 +9,11 @@ from oracles import (
     brute_min_closeness,
     brute_min_closeness_score,
     reference_closeness_heuristic,
-    rescan_greedy_sparsify,
 )
 
-from hampack.core import Graph, Partition, edges_between, edges_inside
+from hampack.core import Graph, Partition
 from hampack.construct import (
     babai_graph,
-    babai_partition,
     complete_bipartite,
     complete_graph,
     extremal_graph,
@@ -25,12 +23,10 @@ from hampack.construct import (
 from hampack.errors import InputError
 from hampack import extremality
 from hampack.extremality import (
-    almost_regular_audit,
     alpha_of,
     check_eta_extremal_pair,
     closeness,
     find_eta_extremal_witness,
-    greedy_sparsify,
     trichotomy_classify,
 )
 
@@ -49,7 +45,9 @@ def test_extremal_16_9_all_conditions_hold():
 
 
 def test_babai2_extremal_at_quarter():
-    rep = check_eta_extremal_pair(babai_graph(2), Fraction(1, 4), babai_partition(2))
+    # the independent class A and the matched class B
+    part = Partition(frozenset(range(4)), frozenset(range(4, 10)))
+    rep = check_eta_extremal_pair(babai_graph(2), Fraction(1, 4), part)
     assert rep.extremal
     assert rep.quantities == {
         "size_a": 4,
@@ -147,76 +145,6 @@ def test_heuristic_recovers_construction_witness():
 
 
 # ---------------------------------------------------------------------------
-# Almost-regularity audit
-# ---------------------------------------------------------------------------
-
-def test_audit_extremal_16_9_clean():
-    g, _, part = extremal_graph(16, 9)
-    rep = almost_regular_audit(g, part, Fraction(1, 5))
-    assert rep.lower_violations == ()
-    assert rep.upper_exceeders == ()
-    assert rep.exceeders_within_bound
-
-
-def test_audit_empty_b():
-    g = complete_graph(6)
-    rep = almost_regular_audit(g, Partition(frozenset(), frozenset()), Fraction(1, 10))
-    assert rep.lower_violations == () and rep.upper_exceeders == ()
-
-
-def test_audit_flags_dense_patch():
-    g, _, part = extremal_graph(16, 9)
-    b = sorted(part.b)
-    patch = [(b[i], b[j]) for i in range(4) for j in range(4, 8)
-             if not g.has_edge(b[i], b[j])]
-    g2 = Graph(16, g.edges() + patch)
-    assert g2.min_degree() == 9  # alpha unchanged
-    rep = almost_regular_audit(g2, part, Fraction(1, 256))
-    assert len(rep.upper_exceeders) >= 4
-    assert not rep.exceeders_within_bound
-
-
-# ---------------------------------------------------------------------------
-# Greedy sparsification
-# ---------------------------------------------------------------------------
-
-def test_sparsify_no_inner_edges_is_identity():
-    g, _, part = extremal_graph(16, 9)
-    assert greedy_sparsify(g, part.a) == g
-
-
-def test_sparsify_k6_untouched():
-    g = complete_graph(6)
-    assert greedy_sparsify(g, range(6)) == g
-
-
-def test_sparsify_removes_injected_a_edges():
-    g, _, part = extremal_graph(16, 9)
-    a = sorted(part.a)
-    injected = [(a[0], a[1]), (a[1], a[2]), (a[2], a[3])]
-    g2 = Graph(16, g.edges() + injected)
-    out = greedy_sparsify(g2, part.a)
-    assert out.min_degree() == 9
-    amask = sum(1 << v for v in part.a)
-    for u, v in out.edges():
-        inside = (amask >> u & 1) and (amask >> v & 1)
-        if inside:
-            assert out.degree(u) <= 9 or out.degree(v) <= 9
-    assert out == g  # the three extras are exactly what goes away
-
-
-def test_sparsify_one_pass_matches_rescan_reference():
-    import random
-
-    for seed in range(300):
-        rng = random.Random(seed)
-        n = rng.randint(2, 16)
-        g = random_graph(n, rng.uniform(0.2, 1.0), seed)
-        inside = [v for v in range(n) if rng.random() < 0.6]
-        assert greedy_sparsify(g, inside) == rescan_greedy_sparsify(g, inside)
-
-
-# ---------------------------------------------------------------------------
 # Closeness
 # ---------------------------------------------------------------------------
 
@@ -290,9 +218,9 @@ def test_closeness_heuristic_score_recomputes_from_a(kind):
     g = random_graph(30, 0.5, 7)
     rep = closeness(g, kind, Fraction(1, 20), seed=3)
     assert not rep.exact and len(rep.a) == 15
-    rest = set(range(30)) - rep.a
-    expected = edges_inside(g, rep.a) if kind == "bipartite" else edges_between(g, rep.a, rest)
-    assert rep.score == expected
+    # e(A) counts the edges with both ends in A, e(A, complement) those with one
+    ends_in_a = 2 if kind == "bipartite" else 1
+    assert rep.score == sum((u in rep.a) + (v in rep.a) == ends_in_a for u, v in g.edges())
 
 
 @pytest.mark.parametrize("kind", ["bipartite", "two_cliques"])
@@ -324,7 +252,6 @@ def test_float_eta_reads_as_decimal():
     assert rep.eta == Fraction(1, 10) and rep.quantities["e_ab"] == 9 and not rep.e3
     assert rep == check_eta_extremal_pair(g, Fraction(1, 10), part)
     assert find_eta_extremal_witness(g, 0.1).eta == Fraction(1, 10)
-    assert almost_regular_audit(g, part, 0.1) == almost_regular_audit(g, part, Fraction(1, 10))
 
 
 def test_closeness_bad_kind():
@@ -343,6 +270,21 @@ def test_witness_search_refuses_a_negative_seed():
     g = random_graph(30, 0.6, 3)
     with pytest.raises(InputError, match="seed must be >= 0, got -1"):
         find_eta_extremal_witness(g, Fraction(1, 5), seed=-1)
+
+
+def test_negative_eta_and_epsilon_are_refused_zero_is_valid():
+    g, _, part = extremal_graph(16, 9)
+    with pytest.raises(InputError, match="eta must be nonnegative, got -1"):
+        check_eta_extremal_pair(g, -1, part)
+    with pytest.raises(InputError, match="eta must be nonnegative, got -1/4"):
+        find_eta_extremal_witness(g, Fraction(-1, 4))
+    with pytest.raises(InputError, match="epsilon must be nonnegative, got -1"):
+        closeness(g, "bipartite", -1)
+    with pytest.raises(InputError, match="epsilon must be nonnegative, got -1/10"):
+        trichotomy_classify(g, Fraction(1, 10), Fraction(1, 50), Fraction(3, 10), -0.1)
+    assert check_eta_extremal_pair(g, 0, part).eta == 0
+    assert find_eta_extremal_witness(g, 0).eta == 0
+    assert closeness(g, "two_cliques", 0).epsilon == 0
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +340,16 @@ def test_classify_hypothesis_violation():
     g = Graph(8, [(0, 1)])
     res = trichotomy_classify(g, Fraction(1, 100), Fraction(1, 20), Fraction(1, 4), Fraction(1, 50))
     assert res.label == "hypothesis_violated"
+
+
+@pytest.mark.parametrize("g", [two_cliques(12), complete_bipartite(12), Graph(8, [(0, 1)]),
+                               random_graph(12, 0.9, 1)],
+                         ids=["close-cliques", "close-bipartite", "hypothesis-violated", "gnp"])
+def test_classify_checks_nu_and_tau_on_every_graph(g):
+    # nu > tau is refused before any early return, not only when the
+    # expansion check is reached
+    with pytest.raises(InputError, match="need 0 < nu <= tau < 1"):
+        trichotomy_classify(g, Fraction(1, 10), 5, Fraction(1, 3), Fraction(1, 20))
 
 
 def test_bipartite_closeness_on_extremal_instance():

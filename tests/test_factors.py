@@ -20,7 +20,7 @@ from oracles import (
     reference_orientation_arcs,
 )
 
-from hampack.core import EdgeSubgraph, Graph, iter_bits, union_edge_disjoint
+from hampack.core import EdgeSubgraph, Graph, iter_bits
 from hampack.construct import (
     babai_graph,
     circulant_regular,
@@ -31,7 +31,7 @@ from hampack.construct import (
     random_graph,
 )
 from hampack.edgelist import format_rows, read_edge_list
-from hampack.errors import CapacityError, ExistenceError, InputError, InternalError
+from hampack.errors import CapacityError, InputError, InternalError
 from hampack import factors
 from hampack.factors import (
     _balanced_subdigraph,
@@ -42,10 +42,7 @@ from hampack.factors import (
     _seed_mate,
     _structured_violation,
     _sweep,
-    extract_r_factor,
     largest_even_factor,
-    dense_factor_degree,
-    max_matching,
     petersen_two_factorization,
     r_factor_exists,
     reg_even_of_graph,
@@ -53,7 +50,7 @@ from hampack.factors import (
     tutte_quantities,
     tutte_verify_exhaustive,
 )
-from hampack.matching import _Matcher, matching_size, maximum_matching
+from hampack.matching import _Matcher, maximum_matching
 from hampack.orientation import balanced_orientation_arcs
 
 
@@ -180,31 +177,22 @@ def test_exhaustive_agrees_with_existence(g, data):
 # ---------------------------------------------------------------------------
 
 def test_extract_two_factor_of_k5():
-    f = extract_r_factor(complete_graph(5), 2)
+    f = r_factor_exists(complete_graph(5), 2).factor
     assert f.subgraph.degrees() == [2] * 5
 
 
 def test_extract_c6_two_factor_is_itself():
-    f = extract_r_factor(cycle_graph(6), 2)
-    assert f.subgraph.edges == cycle_graph(6).edge_set()
+    f = r_factor_exists(cycle_graph(6), 2).factor
+    assert f.subgraph.edges == frozenset(cycle_graph(6).edges())
 
 
 def test_extract_extremal_16_9_iff_exists():
     g, _, _ = extremal_graph(16, 9)
     decision = r_factor_exists(g, 8)
     if decision.exists:
-        f = extract_r_factor(g, 8)
-        assert all(d == 8 for d in f.subgraph.degrees())
+        assert all(d == 8 for d in decision.factor.subgraph.degrees())
     else:
-        with pytest.raises(ExistenceError) as err:
-            extract_r_factor(g, 8)
-        assert err.value.certificate is not None
-
-
-def test_extract_missing_factor_raises_with_certificate():
-    with pytest.raises(ExistenceError) as err:
-        extract_r_factor(babai_graph(2), 4)
-    assert err.value.certificate.violates
+        assert decision.factor is None and decision.certificate.violates
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +475,17 @@ def test_largest_even_factor_at_n512():
 def test_two_factorization_partitions_edges(g, count):
     factors = petersen_two_factorization(g)
     assert len(factors) == count
-    union = None
+    union = [0] * g.n
     for f in factors:
         assert all(d == 2 for d in f.subgraph.degrees())
-        union = f.subgraph if union is None else union_edge_disjoint(union, f.subgraph)
-    assert union.edges == g.edge_set()
+        assert not any(a & b for a, b in zip(union, f.subgraph.rows))
+        union = [a | b for a, b in zip(union, f.subgraph.rows)]
+    assert tuple(union) == g.adj
 
 
 def test_two_factorization_pinned_digest():
     # the 20-factor of a seeded G(64, 1/2): most peels run Hopcroft-Karp phases
-    h = extract_r_factor(random_graph(64, 0.5, 1), 20).subgraph.to_graph()
+    h = r_factor_exists(random_graph(64, 0.5, 1), 20).factor.subgraph.to_graph()
     parts = petersen_two_factorization(h)
     text = "".join(format_rows(h.n, f.subgraph.rows) for f in parts)
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -511,46 +500,13 @@ def test_two_factorization_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# Even-degree formula
-# ---------------------------------------------------------------------------
-
-def test_dense_factor_degree_zero_terms():
-    assert dense_factor_degree(16, 0, 0)[0] == 4
-    assert dense_factor_degree(10, 0, 0)[0] == 2  # 2.5 rounds down to even
-
-
-def test_dense_factor_degree_worked_example():
-    r, value = dense_factor_degree(64, Fraction(1, 16), Fraction(1, 64))
-    assert r == 30
-    assert abs(float(value) - 31.149) < 0.001
-
-
-def test_dense_factor_degree_monotone_in_alpha():
-    values = [
-        dense_factor_degree(48, Fraction(k, 96), Fraction(1, 96))[0] for k in range(0, 40)
-    ]
-    assert values == sorted(values)
-
-
-def test_dense_factor_degree_float_terms_read_as_decimals():
-    # alpha + eps = 0.15 + 0.35 = 1/2 gives n/4 + n/4 + n/2 = 4 at n = 4;
-    # the doubles sum to just below 1/2, which rounds down to 2
-    assert dense_factor_degree(4, 0.15, 0.35)[0] == 4
-    assert dense_factor_degree(4, 0.15, 0.35) == dense_factor_degree(4, Fraction(3, 20), Fraction(7, 20))
-
-
-def test_dense_factor_degree_domain():
-    with pytest.raises(InputError):
-        dense_factor_degree(16, Fraction(-1, 4), Fraction(1, 8))
-
-
-# ---------------------------------------------------------------------------
 # Matching front end (detail cases live in test_matching.py)
 # ---------------------------------------------------------------------------
 
 def test_max_matching_on_factor_host():
-    m = max_matching(complete_bipartite(8))
-    assert m.size == 4
+    g = complete_bipartite(8)
+    mate = maximum_matching(g.n, g.adj)
+    assert sum(u > v for v, u in enumerate(mate)) == 4
 
 
 def test_unbalanced_bipartite_has_no_even_factor():
@@ -588,8 +544,8 @@ def test_seed_leaves_gallai_edmonds_pair_unchanged():
         gadget = _build_gadget(g, r)
         plain = _Matcher(gadget.size, gadget.rows, heads=gadget.partner)
         seeded = _Matcher(gadget.size, gadget.rows, _seed_mate(g, r, gadget), gadget.partner)
-        size = matching_size(plain.solve())
-        assert matching_size(seeded.solve()) == size
+        size = sum(u > v for v, u in enumerate(plain.solve()))
+        assert sum(u > v for v, u in enumerate(seeded.solve())) == size
         if 2 * size == gadget.size:
             continue
         negatives += 1

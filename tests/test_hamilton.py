@@ -231,7 +231,7 @@ def test_packing_audit_names_an_out_of_range_vertex_as_a_non_edge():
 
 def test_audit_rejects_packing_above_reg_even():
     g = complete_graph(5)
-    packing = decompose_even_regular(g)
+    packing, _ = decompose_even_regular(g)
     _audit_packing(g, packing, 4)
     with pytest.raises(InternalError, match="reg_even"):
         _audit_packing(g, packing, 2)
@@ -250,14 +250,14 @@ def test_packing_respects_degree_cap():
 @pytest.mark.parametrize("n,count", [(5, 2), (7, 3), (9, 4)])
 def test_odd_complete_graphs_decompose(n, count):
     g = complete_graph(n)
-    p = decompose_even_regular(g)
-    assert p is not None and p.size == count
+    p, exact = decompose_even_regular(g)
+    assert p is not None and p.size == count and exact
     assert verify_packing(g, p)
     assert sum(len(c) for c in p.cycles) == g.m
 
 
 def test_c8_decomposes_into_itself():
-    p = decompose_even_regular(cycle_graph(8))
+    p, _ = decompose_even_regular(cycle_graph(8))
     assert p.size == 1 and p.cycles[0] == tuple(range(8))
 
 
@@ -272,7 +272,8 @@ def test_two_cliques_cannot_decompose():
     from hampack.construct import two_cliques
 
     g = two_cliques(10)  # 4-regular but disconnected
-    assert decompose_even_regular(g) is None
+    # the search ran uncut, so the negative is definitive
+    assert decompose_even_regular(g) == (None, True)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,7 @@ def test_two_cliques_cannot_decompose():
 
 def test_verify_accepts_valid_decomposition():
     g = complete_graph(5)
-    p = decompose_even_regular(g)
+    p, _ = decompose_even_regular(g)
     assert verify_packing(g, p)
 
 
