@@ -375,7 +375,7 @@ def eulerian_orientation(g: Graph) -> list[int]:
     balance at even-degree vertices; returns the out-neighbour rows
     (bit w of row v set when vw is oriented v -> w), audited for that
     balance.  The in-rows are ``g.adj[v] & ~out[v]``."""
-    out = balanced_orientation_arcs(g)
+    out = balanced_orientation_arcs(g, 0)[0]
     for v, (row, o) in enumerate(zip(g.adj, out)):
         if abs(2 * o.bit_count() - row.bit_count()) > 1:
             raise InternalError(f"orientation unbalanced at vertex {v}")

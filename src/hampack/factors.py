@@ -21,12 +21,13 @@ when the fast path fails:
 3. unless step 2 found a violating pair, a constructive fast path
    (Petersen's argument).  For even r: in the balanced orientation,
    choose r/2 out-arcs at every tail and r/2 in-arcs at every head, a
-   bipartite b-matching (greedy, then Hopcroft-Karp phases) whose arcs
-   form an r-factor.  The orientation comes as out-neighbour bitset
-   rows, the b-matching reads and returns bitset rows, and the selected
-   rows are the factor's rows: no arc list is built on the way.  For
-   odd r: the same step with (r - 1)/2 gives an (r - 1)-factor F (none
-   is needed at r = 1), and a perfect matching of G - F, from one
+   bipartite b-matching (greedy during the Euler walk, then
+   Hopcroft-Karp phases) whose arcs form an r-factor.  The orientation
+   and the walk's greedy arcs come as bitset rows, the b-matching reads
+   and returns bitset rows, and the selected rows are the factor's
+   rows: no arc list is built on the way.  For odd r: the same step
+   with (r - 1)/2 gives an (r - 1)-factor F (none is needed at r = 1),
+   and a perfect matching of G - F, from one
    maximum matching of the host's n vertices on its bitset rows,
    completes it to an r-factor.  The union is audited once.  An
    audited r-factor is a "yes", and by Tutte's f-factor theorem no pair
@@ -76,7 +77,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import EdgeSubgraph, Graph, _first_edge, iter_bits, mask_of, set_of
 from .errors import CapacityError, InputError, InternalError
-from .exactcmp import cmp_scaled_sqrt, sqrt_approx
 from .matching import _Matcher, maximum_matching
 from .orientation import balanced_orientation_arcs
 
@@ -318,7 +318,9 @@ def _structured_violation(g: Graph, r: int, sweep: _Sweep) -> tuple[int, int] | 
 # Constructive fast path: balanced orientation + b-matching (+ a matching)
 # ---------------------------------------------------------------------------
 
-def _balanced_subdigraph(adj: Sequence[int], out: Sequence[int], half: int) -> list[int]:
+def _balanced_subdigraph(
+    adj: Sequence[int], out: Sequence[int], half: int, chosen: list[int], fed: list[int]
+) -> list[int]:
     """The symmetric rows of a maximum selection of arcs with every in-
     and out-degree at most ``half``, from an orientation given by the
     rows ``adj`` of its graph and its out-rows ``out`` (the in-rows are
@@ -326,20 +328,14 @@ def _balanced_subdigraph(adj: Sequence[int], out: Sequence[int], half: int) -> l
     and out-degree equal to ``half``, whenever such a sub-digraph exists.
 
     A bipartite b-matching of tails to heads, each of capacity ``half``.
-    The arcs are first taken greedily in edge order, (u, v) with u < v
-    ascending, while the tail and the head have room.  That pass splits
-    by the lower end u.  A forward arc u -> v depends only on u's
-    out-count and v's load, and each v > u meets u once; a backward arc
-    v -> u depends only on u's load and v's out-count.  So for each u in
-    turn the greedy takes the lowest half - out(u) heads above u that
-    still have room, then the lowest half - load(u) tails above u that
-    still have room, a few bit operations per arc it takes.  The missing
-    units are then found in Hopcroft-Karp phases (Hopcroft and Karp,
+    It starts from a valid selection, given as the rows ``chosen`` (heads
+    of the chosen arcs out of each tail) and ``fed`` (tails of the chosen
+    arcs into each head), which it completes in place: the greedy arcs
+    the Euler walk took (``balanced_orientation_arcs``), or none.  The
+    missing units are found in Hopcroft-Karp phases (Hopcroft and Karp,
     SIAM J. Comput. 2(4), 1973).  An augmenting path alternates an
     unchosen arc out of a tail with a chosen arc back into a head, and
-    ends at a head with room.  The rows ``chosen`` (heads of the chosen
-    arcs out of each tail) and ``fed`` (tails of the chosen arcs into
-    each head) hold the selection.
+    ends at a head with room.
 
     - Each phase runs one BFS from every short tail at once, in layers:
       tails at even distances, heads at odd ones.  A layer is a bitset,
@@ -368,45 +364,12 @@ def _balanced_subdigraph(adj: Sequence[int], out: Sequence[int], half: int) -> l
     chosen.  So the cut {source} u X u Y has capacity
     half(n - |X|) + e(X, V - Y) + half|Y|, which is the load of X plus
     half(n - |X|): the size of the selection, since every tail outside X
-    is full.  By max-flow/min-cut no selection is larger.  X holds a
-    short tail, so the selection is below n half.
+    is full.  By max-flow/min-cut no selection is larger, whatever the
+    start.  X holds a short tail, so the selection is below n half.
     """
     n = len(adj)
-    chosen = [0] * n
-    fed = [0] * n
-    outs = [0] * n
-    load = [0] * n
-    room_t = room_h = (1 << n) - 1 if half else 0  # tails / heads below half
-    for u in range(n):
-        above = -(2 << u)
-        k = half - outs[u]
-        free = out[u] & above & room_h
-        while k and free:
-            low = free & -free
-            free ^= low
-            v = low.bit_length() - 1
-            chosen[u] |= low
-            fed[v] |= 1 << u
-            load[v] += 1
-            if load[v] == half:
-                room_h ^= low
-            k -= 1
-        outs[u] = half - k
-        k = half - load[u]
-        free = adj[u] & ~out[u] & above & room_t
-        while k and free:
-            low = free & -free
-            free ^= low
-            w = low.bit_length() - 1
-            chosen[w] |= 1 << u
-            fed[u] |= low
-            outs[w] += 1
-            if outs[w] == half:
-                room_t ^= low
-            k -= 1
-        load[u] = half - k
-    # the greedy never reads a head's bit again after its own u, so it
-    # left the bits of heads filled by their backward arcs set
+    outs = [c.bit_count() for c in chosen]
+    load = [f.bit_count() for f in fed]
     room_h = sum(1 << v for v in range(n) if load[v] < half)
     short = [u for u in range(n) if outs[u] < half]
     while short:
@@ -497,7 +460,9 @@ def _even_factor_via_orientation(g: Graph, r: int, selection: list[int]) -> list
     but incomplete: a miss proves nothing, and its selection, left in
     ``selection``, seeds the gadget.  Not audited here; the caller
     audits the factor it builds from it."""
-    selection[:] = _balanced_subdigraph(g.adj, balanced_orientation_arcs(g), r // 2)
+    half = r // 2
+    out, chosen, fed = balanced_orientation_arcs(g, half)
+    selection[:] = _balanced_subdigraph(g.adj, out, half, chosen, fed)
     return selection if sum(map(int.bit_count, selection)) == g.n * r else None
 
 
@@ -760,8 +725,8 @@ class RegEvenBounds:
     ``lower`` is the even integer obtained from (delta + sqrt(n(2delta-n)+8))/2
     by subtracting the unique slack in (0, 2]; when the raw value is
     itself an even integer the slack is 2, which we flag in ``note``.
-    ``upper`` is reported as a rational approximation (1e-9); use
-    :meth:`admits` for exact comparisons against it.
+    ``upper`` is (delta + s)/2 + 4/(s + 4) with s = sqrt(n(2delta-n))
+    rounded down to a multiple of 1e-9, a rational for display.
     """
 
     n: int
@@ -769,15 +734,6 @@ class RegEvenBounds:
     lower: int
     upper: Fraction
     note: str = ""
-
-    def admits(self, r: int) -> bool:
-        """Exact test of r <= (delta+sqrt(x))/2 + 4/(sqrt(x)+4), x = n(2delta-n)."""
-        if 2 * self.delta < self.n:
-            return r <= 0
-        x = self.n * (2 * self.delta - self.n)
-        c = 2 * r - self.delta - 4
-        d = x + 4 * self.delta + 8 - 8 * r
-        return cmp_scaled_sqrt(c, x, d) <= 0
 
 
 def regeven_bounds(n: int, delta: int) -> RegEvenBounds:
@@ -799,8 +755,11 @@ def regeven_bounds(n: int, delta: int) -> RegEvenBounds:
     note = ""
     if s * s == x + 8 and (delta + s) % 4 == 0:
         note = "raw lower value is an even integer; slack 2 applied"
-    root = sqrt_approx(Fraction(x), 9)
-    upper = Fraction(delta, 2) + root / 2 + Fraction(4) / (root + 4)
+    # s = v/S with v = isqrt(x S^2): delta/2 + v/(2S) + 4S/(v + 4S)
+    S = 10 ** 9
+    v = isqrt(x * S * S)
+    d = v + 4 * S
+    upper = Fraction((delta * S + v) * d + 8 * S * S, 2 * S * d)
     return RegEvenBounds(n, delta, max(L, 0), upper, note=note)
 
 
@@ -811,11 +770,12 @@ def regeven_bounds(n: int, delta: int) -> RegEvenBounds:
 def petersen_two_factorization(g: Graph) -> list[Factor]:
     """Split a 2k-regular graph into k edge-disjoint 2-factors.
 
-    Balanced orientation makes every vertex out/in degree k; peeling k
-    perfect matchings (``_balanced_subdigraph`` with half = 1) off the
-    associated out/in bipartite graph (each exists since that graph stays
-    regular) yields the 2-factors.  Each peel removes the selected rows
-    from the graph's rows and from the orientation's out-rows.
+    Each peel orients the graph's remaining edges, which form a regular
+    graph of even degree, so every vertex gets equal out- and in-degree,
+    and takes a perfect matching of the associated out/in bipartite
+    graph (the walk's greedy arcs completed by ``_balanced_subdigraph``
+    with half = 1; one exists since that graph is regular).  Its arcs
+    form a 2-factor, which the peel removes from the graph's rows.
     """
     if g.n == 0:
         return []
@@ -826,15 +786,14 @@ def petersen_two_factorization(g: Graph) -> list[Factor]:
     if rdeg % 2:
         raise InputError(f"input graph is {rdeg}-regular; even regularity required")
     adj = list(g.adj)
-    out = balanced_orientation_arcs(g)
     factors = []
     for _ in range(rdeg // 2):
-        picked = _balanced_subdigraph(adj, out, 1)
+        out, chosen, fed = balanced_orientation_arcs(Graph.from_adj(adj), 1)
+        picked = _balanced_subdigraph(adj, out, 1, chosen, fed)
         if sum(map(int.bit_count, picked)) < 2 * g.n:
             raise InternalError("bipartite peel failed to find a perfect matching")
         factor = Factor(EdgeSubgraph.from_host_edges(g.n, (), picked), 2)
         factor.validate(g)
         factors.append(factor)
         adj = [a & ~p for a, p in zip(adj, picked)]
-        out = [o & ~p for o, p in zip(out, picked)]
     return factors

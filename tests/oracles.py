@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
+from typing import Iterable
 
 from hampack.core import EdgeSubgraph, Graph, _check_capacity, iter_bits, mask_of
 from hampack.errors import InputError, InternalError
@@ -502,13 +504,17 @@ def reference_balanced_subdigraph(n: int, arcs, half: int) -> list[int] | None:
     return [i for i, c in enumerate(chosen) if c]
 
 
-def arc_list_balanced_subdigraph(n: int, arcs: list[tuple[int, int]], half: int) -> list[int]:
+def arc_list_balanced_subdigraph(
+    n: int, arcs: list[tuple[int, int]], half: int, greedy: Iterable[int] = ()
+) -> list[int]:
     """Indices of the arcs that the Hopcroft-Karp b-matching selects,
-    run on an explicit arc list: the arcs taken greedily in list order,
-    then phases of one layered BFS from every short tail and a DFS that
-    keeps one pointer into each tail's and each head's arcs, in list
-    order.  Given the arcs of an orientation in ``g.edges()`` order, its
-    selection is the library's rows selection arc for arc."""
+    run on an explicit arc list: the arcs ``arcs[i]``, i in ``greedy``,
+    taken in that order while tail and head have room (none for a cold
+    start), then phases of one layered BFS from every short tail and a
+    DFS that keeps one pointer into each tail's and each head's arcs, in
+    list order.  Given the arcs of an orientation in ``g.edges()`` order
+    and the greedy in the walk's order, its selection is the library's
+    rows selection arc for arc."""
     tail = [u for u, _ in arcs]
     head = [v for _, v in arcs]
     into: list[list[int]] = [[] for _ in range(n)]  # arc ids by head
@@ -519,6 +525,8 @@ def arc_list_balanced_subdigraph(n: int, arcs: list[tuple[int, int]], half: int)
     for i, (u, v) in enumerate(arcs):
         by_tail[u].append(i)
         into[v].append(i)
+    for i in greedy:
+        u, v = arcs[i]
         if out[u] < half and load[v] < half:
             chosen[i] = True
             out[u] += 1
@@ -608,11 +616,14 @@ def arc_list_balanced_subdigraph(n: int, arcs: list[tuple[int, int]], half: int)
     return [i for i, c in enumerate(chosen) if c]
 
 
-def reference_orientation_arcs(g: Graph) -> list[tuple[int, int]]:
-    """The balanced orientation from edge records: the edges in
-    ``g.edges()`` order, then one virtual edge per pair of consecutive
-    odd-degree vertices; each circuit starts at the lowest vertex with an
-    unused record and leaves every vertex by its first unused record."""
+def reference_orientation_walk(g: Graph) -> list[tuple[int, int]]:
+    """The arcs of the balanced orientation in the order the walk takes
+    them, from edge records: the edges in ``g.edges()`` order, then one
+    virtual edge per pair of consecutive odd-degree vertices.  From each
+    vertex in index order, the walk leaves the current vertex by its
+    first unused record until it has none left, which happens only back
+    at the start: a closed trail, with no splicing.  The virtual arcs
+    are dropped."""
     n = g.n
     records = [(u, v, False) for u, v in g.edges()]
     odd = [v for v in range(n) if g.degree(v) % 2]
@@ -624,23 +635,27 @@ def reference_orientation_arcs(g: Graph) -> list[tuple[int, int]]:
         inc[v].append((eid, u))
     used = [False] * len(records)
     ptr = [0] * n
-    direction: list[tuple[int, int] | None] = [None] * len(records)
+    walk = []
     for start in range(n):
-        if ptr[start] >= len(inc[start]):
-            continue
-        stack = [start]
-        while stack:
-            v = stack[-1]
+        v = start
+        while True:
             while ptr[v] < len(inc[v]) and used[inc[v][ptr[v]][0]]:
                 ptr[v] += 1
             if ptr[v] == len(inc[v]):
-                stack.pop()
-                continue
+                break
             eid, w = inc[v][ptr[v]]
             used[eid] = True
-            direction[eid] = (v, w)
-            stack.append(w)
-    return [direction[eid] for eid, (_, _, virtual) in enumerate(records) if not virtual]
+            if not records[eid][2]:
+                walk.append((v, w))
+            v = w
+        assert v == start, "a walk got stuck away from its start"
+    return walk
+
+
+def reference_orientation_arcs(g: Graph) -> list[tuple[int, int]]:
+    """The arcs of ``reference_orientation_walk`` in ``g.edges()`` order."""
+    arc = {frozenset(a): a for a in reference_orientation_walk(g)}
+    return [arc[frozenset(e)] for e in g.edges()]
 
 
 def reference_gadget(g: Graph, r: int):
@@ -739,3 +754,56 @@ class ReferenceEdgeSubgraph:
     def __eq__(self, other) -> bool:
         return (isinstance(other, ReferenceEdgeSubgraph)
                 and self.n == other.n and self.edges == other.edges)
+
+
+def _sign(q) -> int:
+    return (q > 0) - (q < 0)
+
+
+def cmp_scaled_sqrt(c, x, d) -> int:
+    """Sign of c*sqrt(x) - d for rational c, d and rational x >= 0, by
+    comparing squares."""
+    if x < 0:
+        raise ValueError(f"sqrt of negative rational {x}")
+    lhs_sign = _sign(c) if x > 0 else 0
+    if lhs_sign == 0:
+        return _sign(-d)
+    if lhs_sign > 0:
+        if d < 0:
+            return 1
+        return _sign(Fraction(c) * c * x - Fraction(d) * d)
+    # c*sqrt(x) < 0
+    if d >= 0:
+        return -1
+    return _sign(Fraction(d) * d - Fraction(c) * c * x)
+
+
+def regeven_upper_admits(n: int, delta: int, r: int) -> bool:
+    """Exact test of r <= (delta + sqrt(x))/2 + 4/(sqrt(x) + 4) with
+    x = n(2delta - n), and of r <= 0 below delta = n/2: multiplied out,
+    (2r - delta - 4) sqrt(x) <= x + 4delta + 8 - 8r."""
+    if 2 * delta < n:
+        return r <= 0
+    x = n * (2 * delta - n)
+    return cmp_scaled_sqrt(2 * r - delta - 4, x, x + 4 * delta + 8 - 8 * r) <= 0
+
+
+def sqrt_approx(a, digits: int = 9) -> Fraction:
+    """Rational approximation of sqrt(a) accurate to 10**-digits, from
+    below."""
+    if a < 0:
+        raise ValueError(f"sqrt of negative rational {a}")
+    a = Fraction(a)
+    scale = 10 ** digits
+    return Fraction(isqrt((a.numerator * scale * scale) // a.denominator), scale)
+
+
+def sum_form_regeven_upper(n: int, delta: int) -> Fraction:
+    """The display upper bound as a sum of rationals: delta/2 + s/2 +
+    4/(s + 4), s the 1e-9 approximation of sqrt(n(2delta - n)) from
+    below; 0 below delta = n/2."""
+    if 2 * delta < n:
+        return Fraction(0)
+    root = sqrt_approx(n * (2 * delta - n), 9)
+    return Fraction(delta, 2) + root / 2 + Fraction(4) / (root + 4)
+

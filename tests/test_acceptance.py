@@ -9,7 +9,13 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import all_graphs, brute_has_r_factor, brute_min_closeness_score, robust_neighbourhood
+from oracles import (
+    all_graphs,
+    brute_has_r_factor,
+    brute_min_closeness_score,
+    regeven_upper_admits,
+    robust_neighbourhood,
+)
 
 from hampack.construct import (
     babai_graph,
@@ -109,6 +115,7 @@ def test_criterion_03_factor_oracle_equivalence():
 
 
 def test_criterion_04_extremal_construction_tightness():
+    # the construction attains the lower bound exactly: 943 pairs (n, delta)
     with _Stopwatch("04 extremal construction tightness", 120.0):
         for n in range(16, 65):
             for delta in range(n // 2 + 1, n):
@@ -116,7 +123,8 @@ def test_criterion_04_extremal_construction_tightness():
                 assert g.min_degree() == delta
                 bounds = regeven_bounds(n, delta)
                 reg = reg_even_of_graph(g)
-                assert bounds.admits(reg), (n, delta, reg, float(bounds.upper))
+                assert reg == bounds.lower, (n, delta, reg, bounds.lower)
+                assert regeven_upper_admits(n, delta, reg), (n, delta, reg, float(bounds.upper))
 
 
 def test_criterion_05_min_degree_expansion_law():

@@ -596,17 +596,17 @@ PINNED_ORIENT = [
     (["gnp", "--n", "30", "--p", "0.04", "--seed", "1"],  # 10 isolated, 14 components
      "4199eb106c8beef8133cc394c1aab17c8c2553c6fac0ce44fc40e2ceb1364de5"),
     (["gnp", "--n", "40", "--p", "0.3", "--seed", "7"],
-     "a0ce7369ee19465d3ed9072d28c2547a46803c77b8a7c1d12cabd4158b9cdc64"),
+     "d4fd5c9c394096855619c34c72bea307ee83066c01daab04a2f7d0ab55ee3e86"),
     (["gnp", "--n", "64", "--p", "0.5", "--seed", "2"],
-     "a40fe6c1ddfbe507947d93c67f55999dc80653669177cf99d3cc617dfe1b9fdd"),
+     "89a42c7b0049df441621202e53eccb54519884444f18c67f57381f48ff94e0da"),
     (["gnp", "--n", "64", "--p", "0.05", "--seed", "9"],  # 34 odd degrees, 4 components
-     "60e738b3d781c652018f24941d5d5ac9f86fb9d2542a45ec18db92da6cd9a68d"),
+     "2f1e055df4db0bfb67abf98c3109ee5e7f599634ec71817a34f6a6a2f86b3c45"),
     (["extremal", "--n", "24", "--delta", "14"],
-     "3863d0fa2f8e7937399d44de67784dd19427c3072a083a64d58b610c34278798"),
+     "9ea1d7a4d07436bcd3f5f1a657270a3dd78e59b4c517d6d5e33e4db621754ab8"),
     (["babai", "--m", "2"],
-     "4dfebc92c724fc2f42f4df9795993e793fb531091442e2bc00321b7f63dc5999"),
+     "86a61f216adf22f245796442a74a237c196474d866023b429380d9be4785f209"),
     (["complete", "--n", "8"],
-     "f030980fc1b3b409ba906a19b9e952d3a541de9662496df8ab0aac23fea40e9c"),
+     "28684a4cea34c7f928e9645ab3ba93903a13f94c1b2bbfc70b5b7a1005c3bf28"),
 ]
 
 
@@ -630,13 +630,13 @@ PINNED_FACTOR = [
      "075bc21d6410975a1f6e65856db03fb8ebadfe468f6de1ed60c16284c06cff07"),
     (["--n", "40", "--p", "0.5", "--seed", "7"], 3,
      "0526e3adf04b00d43645c685256706cd4036308611357dc2c3e81d0358c4efe1",
-     "8d46d4d5b85536ac1def601f9263c3f5bc9a506ff52e36917141068f781f5b0b"),
+     "b2f69c10eb8cfbeac8f95b3a1a7ad9f08245b50944f098c4822e6af2eac4bbf3"),
     (["--n", "40", "--p", "0.5", "--seed", "7"], 5,
      "3dc2e102a503fcfc4e597378d37e89b85fe51b6c8c95ffa4fa4ec1a7b00d34f8",
-     "cca19c5af403918a3d86d561c8f59147c9118b3285767237512e14febb93ddb0"),
+     "7e8c55aaf8ac4184496ab72b95e729c4b7f111df1f82ae54b2f609ed07382e48"),
     (["--n", "64", "--p", "0.5", "--seed", "1"], 7,
      "3cf1455b7ed080c7669f6ae2a03c726e3557acc03040968f1d24bb6a06c88ca7",
-     "f1df848763defae786128922e9314190486c38fe67395c1a64a7c6cc87f6cda1"),
+     "b56c77dcd11cc7cb19a62ce6f40a6f00df2744c9e7ea6c7141d30e767414593f"),
 ]
 
 
@@ -655,28 +655,29 @@ def test_pinned_factor_emit(tmp_path, capsys, kind, r, out_digest, emit_digest):
 
 
 # regeven --emit: (test id, construct args, sha256 of stdout, of the --emit
-# file).  On each of these the greedy pass leaves the b-matching short and
-# Hopcroft-Karp phases fill it; at n = 64, delta = 33 the selection stays
-# short at reg_even = 22 and the gadget decides from it.
+# file).  On the two extremal graphs with delta = n/2 + 1 the selection
+# stays short at reg_even (by 5 arcs at n = 48, by 1 at n = 64) and the
+# gadget decides from it; on the other four the Euler walk's greedy arcs
+# alone fill it at reg_even.
 PINNED_REGEVEN = [
     ("extremal", ["extremal", "--n", "48", "--delta", "25"],
      "3b0c6b229c675a9884e2021f36ab7162435627320b82154a0734efe630e3582b",
-     "0d905d9ca22acbd0e371fb8e15224edeab82dec97bd21b8b65b8d05fa8bc5f8c"),
+     "132f0836de2539c6f2e495bd9877e77d576df42a06d875626e53d7d0ac6a29da"),
     ("gnp", ["gnp", "--n", "64", "--p", "0.88", "--seed", "3"],
      "f6bdccfa5ff3fea5ce4d78cd199b68534e4e7a344125376cf90cf0b4df682a86",
-     "9606d03bffd494b9370f810c06b0147e41e79b45778d8885b7951708bdf4dbee"),
+     "2336448d71829d1107fbc9a6fd1b497d8d5e50db297cde8f380ea90c5b73c037"),
     ("extremal-n64-d33", ["extremal", "--n", "64", "--delta", "33"],
      "6607a6fd2d2c64d0d612dcb41ca91ed96812bff73a98f865896bb5d9dad30963",
-     "04d637e538b90160dc7b773e52ce56e0cb374d97f9e4a5dafc89d510b679d201"),
+     "107ed9d52c1012dd64dcb6150a8eef2ca2d532dd396a2c004b7bca16919ce125"),
     ("extremal-n64-d37", ["extremal", "--n", "64", "--delta", "37"],
      "e021be127b5ec72e2c4b9f883d6d504599f74066c599ead89441e19eefd3101e",
-     "b3e0c2c98b67fb5c4f858f592bcf560a22b00559631a7d7d98311f0f0a878774"),
+     "e71485e1489c3b2a58402172e6ac0fe7750478e3b04854c1e5c7630303f3692a"),
     ("extremal-n64-d48", ["extremal", "--n", "64", "--delta", "48"],
      "a4177f818ebff2ae53b35971b3b0f7d1bea63a19adfbb48675711834c36bbd9b",
-     "bb093390322c57071db01a729c044c243675fadd96dc02226372bf9258124c81"),
+     "82486859ea44eb05583170414f4c4a49bdc01a676062b96d9f2efdccf5703e16"),
     ("gnp-n64-p075-seed5", ["gnp", "--n", "64", "--p", "0.75", "--seed", "5"],
      "44d4bdd1c7f5a0b89d77a520b443472ec3df25d26e7bc5839e9fa9104572bd0b",
-     "e811fe9396a00495238b72f67a395b6f0e77acaab2981a88ac8f0e0b993eb34b"),
+     "f8ab0457ee5708ebb14a0ac414196def827ea4cf589fe5f0f3dc9e996ad9c1ae"),
 ]
 
 

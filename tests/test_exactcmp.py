@@ -4,7 +4,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hampack.exactcmp import cmp_scaled_sqrt, cmp_sqrt, sqrt_approx
+from oracles import cmp_scaled_sqrt, sqrt_approx
+
+from hampack.exactcmp import cmp_sqrt
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40

@@ -18,6 +18,9 @@ from oracles import (
     reference_gadget,
     reference_gadget_decision,
     reference_orientation_arcs,
+    reference_orientation_walk,
+    regeven_upper_admits,
+    sum_form_regeven_upper,
 )
 
 from hampack.core import EdgeSubgraph, Graph, iter_bits
@@ -302,8 +305,15 @@ def test_bounds_grid_invariants():
         for delta in range((n + 1) // 2, n):
             b = regeven_bounds(n, delta)
             assert b.lower % 2 == 0
-            assert b.admits(b.lower)
-            assert not b.admits(b.lower + 40)
+            assert regeven_upper_admits(n, delta, b.lower)
+            assert not regeven_upper_admits(n, delta, b.lower + 40)
+
+
+def test_bounds_upper_is_the_sum_form():
+    # one Fraction over one denominator, the same rational as the sum
+    for n in range(8, 200):
+        for delta in range(n):
+            assert regeven_bounds(n, delta).upper == sum_form_regeven_upper(n, delta), (n, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +348,24 @@ def _picked_rows(n, arcs, picked):
     return rows
 
 
+def _greedy_start(n, arcs, half, order):
+    """The rows (chosen, fed) of the arcs ``arcs[i]``, i in ``order``,
+    each taken while its tail and its head have room."""
+    chosen, fed = [0] * n, [0] * n
+    for i in order:
+        u, v = arcs[i]
+        if chosen[u].bit_count() < half and fed[v].bit_count() < half:
+            chosen[u] |= 1 << v
+            fed[v] |= 1 << u
+    return chosen, fed
+
+
+def _walk_order(arcs, walk):
+    """The indices into ``arcs`` of the arcs of ``walk``, in its order."""
+    index = {a: i for i, a in enumerate(arcs)}
+    return [index[a] for a in walk]
+
+
 def _flipped(g, out, rng):
     """``out`` with each edge of g reversed with probability 1/2."""
     out = list(out)
@@ -367,20 +395,24 @@ def _assert_full_selection(g, out, half, sel):
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=10), st.data())
 def test_balanced_subdigraph_matches_min_cut_oracle(g, data):
-    # a wrong None would go unseen elsewhere: the blossom decides after it
-    out = balanced_orientation_arcs(g)
+    # a wrong None would go unseen elsewhere: the blossom decides after it.
+    # The phases start from the walk's greedy arcs, or from nothing on a
+    # random flip of the orientation
+    flips = None
     if not data.draw(st.booleans()):
         flips = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
-        for (u, v), f in zip(g.edges(), flips):
-            if f:
-                out[u] ^= 1 << v
-                out[v] ^= 1 << u
-    arcs = _arcs_of(g, out)
     for half in range(max(g.degrees(), default=0) + 2):
-        sel = _balanced_subdigraph(g.adj, out, half)
+        out, chosen, fed = balanced_orientation_arcs(g, half)
+        if flips is not None:
+            chosen, fed = [0] * g.n, [0] * g.n
+            for (u, v), f in zip(g.edges(), flips):
+                if f:
+                    out[u] ^= 1 << v
+                    out[v] ^= 1 << u
+        sel = _balanced_subdigraph(g.adj, out, half, chosen, fed)
         _assert_selection(g, out, half, sel)
         size = sum(map(int.bit_count, sel)) // 2
-        cut = brute_balanced_min_cut(g.n, arcs, half)
+        cut = brute_balanced_min_cut(g.n, _arcs_of(g, out), half)
         assert (size == g.n * half) == (cut == g.n * half)
         if g.n <= 8:
             assert size == cut  # the selection is maximum
@@ -388,15 +420,16 @@ def test_balanced_subdigraph_matches_min_cut_oracle(g, data):
 
 def test_balanced_subdigraph_long_augmenting_path():
     # Tails t_i = i and heads h_j = 2k - 1 - j, with the arcs t_i -> h_{i+1}
-    # and t_i -> h_{i-1}.  The greedy pass takes every t_i -> h_{i+1}, its
-    # lower head, so tail t_{k-1} is left short and its one augmenting path
-    # alternates through every other tail down to h_0.  The heads have no
-    # out-arcs, so the selection stops at k arcs, every tail full.
+    # and t_i -> h_{i-1}.  From a cold start the first phase takes every
+    # t_i -> h_{i+1}, its lower head, so tail t_{k-1} is left short and its
+    # one augmenting path alternates through every other tail down to h_0.
+    # The heads have no out-arcs, so the selection stops at k arcs, every
+    # tail full.
     k = 512
     n = 2 * k
     arcs = [(i, 2 * k - 1 - j) for i in range(k) for j in (i - 1, i + 1) if 0 <= j < k]
     g, out = Graph(n, arcs), _out_rows(n, arcs)
-    sel = _balanced_subdigraph(g.adj, out, 1)
+    sel = _balanced_subdigraph(g.adj, out, 1, [0] * n, [0] * n)
     outs, _ = _assert_selection(g, out, 1, sel)
     assert outs == [1] * k + [0] * k
     assert sel == _picked_rows(n, _arcs_of(g, out), arc_list_balanced_subdigraph(n, _arcs_of(g, out), 1))
@@ -412,21 +445,58 @@ def _seeded_graphs(sizes, densities, seeds):
 def test_orientation_matches_reference_arcs():
     # sparse draws give odd degrees, isolated vertices and many components
     for g in _seeded_graphs(range(65), (0.03, 0.1, 0.3, 0.5, 0.9), range(2)):
-        assert _arcs_of(g, balanced_orientation_arcs(g)) == reference_orientation_arcs(g), g
+        assert _arcs_of(g, balanced_orientation_arcs(g, 0)[0]) == reference_orientation_arcs(g), g
+
+
+def test_walk_selection_is_the_greedy_in_walk_order():
+    # the orientation does not depend on half; the selection is the
+    # arcs taken greedily in the order the closed trails walk them
+    for g in _seeded_graphs(range(0, 65, 8), (0.1, 0.5, 0.9), range(2)):
+        arcs = reference_orientation_arcs(g)
+        order = _walk_order(arcs, reference_orientation_walk(g))
+        euler = _out_rows(g.n, arcs)
+        for half in range(max(g.degrees(), default=0) // 2 + 2):
+            out, chosen, fed = balanced_orientation_arcs(g, half)
+            assert out == euler
+            assert (chosen, fed) == _greedy_start(g.n, arcs, half, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12), st.integers(0, 7))
+def test_walk_selection_is_a_maximal_sub_selection(g, half):
+    out, chosen, fed = balanced_orientation_arcs(g, half)
+    for v, (row, o) in enumerate(zip(g.adj, out)):
+        assert o & ~row == 0 and abs(2 * o.bit_count() - row.bit_count()) <= 1
+    # valid: arcs of the orientation, fed the transpose of chosen, degrees <= half
+    assert all(c & ~o == 0 for c, o in zip(chosen, out))
+    assert fed == [sum(1 << u for u in range(g.n) if chosen[u] >> v & 1) for v in range(g.n)]
+    outs = [c.bit_count() for c in chosen]
+    ins = [f.bit_count() for f in fed]
+    assert max(outs + ins, default=0) <= half
+    # maximal: every arc left out has a full tail or a full head
+    for u in range(g.n):
+        for v in iter_bits(out[u] & ~chosen[u]):
+            assert outs[u] == half or ins[v] == half
 
 
 def test_balanced_subdigraph_matches_reference_verdict():
-    # the rows selection is the arc-list oracle's arc for arc, on Euler
-    # orientations and random flips, for every half up to Delta/2 + 1
+    # the rows selection is the arc-list oracle's arc for arc, from the
+    # walk's greedy on Euler orientations and from a cold start on random
+    # flips, for every half up to Delta/2 + 1
     nones = fulls = 0
     for g in _seeded_graphs(range(0, 65, 4), (0.2, 0.5, 0.8), range(2)):
         rng = random.Random(g.m)
-        euler = balanced_orientation_arcs(g)
-        for out in (euler, _flipped(g, euler, rng)):
-            arcs = _arcs_of(g, out)
-            for half in range(max(g.degrees(), default=0) // 2 + 2):
-                sel = _balanced_subdigraph(g.adj, out, half)
-                assert sel == _picked_rows(g.n, arcs, arc_list_balanced_subdigraph(g.n, arcs, half))
+        euler = balanced_orientation_arcs(g, 0)[0]
+        flipped = _flipped(g, euler, rng)
+        order = _walk_order(_arcs_of(g, euler), reference_orientation_walk(g))
+        for half in range(max(g.degrees(), default=0) // 2 + 2):
+            walked = balanced_orientation_arcs(g, half)
+            for out, chosen, fed, greedy in (
+                (*walked, order), (flipped, [0] * g.n, [0] * g.n, ()),
+            ):
+                arcs = _arcs_of(g, out)
+                sel = _balanced_subdigraph(g.adj, out, half, chosen, fed)
+                assert sel == _picked_rows(g.n, arcs, arc_list_balanced_subdigraph(g.n, arcs, half, greedy))
                 short = sum(map(int.bit_count, sel)) < 2 * g.n * half
                 assert short == (reference_balanced_subdigraph(g.n, arcs, half) is None)
                 if short:
@@ -438,16 +508,19 @@ def test_balanced_subdigraph_matches_reference_verdict():
 
 
 def test_balanced_subdigraph_retries_the_arc_of_a_dead_tail():
-    # K6 less the edges 14 and 35.  The greedy pass leaves tail 5 one arc
-    # short and head 4 with room.  Tail 5's only unchosen arc 5 -> 0
-    # reaches head 0, which is full and fed by the chosen arcs 1 -> 0 and
-    # 2 -> 0, in ascending tail order.  Tail 1 has no unchosen arc, so it
-    # dies; the arc 5 -> 0 must be tried again to reach tail 2, whose arc
-    # 2 -> 4 ends the path at head 4.
+    # K6 less the edges 14 and 35.  The greedy start, in edge order,
+    # leaves tail 5 one arc short and head 4 with room.  Tail 5's only
+    # unchosen arc 5 -> 0 reaches head 0, which is full and fed by the
+    # chosen arcs 1 -> 0 and 2 -> 0, in ascending tail order.  Tail 1 has
+    # no unchosen arc, so it dies; the arc 5 -> 0 must be tried again to
+    # reach tail 2, whose arc 2 -> 4 ends the path at head 4.
     arcs = [(0, 3), (0, 4), (1, 0), (1, 5), (2, 0), (2, 1), (2, 4),
             (3, 1), (3, 2), (4, 3), (4, 5), (5, 0), (5, 2)]
     g, out = Graph(6, arcs), _out_rows(6, arcs)
-    sel = _balanced_subdigraph(g.adj, out, 2)
+    edge_arcs = _arcs_of(g, out)
+    chosen, fed = _greedy_start(6, edge_arcs, 2, range(len(edge_arcs)))
+    assert chosen[5].bit_count() == 1 and fed[4].bit_count() < 2
+    sel = _balanced_subdigraph(g.adj, out, 2, chosen, fed)
     _assert_full_selection(g, out, 2, sel)
     assert Graph.from_adj(sel).edges() == [e for e in g.edges() if e != (0, 2)]
 
@@ -489,7 +562,7 @@ def test_two_factorization_pinned_digest():
     parts = petersen_two_factorization(h)
     text = "".join(format_rows(h.n, f.subgraph.rows) for f in parts)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "a2a6e9090e476f61d05b659a3e0c19ffba083615f24283993672e8283e8c3ef0")
+        "b97013ab17e23cdffb6aa35d0ea2978825e71a1e75ad8bf11821fca14404c507")
 
 
 def test_two_factorization_rejects_bad_inputs():
@@ -707,7 +780,8 @@ def _leave_one_exposed(n, adj):
 def test_odd_fast_path_miss_falls_through_to_the_gadget(monkeypatch, miss):
     g = random_graph(40, 0.5, 7)
     if miss == "no_subdigraph":
-        monkeypatch.setattr(factors, "_balanced_subdigraph", lambda adj, out, half: [0] * len(adj))
+        monkeypatch.setattr(factors, "_balanced_subdigraph",
+                            lambda adj, out, half, chosen, fed: [0] * len(adj))
         rs = (3, 5, 7)
     else:
         monkeypatch.setattr(factors, "maximum_matching", _leave_one_exposed)
@@ -722,21 +796,31 @@ def test_odd_fast_path_miss_falls_through_to_the_gadget(monkeypatch, miss):
 
 @pytest.mark.parametrize("g,r", [
     (extremal_graph(64, 33)[0], 22),    # the selection misses by a few units; a yes
-    (random_graph(16, 0.3, 52), 3),     # the host matching leaves a vertex short; a yes
+    (random_graph(16, 0.3, 72), 3),     # the host matching leaves two vertices short; a yes
     (random_graph(16, 0.3, 57), 3),     # a no, off the barrier
     (random_graph(16, 0.15, 337), 2),   # a fixed hard negative
-], ids=["extremal-r22", "gnp52-r3", "gnp57-r3", "gnp337-r2"])
+], ids=["extremal-r22", "gnp72-r3", "gnp57-r3", "gnp337-r2"])
 def test_gadget_decision_orients_once(monkeypatch, g, r):
     # a fast-path miss hands its near-factor to the gadget, so the Euler
     # walk and the b-matching run once per decision
     calls, gadgets = [], []
     orient, build = factors.balanced_orientation_arcs, factors._build_gadget
-    monkeypatch.setattr(factors, "balanced_orientation_arcs", lambda g: calls.append(g) or orient(g))
+    monkeypatch.setattr(factors, "balanced_orientation_arcs",
+                        lambda g, half: calls.append(g) or orient(g, half))
     monkeypatch.setattr(factors, "_build_gadget", lambda g, r: gadgets.append(r) or build(g, r))
     decision = r_factor_exists(g, r)
     assert gadgets == [r] and len(calls) == 1
     arbiter = _decide_by_gadget(g, r)
     assert (decision.factor, decision.certificate) == (arbiter.factor, arbiter.certificate)
+
+
+def test_extremal_reg_even_at_n128_is_a_fast_path_hit(monkeypatch):
+    # the walk's greedy plus the phases fill the selection at reg_even = 40
+    g = extremal_graph(128, 65)[0]
+    monkeypatch.setattr(factors, "_build_gadget", lambda g, r: pytest.fail("the gadget ran"))
+    decision = r_factor_exists(g, 40)
+    assert decision.exists and decision.factor.r == 40
+    decision.factor.validate(g)
 
 
 def test_odd_factor_at_n512():
